@@ -1,4 +1,9 @@
-"""Exception types shared by the solver and simulation modules."""
+"""Exception types shared by the solver and simulation modules.
+
+Every type survives a pickle round trip with its attributes and message, so
+an error raised in a worker process reaches the caller unchanged.  Types
+whose constructor does not take the message define ``__reduce__``.
+"""
 
 
 class LqmfgError(Exception):
@@ -16,6 +21,9 @@ class ValidationError(LqmfgError):
         self.report = report
         super().__init__("model validation failed\n" + report.summary())
 
+    def __reduce__(self):
+        return (type(self), (self.report,))
+
 
 class UsageError(LqmfgError):
     """Bad arguments or a violated operation precondition."""
@@ -32,6 +40,9 @@ class SingularSigmaError(LqmfgError):
             f"Sigma(t) not invertible at t={self.t:.6g}: "
             f"min eigenvalue {self.min_eig:.3e} < r_min {self.r_min:.3e}"
         )
+
+    def __reduce__(self):
+        return (type(self), (self.t, self.min_eig, self.r_min))
 
 
 class DivergenceError(LqmfgError):
@@ -62,6 +73,9 @@ class ConvergenceError(LqmfgError):
             f"residual {self.residual:.3e} > tol {self.tol:.3e}"
         )
 
+    def __reduce__(self):
+        return (type(self), (self.iterations, self.residual, self.tol))
+
 
 class MonotonicityError(LqmfgError):
     """The iterative scheme violated its decreasing-PSD-order guarantee."""
@@ -74,3 +88,6 @@ class MonotonicityError(LqmfgError):
             f"iterate {iteration} not below its predecessor at node {node}: "
             f"min eigenvalue of difference {self.min_eig:.3e}"
         )
+
+    def __reduce__(self):
+        return (type(self), (self.iteration, self.node, self.min_eig))

@@ -15,10 +15,6 @@ import tempfile
 import numpy as np
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def atomic_write_text(path, text: str) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -62,10 +58,8 @@ def _vector_headers(name: str, rows: int) -> list[str]:
 
 
 def _csv(headers, columns) -> str:
-    lines = [",".join(headers)]
-    rows = len(columns[0])
-    for j in range(rows):
-        lines.append(",".join(_fmt(col[j]) for col in columns))
+    rows = np.column_stack(columns).astype(float, copy=False).tolist()
+    lines = [",".join(headers)] + [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

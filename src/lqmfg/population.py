@@ -656,19 +656,23 @@ def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
     Em = integrate_Em(model, law)
     payload = _SimPayload(model, law, Em, beta_literal)
 
+    # A "self" candidate replays the baseline bit for bit, so it reuses the
+    # baseline's stats (key -1) instead of running again.
+    keys = [-1 if cand.is_self else ci for ci, cand in enumerate(candidates)]
     tasks = []
     for s in range(S):
         sample_seed = derive_seed(seed, N, s)
         tasks.append(((-1, s), N, sample_seed, None, False))
         for ci, cand in enumerate(candidates):
-            tasks.append(((ci, s), N, sample_seed, cand, False))
+            if not cand.is_self:
+                tasks.append(((ci, s), N, sample_seed, cand, False))
     stats = _map_samples(payload, tasks, workers)
 
     base = [float(stats[(-1, s)].J_central[0]) for s in range(S)]
     base_mean, base_se = _mean_se(base)
     results = []
-    for ci, cand in enumerate(candidates):
-        vals = [float(stats[(ci, s)].J_central[0]) for s in range(S)]
+    for key, cand in zip(keys, candidates):
+        vals = [float(stats[(key, s)].J_central[0]) for s in range(S)]
         mean, se = _mean_se(vals)
         diffs = [b - v for b, v in zip(base, vals)]
         gain, gain_se = _mean_se(diffs)

@@ -6,9 +6,10 @@ Three routes are implemented:
   with classical RK4.  The equation is non-standard: the control enters both
   diffusion channels, so the weighting is Sigma = R + D'PD + D0'PD0 rather
   than R alone.
-* ``solve_P_iterative`` runs the monotone fixed-point scheme: a linear
-  Lyapunov equation per iterate, with gains recomputed from the previous
-  iterate.  The iterates decrease in the PSD order, which is checked.
+* ``solve_P_iterative`` runs the monotone fixed-point scheme (Kleinman's
+  iteration): a linear Lyapunov equation per iterate, with gains recomputed
+  from the previous iterate.  The iterates decrease in the PSD order, which
+  is checked.
 * ``solve_Gamma_via_Pi`` substitutes Pi = P + Gamma, which turns the
   non-symmetric Gamma equation into a symmetric Riccati equation whenever
   alpha is a scalar multiple of the identity and beta = beta0 = 0.
@@ -16,12 +17,18 @@ Three routes are implemented:
 ``solve_Gamma_direct`` and ``solve_Phi`` complete the system, and
 ``build_feedback`` produces the decentralized gains (K_z, K_m, c_u).
 
+Every equation goes through one backward RK4 loop, ``_rk4_backward``.
 Coefficient schedules are piecewise-constant per grid interval (left node).
-Between nodes, previously computed matrix sequences (P when solving for
-Gamma/Phi/Pi, the current iterate inside the Lyapunov scheme) are evaluated at
-interval midpoints with a cubic 4-point stencil; holding them frozen at the
+The RK4 stages of interval j sit at its right node, its midpoint and its
+left node.  Previously computed matrix sequences (P when solving for
+Gamma/Phi/Pi, the current iterate inside the Lyapunov scheme) are evaluated
+at interval midpoints with a cubic 4-point stencil; holding them frozen at the
 left node instead would drop the integrator to first order and miss the
-tolerances the closed-form checks require.
+tolerances the closed-form checks require.  Everything such a sequence
+determines (Sigma^{-1} with its r_min check, the closed-loop matrices and the
+forcing terms) is built once per route as stacked (3, M, ...) arrays, so
+those right-hand sides are matrix products only.  ``solve_P_direct`` alone
+inverts Sigma at every stage, since there Sigma depends on the stage value.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConvergenceError, DivergenceError, MonotonicityError,
                      SingularSigmaError, UsageError)
@@ -39,47 +45,38 @@ DEFAULT_MAX_ITERS = 100
 DEFAULT_ITER_TOL = 1e-10
 PRECONDITION_ATOL = 1e-12
 
+_NAMES = ("A", "B", "alpha", "b", "C", "D", "beta", "sigma",
+          "C0", "D0", "beta0", "sigma0", "Q", "R")
+
+
+def _T(X):
+    return np.swapaxes(X, -1, -2)
+
 
 def _sym(X):
-    return 0.5 * (X + X.T)
+    return 0.5 * (X + _T(X))
 
 
-@dataclasses.dataclass(frozen=True)
-class _C:
-    """Coefficient values on one grid interval."""
+class _Coeffs:
+    """Coefficient values on the first ``stop`` nodes, with transposes.
 
-    A: np.ndarray
-    B: np.ndarray
-    alpha: np.ndarray
-    b: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    beta: np.ndarray
-    sigma: np.ndarray
-    C0: np.ndarray
-    D0: np.ndarray
-    beta0: np.ndarray
-    sigma0: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
+    ``c.A`` holds the (stop, n, n) values of A and ``c.At`` their transposes.
+    Taken over the M left nodes, the arrays broadcast against (3, M, ...)
+    stage stacks; taken over all nodes, against node sequences.
+    """
 
+    def __init__(self, model: LqMfgModel, stop: int | None = None):
+        for name in _NAMES:
+            values = getattr(model, name).values[:stop]
+            setattr(self, name, values)
+            setattr(self, name + "t", _T(values))
 
-def _node_coeffs(model: LqMfgModel):
-    names = ("A", "B", "alpha", "b", "C", "D", "beta", "sigma",
-             "C0", "D0", "beta0", "sigma0", "Q", "R")
-    vals = {name: getattr(model, name).values for name in names}
-    return [_C(**{name: vals[name][j] for name in names})
-            for j in range(model.grid.node_count)]
-
-
-def _spd_solver(Sig, r_min, t):
-    """Return X -> Sigma^{-1} X via Cholesky, guarding the r_min floor."""
-    S = _sym(np.asarray(Sig, float))
-    w = np.linalg.eigvalsh(S)
-    if w[0] < r_min:
-        raise SingularSigmaError(t, w[0], r_min)
-    cf = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-    return lambda X: scipy.linalg.cho_solve(cf, X, check_finite=False)
+    def interval(self, j: int) -> "_Coeffs":
+        """The values of one interval as plain matrices."""
+        one = object.__new__(_Coeffs)
+        for name, values in vars(self).items():
+            setattr(one, name, values[j])
+        return one
 
 
 def interval_midpoints(values) -> np.ndarray:
@@ -106,59 +103,79 @@ def interval_midpoints(values) -> np.ndarray:
     return mids
 
 
-def _sigma_of(P, c):
-    return c.R + c.D.T @ P @ c.D + c.D0.T @ P @ c.D0
+def _stages(values) -> np.ndarray:
+    """A node sequence at the RK4 stage points: (3, M, ...) with right
+    nodes, interval midpoints and left nodes."""
+    v = np.asarray(values, dtype=float)
+    return np.stack([v[1:], interval_midpoints(v), v[:-1]])
 
 
-def _p_rhs(P, c, r_min, t):
-    solve = _spd_solver(_sigma_of(P, c), r_min, t)
-    S = P @ c.B + c.C.T @ P @ c.D + c.C0.T @ P @ c.D0
-    return -(P @ c.A + c.A.T @ P + c.C.T @ P @ c.C + c.C0.T @ P @ c.C0
-             + c.Q - S @ solve(S.T))
+def _stage_times(grid: TimeGrid) -> np.ndarray:
+    left = grid.nodes[:-1]
+    return np.stack([grid.nodes[1:], left + 0.5 * grid.h, left])
 
 
-def _gamma_rhs(Gam, P, c, r_min, t):
-    solve = _spd_solver(_sigma_of(P, c), r_min, t)
-    S = P @ c.B + c.C.T @ P @ c.D + c.C0.T @ P @ c.D0
-    Th = c.D.T @ P @ c.beta + c.D0.T @ P @ c.beta0
-    Acl = c.A - c.B @ solve(S.T)
-    bracket = (Gam @ Acl + Acl.T @ Gam
-               - Gam @ (c.B @ solve(Th))
-               + c.C.T @ P @ c.beta + c.C0.T @ P @ c.beta0
-               - S @ solve(Th)
-               + (P + Gam) @ c.alpha
-               - Gam @ c.B @ solve(c.B.T @ Gam))
-    return c.Q - bracket
+def _sigma(c, P):
+    return c.R + c.Dt @ P @ c.D + c.D0t @ P @ c.D0
 
 
-def _phi_rhs(Phi, P, Gam, c, r_min, t):
-    solve = _spd_solver(_sigma_of(P, c), r_min, t)
-    S = P @ c.B + c.C.T @ P @ c.D + c.C0.T @ P @ c.D0
-    SigBt = solve(c.B.T)
-    SigDt = solve(c.D.T)
-    SigD0t = solve(c.D0.T)
-    GB = Gam @ c.B
-    lam = c.A.T - S @ SigBt - GB @ SigBt
-    forcing = ((c.C.T - S @ SigDt - GB @ SigDt) @ (P @ c.sigma)
-               + (c.C0.T - S @ SigD0t - GB @ SigD0t) @ (P @ c.sigma0)
-               + (P + Gam) @ c.b)
-    return -(lam @ Phi + forcing[:, 0])
+def _sigma_inv(Sig, r_min, t):
+    """Sigma^{-1} for one matrix or a stack, guarding the r_min floor.
+
+    ``t`` holds the time of each point.  A point below the floor raises
+    ``SingularSigmaError`` at the latest such time, the one that a backward
+    sweep reaches first.
+    """
+    Sig = _sym(Sig)
+    w = np.linalg.eigvalsh(Sig)[..., 0]
+    bad = w < r_min
+    if bad.any():
+        t = np.broadcast_to(t, w.shape)
+        i = np.flatnonzero(bad & (t == t[bad].max()))[-1]
+        raise SingularSigmaError(t.flat[i], w.flat[i], r_min)
+    return np.linalg.inv(Sig)
 
 
-def _pi_rhs(Pi, P, c, delta, r_min, t):
-    solve = _spd_solver(_sigma_of(P, c), r_min, t)
-    W = c.D.T @ P @ c.C + c.D0.T @ P @ c.C0
-    Ahat = c.A - c.B @ solve(W)
-    PD = P @ c.D
-    PD0 = P @ c.D0
-    SigDtP = solve(c.D.T @ P)
-    SigD0tP = solve(c.D0.T @ P)
-    M = (c.C.T @ (P - PD @ SigDtP) @ c.C
-         + c.C0.T @ (P - PD0 @ SigD0tP) @ c.C0
-         - c.C.T @ PD @ (SigD0tP @ c.C0)
-         - c.C0.T @ PD0 @ (SigDtP @ c.C))
-    return -(Pi @ Ahat + Ahat.T @ Pi + delta * Pi + M
-             - Pi @ c.B @ solve(c.B.T @ Pi))
+def _gain_terms(c, P, r_min, t):
+    """Sigma^{-1} and S = PB + C'PD + C0'PD0, so that the feedback gain on
+    the state is -Sigma^{-1} S'."""
+    Sinv = _sigma_inv(_sigma(c, P), r_min, t)
+    return Sinv, P @ c.B + c.Ct @ P @ c.D + c.C0t @ P @ c.D0
+
+
+def _rk4_backward(grid: TimeGrid, terminal, rhs, name: str,
+                  sym: bool = False, psd: bool = False) -> np.ndarray:
+    """Classical RK4 from ``terminal`` at T back to 0, one grid step a time.
+
+    ``rhs(y, stage, j)`` is dy/dt at stage 0 (right node), 1 (midpoint) or
+    2 (left node) of interval j.  With ``sym`` every step is symmetrized;
+    with ``psd`` its minimum eigenvalue must stay above -TOL_PSD.  Returns
+    the (M+1, ...) node sequence.  Raises ``DivergenceError`` at the first
+    node that is non-finite or fails the PSD check.
+    """
+    M, h = grid.steps, grid.h
+    nodes = grid.nodes
+    Y = np.empty((M + 1,) + np.shape(terminal))
+    Y[M] = terminal
+    for j in range(M - 1, -1, -1):
+        y = Y[j + 1]
+        k1 = rhs(y, 0, j)
+        k2 = rhs(y - 0.5 * h * k1, 1, j)
+        k3 = rhs(y - 0.5 * h * k2, 1, j)
+        k4 = rhs(y - h * k3, 2, j)
+        yj = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if sym:
+            yj = 0.5 * (yj + yj.T)
+        if not np.isfinite(yj).all():
+            raise DivergenceError(f"{name} diverged", node=j, t=nodes[j])
+        if psd:
+            w_min = float(np.linalg.eigvalsh(yj)[0])
+            if w_min < -TOL_PSD:
+                raise DivergenceError(f"{name} lost positive semidefiniteness",
+                                      node=j, t=nodes[j],
+                                      detail=f"min eigenvalue {w_min:.3e}")
+        Y[j] = yj
+    return Y
 
 
 def solve_P_direct(model: LqMfgModel) -> np.ndarray:
@@ -170,104 +187,47 @@ def solve_P_direct(model: LqMfgModel) -> np.ndarray:
     ``DivergenceError`` if an iterate goes non-finite or loses positive
     semidefiniteness beyond the tolerance.
     """
-    grid = model.grid
-    M, h = grid.steps, grid.h
-    nodes = grid.nodes
-    cs = _node_coeffs(model)
+    c = _Coeffs(model, model.grid.steps)
+    cs = [c.interval(j) for j in range(model.grid.steps)]
+    t = _stage_times(model.grid)
     r_min = model.r_min
-    P = np.empty((M + 1, model.n, model.n))
-    P[M] = _sym(model.G)
-    for j in range(M - 1, -1, -1):
-        c = cs[j]
-        t1, tm, t0 = nodes[j + 1], nodes[j] + 0.5 * h, nodes[j]
-        y = P[j + 1]
-        k1 = _p_rhs(y, c, r_min, t1)
-        k2 = _p_rhs(y - 0.5 * h * k1, c, r_min, tm)
-        k3 = _p_rhs(y - 0.5 * h * k2, c, r_min, tm)
-        k4 = _p_rhs(y - h * k3, c, r_min, t0)
-        Pj = _sym(y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.isfinite(Pj).all():
-            raise DivergenceError("P diverged", node=j, t=nodes[j])
-        w_min = float(np.linalg.eigvalsh(Pj)[0])
-        if w_min < -TOL_PSD:
-            raise DivergenceError("P lost positive semidefiniteness",
-                                  node=j, t=nodes[j],
-                                  detail=f"min eigenvalue {w_min:.3e}")
-        P[j] = Pj
-    return P
+
+    def rhs(P, s, j):
+        cj = cs[j]
+        Sinv, S = _gain_terms(cj, P, r_min, t[s, j])
+        return -(P @ cj.A + cj.At @ P + cj.Ct @ P @ cj.C + cj.C0t @ P @ cj.C0
+                 + cj.Q - S @ Sinv @ S.T)
+
+    return _rk4_backward(model.grid, _sym(model.G), rhs, "P",
+                         sym=True, psd=True)
 
 
-def _lyap_rhs(P, Ah, Ch, C0h, Qh):
-    return -(P @ Ah + Ah.T @ P + Ch.T @ P @ Ch + C0h.T @ P @ C0h + Qh)
+def _solve_lyapunov(grid: TimeGrid, G, Ah, Ch, C0h, Qh) -> np.ndarray:
+    """Backward RK4 for the linear Lyapunov equation
 
+        -dP/dt = P Ah + Ah'P + Ch'P Ch + C0h'P C0h + Qh,   P(T) = G.
 
-def _solve_lyapunov(grid: TimeGrid, G, coeff_at):
-    """Backward RK4 for the linear Lyapunov equation.
-
-    ``coeff_at(j, stage)`` returns (A_hat, C_hat, C0_hat, Q_hat) for
-    stage in {"right", "mid", "left"} of interval j.
+    Coefficients are (3, M, n, n) stage stacks, or (M, n, n) left-node
+    values used at every stage.
     """
-    M, h = grid.steps, grid.h
-    n = G.shape[0]
-    P = np.empty((M + 1, n, n))
-    P[M] = _sym(G)
-    for j in range(M - 1, -1, -1):
-        right = coeff_at(j, "right")
-        mid = coeff_at(j, "mid")
-        left = coeff_at(j, "left")
-        y = P[j + 1]
-        k1 = _lyap_rhs(y, *right)
-        k2 = _lyap_rhs(y - 0.5 * h * k1, *mid)
-        k3 = _lyap_rhs(y - 0.5 * h * k2, *mid)
-        k4 = _lyap_rhs(y - h * k3, *left)
-        Pj = _sym(y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.isfinite(Pj).all():
-            raise DivergenceError("Lyapunov iterate diverged", node=j,
-                                  t=grid.nodes[j])
-        P[j] = Pj
-    return P
+    Ah, Ch, C0h, Qh = (np.broadcast_to(X, (3,) + X.shape[-3:])
+                       for X in (Ah, Ch, C0h, Qh))
+    Aht, Cht, C0ht = _T(Ah), _T(Ch), _T(C0h)
+
+    def rhs(P, s, j):
+        return -(P @ Ah[s, j] + Aht[s, j] @ P + Cht[s, j] @ P @ Ch[s, j]
+                 + C0ht[s, j] @ P @ C0h[s, j] + Qh[s, j])
+
+    return _rk4_backward(grid, _sym(G), rhs, "Lyapunov iterate", sym=True)
 
 
-def _psi_transform(P_val, c, r_min, t):
-    """(A_hat, C_hat, C0_hat, Q_hat) for the Lyapunov step, from one P value."""
-    solve = _spd_solver(_sigma_of(P_val, c), r_min, t)
-    Psi = solve((P_val @ c.B + c.C.T @ P_val @ c.D + c.C0.T @ P_val @ c.D0).T)
+def _psi_transform(c, P, r_min, t):
+    """(A_hat, C_hat, C0_hat, Q_hat) for the Lyapunov step linearized at P,
+    with gain Psi = Sigma^{-1} S'."""
+    Sinv, S = _gain_terms(c, P, r_min, t)
+    Psi = Sinv @ _T(S)
     return (c.A - c.B @ Psi, c.C - c.D @ Psi, c.C0 - c.D0 @ Psi,
-            c.Q + Psi.T @ c.R @ Psi)
-
-
-@dataclasses.dataclass(frozen=True)
-class IterativeSolverState:
-    """One iterate of the Lyapunov fixed-point scheme, with its transforms."""
-
-    index: int
-    P: np.ndarray        # (M+1, n, n)
-    Psi: np.ndarray      # (M+1, k, n)
-    A_hat: np.ndarray    # (M+1, n, n)
-    C_hat: np.ndarray
-    C0_hat: np.ndarray
-    Q_hat: np.ndarray
-
-    @classmethod
-    def from_iterate(cls, model: LqMfgModel, P, index: int) -> "IterativeSolverState":
-        P = np.asarray(P, float)
-        cs = _node_coeffs(model)
-        nodes = model.grid.nodes
-        n, k, cnt = model.n, model.k, model.grid.node_count
-        Psi = np.empty((cnt, k, n))
-        A_hat = np.empty((cnt, n, n))
-        C_hat = np.empty((cnt, n, n))
-        C0_hat = np.empty((cnt, n, n))
-        Q_hat = np.empty((cnt, n, n))
-        for j in range(cnt):
-            c = cs[j]
-            solve = _spd_solver(_sigma_of(P[j], c), model.r_min, nodes[j])
-            Psi[j] = solve((P[j] @ c.B + c.C.T @ P[j] @ c.D + c.C0.T @ P[j] @ c.D0).T)
-            A_hat[j] = c.A - c.B @ Psi[j]
-            C_hat[j] = c.C - c.D @ Psi[j]
-            C0_hat[j] = c.C0 - c.D0 @ Psi[j]
-            Q_hat[j] = c.Q + Psi[j].T @ c.R @ Psi[j]
-        return cls(index, P, Psi, A_hat, C_hat, C0_hat, Q_hat)
+            c.Q + _T(Psi) @ c.R @ Psi)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -294,33 +254,17 @@ def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
     if max_iters is exhausted.
     """
     grid = model.grid
-    cs = _node_coeffs(model)
-    nodes = grid.nodes
-    r_min = model.r_min
-    mid_times = nodes[:-1] + 0.5 * grid.h
-
-    def plain_coeffs(j, stage):
-        c = cs[j]
-        return (c.A, c.C, c.C0, c.Q)
-
-    P_prev = _solve_lyapunov(grid, model.G, plain_coeffs)
+    c = _Coeffs(model, grid.steps)
+    t = _stage_times(grid)
+    P_prev = _solve_lyapunov(grid, model.G, c.A, c.C, c.C0, c.Q)
 
     residuals = []
     for i in range(max_iters):
-        P_mid = interval_midpoints(P_prev)
-
-        def transformed(j, stage, _P=P_prev, _Pm=P_mid):
-            c = cs[j]
-            if stage == "right":
-                return _psi_transform(_P[j + 1], c, r_min, nodes[j + 1])
-            if stage == "mid":
-                return _psi_transform(_Pm[j], c, r_min, mid_times[j])
-            return _psi_transform(_P[j], c, r_min, nodes[j])
-
-        P_next = _solve_lyapunov(grid, model.G, transformed)
+        P_next = _solve_lyapunov(grid, model.G, *_psi_transform(
+            c, _stages(P_prev), model.r_min, t))
 
         diff = P_prev - P_next
-        min_eigs = np.linalg.eigvalsh(0.5 * (diff + np.transpose(diff, (0, 2, 1))))[:, 0]
+        min_eigs = np.linalg.eigvalsh(_sym(diff))[:, 0]
         worst = int(np.argmin(min_eigs))
         if min_eigs[worst] < -TOL_PSD:
             raise MonotonicityError(i + 1, worst, min_eigs[worst])
@@ -342,27 +286,23 @@ def solve_Gamma_direct(model: LqMfgModel, P) -> np.ndarray:
     in general, and the output may legitimately be non-symmetric.
     """
     P = np.asarray(P, float)
-    grid = model.grid
-    M, h = grid.steps, grid.h
-    nodes = grid.nodes
-    cs = _node_coeffs(model)
-    r_min = model.r_min
-    Pm = interval_midpoints(P)
-    Gam = np.empty_like(P)
-    Gam[M] = 0.0
-    for j in range(M - 1, -1, -1):
-        c = cs[j]
-        t1, tm, t0 = nodes[j + 1], nodes[j] + 0.5 * h, nodes[j]
-        y = Gam[j + 1]
-        k1 = _gamma_rhs(y, P[j + 1], c, r_min, t1)
-        k2 = _gamma_rhs(y - 0.5 * h * k1, Pm[j], c, r_min, tm)
-        k3 = _gamma_rhs(y - 0.5 * h * k2, Pm[j], c, r_min, tm)
-        k4 = _gamma_rhs(y - h * k3, P[j], c, r_min, t0)
-        Gj = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(Gj).all():
-            raise DivergenceError("Gamma diverged", node=j, t=nodes[j])
-        Gam[j] = Gj
-    return Gam
+    c = _Coeffs(model, model.grid.steps)
+    Ps = _stages(P)
+    Sinv, S = _gain_terms(c, Ps, model.r_min, _stage_times(model.grid))
+    Th = c.Dt @ Ps @ c.beta + c.D0t @ Ps @ c.beta0
+    BSinv = c.B @ Sinv
+    Acl = c.A - BSinv @ _T(S)
+    # -dGamma/dt = Gamma L + Acl' Gamma - Gamma N Gamma - F
+    L = Acl - BSinv @ Th + c.alpha
+    Aclt = _T(Acl)
+    N = BSinv @ c.Bt
+    F = (c.Q - c.Ct @ Ps @ c.beta - c.C0t @ Ps @ c.beta0 + S @ Sinv @ Th
+         - Ps @ c.alpha)
+
+    def rhs(Gam, s, j):
+        return F[s, j] - Gam @ L[s, j] - Aclt[s, j] @ Gam + Gam @ N[s, j] @ Gam
+
+    return _rk4_backward(model.grid, np.zeros(P.shape[1:]), rhs, "Gamma")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -380,6 +320,21 @@ class PiTransformReport:
     @property
     def violated_nodes(self) -> np.ndarray:
         return np.nonzero(self.condition_margins < -TOL_PSD)[0]
+
+
+def _pi_terms(c, P, r_min, t):
+    """Sigma^{-1}, A_hat = A - B Sigma^{-1}(D'PC + D0'PC0), the constant
+    term M of the Pi equation, and the cross term of M whose PSD-ness backs
+    the substitution."""
+    Sinv = _sigma_inv(_sigma(c, P), r_min, t)
+    DtP, D0tP = c.Dt @ P, c.D0t @ P
+    SigDtP, SigD0tP = Sinv @ DtP, Sinv @ D0tP
+    Ahat = c.A - c.B @ Sinv @ (DtP @ c.C + D0tP @ c.C0)
+    PD, PD0 = P @ c.D, P @ c.D0
+    cross = -c.Ct @ PD @ (SigD0tP @ c.C0) - c.C0t @ PD0 @ (SigDtP @ c.C)
+    Mterm = (c.Ct @ (P - PD @ SigDtP) @ c.C
+             + c.C0t @ (P - PD0 @ SigD0tP) @ c.C0 + cross)
+    return Sinv, Ahat, Mterm, cross
 
 
 def solve_Gamma_via_Pi(model: LqMfgModel, P):
@@ -407,40 +362,20 @@ def solve_Gamma_via_Pi(model: LqMfgModel, P):
        np.abs(model.beta0.values).max() > PRECONDITION_ATOL:
         raise UsageError("Pi substitution requires beta = beta0 = 0")
 
-    M, h = grid.steps, grid.h
-    nodes = grid.nodes
-    cs = _node_coeffs(model)
-    r_min = model.r_min
-    Pm = interval_midpoints(P)
+    cross = _pi_terms(_Coeffs(model), P, model.r_min, grid.nodes)[3]
+    margins = np.linalg.eigvalsh(_sym(cross))[:, 0]
 
-    margins = np.empty(M + 1)
-    for j in range(M + 1):
-        c = cs[j]
-        solve = _spd_solver(_sigma_of(P[j], c), r_min, nodes[j])
-        cross = (-c.C.T @ (P[j] @ c.D) @ solve(c.D0.T @ P[j] @ c.C0)
-                 - c.C0.T @ (P[j] @ c.D0) @ solve(c.D.T @ P[j] @ c.C))
-        margins[j] = float(np.linalg.eigvalsh(_sym(cross))[0])
+    c = _Coeffs(model, grid.steps)
+    Sinv, Ahat, Mterm, _ = _pi_terms(c, _stages(P), model.r_min,
+                                     _stage_times(grid))
+    Ahatt = _T(Ahat)
+    N = c.B @ Sinv @ c.Bt
 
-    Pi = np.empty_like(P)
-    Pi[M] = _sym(model.G)
-    for j in range(M - 1, -1, -1):
-        c = cs[j]
-        t1, tm, t0 = nodes[j + 1], nodes[j] + 0.5 * h, nodes[j]
-        y = Pi[j + 1]
-        k1 = _pi_rhs(y, P[j + 1], c, delta, r_min, t1)
-        k2 = _pi_rhs(y - 0.5 * h * k1, Pm[j], c, delta, r_min, tm)
-        k3 = _pi_rhs(y - 0.5 * h * k2, Pm[j], c, delta, r_min, tm)
-        k4 = _pi_rhs(y - h * k3, P[j], c, delta, r_min, t0)
-        Pij = _sym(y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.isfinite(Pij).all():
-            raise DivergenceError("Pi diverged", node=j, t=nodes[j])
-        w_min = float(np.linalg.eigvalsh(Pij)[0])
-        if w_min < -TOL_PSD:
-            raise DivergenceError("Pi lost positive semidefiniteness",
-                                  node=j, t=nodes[j],
-                                  detail=f"min eigenvalue {w_min:.3e}")
-        Pi[j] = Pij
+    def rhs(Pi, s, j):
+        return -(Pi @ Ahat[s, j] + Ahatt[s, j] @ Pi + delta * Pi + Mterm[s, j]
+                 - Pi @ N[s, j] @ Pi)
 
+    Pi = _rk4_backward(grid, _sym(model.G), rhs, "Pi", sym=True, psd=True)
     report = PiTransformReport(delta=delta, Pi=Pi, condition_margins=margins)
     return Pi - P, report
 
@@ -451,40 +386,25 @@ def solve_Phi(model: LqMfgModel, P, Gamma) -> np.ndarray:
     Linear in Phi once P and Gamma are known; both are interpolated at
     interval midpoints for the RK4 stages.  Returns an (M+1, n) array.
     """
-    P = np.asarray(P, float)
-    Gamma = np.asarray(Gamma, float)
-    grid = model.grid
-    M, h = grid.steps, grid.h
-    nodes = grid.nodes
-    cs = _node_coeffs(model)
-    r_min = model.r_min
-    Pm = interval_midpoints(P)
-    Gm = interval_midpoints(Gamma)
-    Phi = np.empty((M + 1, model.n))
-    Phi[M] = 0.0
-    for j in range(M - 1, -1, -1):
-        c = cs[j]
-        t1, tm, t0 = nodes[j + 1], nodes[j] + 0.5 * h, nodes[j]
-        y = Phi[j + 1]
-        k1 = _phi_rhs(y, P[j + 1], Gamma[j + 1], c, r_min, t1)
-        k2 = _phi_rhs(y - 0.5 * h * k1, Pm[j], Gm[j], c, r_min, tm)
-        k3 = _phi_rhs(y - 0.5 * h * k2, Pm[j], Gm[j], c, r_min, tm)
-        k4 = _phi_rhs(y - h * k3, P[j], Gamma[j], c, r_min, t0)
-        Pj = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(Pj).all():
-            raise DivergenceError("Phi diverged", node=j, t=nodes[j])
-        Phi[j] = Pj
-    return Phi
+    c = _Coeffs(model, model.grid.steps)
+    Ps, Gs = _stages(P), _stages(Gamma)
+    Sinv, S = _gain_terms(c, Ps, model.r_min, _stage_times(model.grid))
+    W = (S + Gs @ c.B) @ Sinv
+    # -dPhi/dt = lam Phi + forcing
+    lam = c.At - W @ c.Bt
+    forcing = ((c.Ct - W @ c.Dt) @ (Ps @ c.sigma)
+               + (c.C0t - W @ c.D0t) @ (Ps @ c.sigma0)
+               + (Ps + Gs) @ c.b)[..., 0]
+
+    def rhs(Phi, s, j):
+        return -(lam[s, j] @ Phi + forcing[s, j])
+
+    return _rk4_backward(model.grid, np.zeros(model.n), rhs, "Phi")
 
 
 def sigma_sequence(model: LqMfgModel, P) -> np.ndarray:
     """Sigma(t_j) = R + D'PD + D0'PD0 at every node, shape (M+1, k, k)."""
-    P = np.asarray(P, float)
-    cs = _node_coeffs(model)
-    out = np.empty((model.grid.node_count, model.k, model.k))
-    for j in range(model.grid.node_count):
-        out[j] = _sigma_of(P[j], cs[j])
-    return out
+    return _sigma(_Coeffs(model), np.asarray(P, float))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -515,21 +435,14 @@ def build_feedback(model: LqMfgModel, sol: RiccatiSolution) -> FeedbackLaw:
     K_m = -Sigma^{-1}(B'Gamma + D'P beta + D0'P beta0),
     c_u = -Sigma^{-1}(B'Phi + D'P sigma + D0'P sigma0).
     """
-    cs = _node_coeffs(model)
-    nodes = model.grid.nodes
-    cnt = model.grid.node_count
-    n, k = model.n, model.k
-    K_z = np.empty((cnt, k, n))
-    K_m = np.empty((cnt, k, n))
-    c_u = np.empty((cnt, k))
-    for j in range(cnt):
-        c = cs[j]
-        P, Gam, Phi = sol.P[j], sol.Gamma[j], sol.Phi[j]
-        solve = _spd_solver(sol.Sigma[j], model.r_min, nodes[j])
-        K_z[j] = -solve(c.B.T @ P + c.D.T @ P @ c.C + c.D0.T @ P @ c.C0)
-        K_m[j] = -solve(c.B.T @ Gam + c.D.T @ P @ c.beta + c.D0.T @ P @ c.beta0)
-        c_u[j] = -solve(c.B.T @ Phi + (c.D.T @ P @ c.sigma
-                                       + c.D0.T @ P @ c.sigma0)[:, 0])
+    c = _Coeffs(model)
+    P = sol.P
+    Sinv = _sigma_inv(sol.Sigma, model.r_min, model.grid.nodes)
+    K_z = -(Sinv @ (c.Bt @ P + c.Dt @ P @ c.C + c.D0t @ P @ c.C0))
+    K_m = -(Sinv @ (c.Bt @ sol.Gamma + c.Dt @ P @ c.beta
+                    + c.D0t @ P @ c.beta0))
+    c_u = -(Sinv @ (c.Bt @ sol.Phi[..., None] + c.Dt @ P @ c.sigma
+                    + c.D0t @ P @ c.sigma0))[..., 0]
     law = FeedbackLaw(grid=model.grid, K_z=K_z, K_m=K_m, c_u=c_u)
     for name, arr in (("K_z", K_z), ("K_m", K_m), ("c_u", c_u)):
         if not np.isfinite(arr).all():

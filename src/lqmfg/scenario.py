@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 
 import numpy as np
 
@@ -59,8 +60,60 @@ def _require_keys(d, allowed, context):
                          f"allowed: {sorted(allowed)}")
 
 
+def _int(value, context) -> int:
+    """A JSON integer; an integral float such as 2.0 also counts."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise UsageError(f"{context} must be an integer, got {value!r}")
+
+
+def _real(value, context) -> float:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise UsageError(f"{context} must be a real number, got {value!r}")
+
+
+def _bool(value, context) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise UsageError(f"{context} must be true or false, got {value!r}")
+
+
+def _str(value, context) -> str:
+    if isinstance(value, str):
+        return value
+    raise UsageError(f"{context} must be a string, got {value!r}")
+
+
+def _list(value, context) -> list:
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise UsageError(f"{context} must be a list, got {value!r}")
+
+
+def _real_array(value, context) -> np.ndarray:
+    """A real number or a nested list of them, as a float array."""
+    def check(v):
+        if isinstance(v, (list, tuple)):
+            for item in v:
+                check(item)
+        else:
+            _real(v, context)
+    check(value)
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise UsageError(f"{context}: nested lists of unequal "
+                         f"length") from None
+
+
 def _float_matrix(value, rows, cols, context):
-    arr = np.asarray(value, dtype=float)
+    arr = _real_array(value, context)
     if arr.ndim == 0:
         if (rows, cols) == (1, 1):
             arr = arr.reshape(1, 1)
@@ -130,16 +183,16 @@ class ModelBlock:
         for key in ("n", "k", "T", "steps", "x0"):
             if key not in d:
                 raise UsageError(f"model block is missing '{key}'")
-        n, k = int(d["n"]), int(d["k"])
+        n, k = _int(d["n"], "model.n"), _int(d["k"], "model.k")
         if n < 1 or k < 1:
             raise UsageError("model dimensions n and k must be positive")
-        horizon = float(d["T"])
+        horizon = _real(d["T"], "model.T")
         if not (horizon > 0 and np.isfinite(horizon)):
             raise UsageError(f"model horizon T must be positive, got {horizon}")
-        steps = int(d["steps"])
+        steps = _int(d["steps"], "model.steps")
         if steps < 1:
             raise UsageError(f"model steps must be positive, got {steps}")
-        x0 = np.asarray(d["x0"], dtype=float).reshape(-1)
+        x0 = _real_array(d["x0"], "model.x0").reshape(-1)
         if x0.shape != (n,):
             raise UsageError(f"x0 must have length n = {n}, got {x0.shape[0]}")
         coeffs = {}
@@ -148,7 +201,7 @@ class ModelBlock:
             coeffs[name] = _parse_coefficient(name, d.get(name, 0.0),
                                               rows, cols, steps)
         G = _float_matrix(d.get("G", 0.0), n, n, "model.G")
-        r_min = float(d.get("r_min", DEFAULT_R_MIN))
+        r_min = _real(d.get("r_min", DEFAULT_R_MIN), "model.r_min")
         if not (r_min > 0):
             raise UsageError(f"r_min must be positive, got {r_min}")
         return cls(n=n, k=k, horizon=horizon, steps=steps,
@@ -202,27 +255,29 @@ class SolverBlock:
         _require_keys(d, ("steps", "p_method", "gamma_method",
                           "m00_beta_literal", "max_iters", "tol"),
                       "solver block")
-        p_method = str(d.get("p_method", "direct"))
+        p_method = _str(d.get("p_method", "direct"), "solver.p_method")
         if p_method not in P_METHODS:
             raise UsageError(f"solver.p_method must be one of {P_METHODS}, "
                              f"got '{p_method}'")
-        gamma_method = str(d.get("gamma_method", "direct"))
+        gamma_method = _str(d.get("gamma_method", "direct"),
+                            "solver.gamma_method")
         if gamma_method not in GAMMA_METHODS:
             raise UsageError(f"solver.gamma_method must be one of "
                              f"{GAMMA_METHODS}, got '{gamma_method}'")
         steps = d.get("steps")
         if steps is not None:
-            steps = int(steps)
+            steps = _int(steps, "solver.steps")
             if steps < 1:
                 raise UsageError("solver.steps must be positive")
-        max_iters = int(d.get("max_iters", 100))
+        max_iters = _int(d.get("max_iters", 100), "solver.max_iters")
         if max_iters < 1:
             raise UsageError("solver.max_iters must be positive")
-        tol = float(d.get("tol", 1e-10))
+        tol = _real(d.get("tol", 1e-10), "solver.tol")
         if not (tol > 0):
             raise UsageError("solver.tol must be positive")
         return cls(steps=steps, p_method=p_method, gamma_method=gamma_method,
-                   m00_beta_literal=bool(d.get("m00_beta_literal", False)),
+                   m00_beta_literal=_bool(d.get("m00_beta_literal", False),
+                                          "solver.m00_beta_literal"),
                    max_iters=max_iters, tol=tol)
 
     def to_dict(self):
@@ -239,10 +294,14 @@ class CandidateFamilyBlock:
     def from_dict(cls, d) -> "CandidateFamilyBlock":
         _require_keys(d, ("gain_scales", "include_zero", "offsets"),
                       "experiment.candidates")
+        ctx = "experiment.candidates"
+        scales = _list(d.get("gain_scales", ()), f"{ctx}.gain_scales")
+        offsets = _list(d.get("offsets", ()), f"{ctx}.offsets")
         return cls(
-            gain_scales=tuple(float(v) for v in d.get("gain_scales", ())),
-            include_zero=bool(d.get("include_zero", True)),
-            offsets=tuple(float(v) for v in d.get("offsets", ())))
+            gain_scales=tuple(_real(v, f"{ctx}.gain_scales") for v in scales),
+            include_zero=_bool(d.get("include_zero", True),
+                               f"{ctx}.include_zero"),
+            offsets=tuple(_real(v, f"{ctx}.offsets") for v in offsets))
 
     def to_dict(self):
         return {"gain_scales": list(self.gain_scales),
@@ -283,22 +342,23 @@ class ExperimentBlock:
             return cls()
         _require_keys(d, ("kind", "seed", "N", "Ns", "S", "candidates"),
                       "experiment block")
-        kind = str(d.get("kind", "solve"))
+        kind = _str(d.get("kind", "solve"), "experiment.kind")
         if kind not in KINDS:
             raise UsageError(f"experiment.kind must be one of {KINDS}, "
                              f"got '{kind}'")
-        seed = int(d.get("seed", 0))
+        seed = _int(d.get("seed", 0), "experiment.seed")
         if not 0 <= seed < (1 << 64):
             raise UsageError("experiment.seed must fit in 64 bits")
         N = d.get("N")
         if N is not None:
-            N = int(N)
+            N = _int(N, "experiment.N")
             if N < 1:
                 raise UsageError("experiment.N must be at least 1")
         Ns = d.get("Ns")
         if Ns is not None:
-            Ns = tuple(int(v) for v in Ns)
-        S = int(d.get("S", 256))
+            Ns = tuple(_int(v, "experiment.Ns")
+                       for v in _list(Ns, "experiment.Ns"))
+        S = _int(d.get("S", 256), "experiment.S")
         if S < 2:
             raise UsageError("experiment.S must be at least 2")
         cand = d.get("candidates")
@@ -324,10 +384,11 @@ class OutputBlock:
         if d is None:
             return cls()
         _require_keys(d, ("directory", "prefix"), "output block")
-        prefix = str(d.get("prefix", "run"))
+        prefix = _str(d.get("prefix", "run"), "output.prefix")
         if not prefix or "/" in prefix or "\\" in prefix:
             raise UsageError("output.prefix must be a plain file-name prefix")
-        return cls(directory=str(d.get("directory", ".")), prefix=prefix)
+        return cls(directory=_str(d.get("directory", "."), "output.directory"),
+                   prefix=prefix)
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -345,7 +406,7 @@ class ScenarioConfig:
         _require_keys(d, ("format_version", "model", "solver", "experiment",
                           "output"), "scenario")
         version = d.get("format_version", FORMAT_VERSION)
-        if int(version) != FORMAT_VERSION:
+        if _int(version, "format_version") != FORMAT_VERSION:
             raise UsageError(f"unsupported format_version {version}; this "
                              f"build reads version {FORMAT_VERSION}")
         if "model" not in d:

@@ -149,3 +149,40 @@ def test_diagnostic_uses_sup_over_schedule():
     A[2, 0, 0] = 3.0  # spike in the middle of the schedule
     diag = wellposedness_diagnostic(make_scalar(grid, A=A))
     assert diag.lambda_star == 3.0
+
+
+# ------------------------------------------------------------------ errors
+
+def _all_subclasses(cls):
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | _all_subclasses(sub)
+    return out
+
+
+def test_every_error_type_survives_pickle():
+    # errors raised inside pool workers cross a process boundary by pickle
+    import pickle
+
+    import lqmfg
+    from lqmfg import errors
+
+    report = validate(make_scalar(Q=-1.0))
+    assert not report.all_passed
+    instances = [
+        errors.StructureError("schedule has 3 entries, grid has 5 nodes"),
+        errors.ValidationError(report),
+        errors.UsageError("unknown preset"),
+        errors.SingularSigmaError(0.25, -0.5, 1e-8),
+        errors.DivergenceError("P diverged", node=3, t=0.125,
+                               detail="min eigenvalue -1e-3"),
+        errors.ConvergenceError(7, 2e-3, 1e-10),
+        errors.MonotonicityError(2, 5, -1e-6),
+    ]
+    assert {type(e) for e in instances} == \
+        _all_subclasses(lqmfg.LqmfgError)
+    for exc in instances:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)

@@ -200,6 +200,45 @@ def test_self_candidate_gain_is_exactly_zero():
     assert self_result.mean_cost == report.baseline_mean_cost
 
 
+def test_deviation_runs_no_self_replays(monkeypatch):
+    # "self" candidates reuse the baseline's stats: only the baseline and
+    # the other candidates are queued, S x (1 + non-self candidates) tasks
+    import lqmfg.population as population
+    model, law, Em = closed_form(40)
+    family = default_candidate_family()
+    queued = []
+    real = population._map_samples
+
+    def counting(payload, tasks, workers):
+        queued.extend(tasks)
+        return real(payload, tasks, workers)
+
+    monkeypatch.setattr(population, "_map_samples", counting)
+    S = 3
+    report = deviation_experiment(model, law, N=4, S=S, candidates=family,
+                                  seed=21, workers=1)
+    non_self = sum(not cand.is_self for cand in family)
+    assert len(queued) == S * (1 + non_self)
+    assert report.results[0].name == "self"
+    assert report.results[0].gain == 0.0
+
+
+@pytest.mark.parametrize("N", [1, 6])
+def test_self_candidate_replays_baseline_bit_for_bit(N):
+    # the property that lets deviation_experiment skip the "self" runs,
+    # on both the scalar and the general sample paths
+    pl = payload(60)
+    seed = derive_seed(21, N, 0)
+    for force_general in (False, True):
+        base = _run_sample(pl, N, seed, force_general=force_general)
+        same = _run_sample(pl, N, seed, DeviationCandidate("self"),
+                           force_general=force_general)
+        for field in ("xbar_gap", "agent_gaps", "zbar_gap", "J_central",
+                      "J_limit"):
+            np.testing.assert_array_equal(getattr(same, field),
+                                          getattr(base, field))
+
+
 def test_deviation_report_reproducible_and_gain_sign():
     model, law, Em = closed_form(60)
     fam = (DeviationCandidate("self"),

@@ -15,6 +15,8 @@ Oracles used here:
   follow from G and the coefficients alone.
 """
 
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -23,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqmfg
-from lqmfg import (ConvergenceError, DivergenceError, LqMfgModel,
-                   SingularSigmaError, TimeGrid, UsageError)
+from lqmfg import (CoefficientSchedule, ConvergenceError, DivergenceError,
+                   LqMfgModel, SingularSigmaError, TimeGrid, UsageError)
 from lqmfg.riccati import (build_feedback, interval_midpoints,
                            sigma_sequence, solve_Gamma_direct,
                            solve_Gamma_via_Pi, solve_P_direct,
@@ -145,6 +147,23 @@ def test_singular_weighting_reported_with_location():
     assert err.value.min_eig == pytest.approx(-0.5)
 
 
+def test_singular_weighting_on_stage_stacks_reports_latest_time():
+    # Along a supplied P that is -2 up to t = 0.4 and 1 after, Sigma =
+    # R + D'PD = 1 + P falls below r_min on every stage point at or before
+    # t = 0.4; the routes that check the floor on precomputed stacks report
+    # t = 0.4, the first failure a backward sweep meets.
+    model = LqMfgModel.from_constants(TimeGrid(1.0, 10), A=0.0, B=1.0,
+                                      D=1.0, Q=1.0, R=1.0, G=1.0, x0=[0.0])
+    P = np.where(model.grid.nodes <= 0.4 + 1e-12, -2.0, 1.0)[:, None, None]
+    for solve in (lambda: solve_Gamma_direct(model, P),
+                  lambda: solve_Gamma_via_Pi(model, P),
+                  lambda: solve_Phi(model, P, np.zeros_like(P))):
+        with pytest.raises(SingularSigmaError) as err:
+            solve()
+        assert err.value.t == pytest.approx(0.4)
+        assert err.value.min_eig == pytest.approx(-1.0)
+
+
 def test_divergence_reports_node():
     # lambda*h far outside the RK4 stability region blows the iteration up
     model = LqMfgModel.from_constants(TimeGrid(1.0, 4), A=100.0, B=1.0,
@@ -171,10 +190,11 @@ def test_iterative_starts_above_solution():
     # first Lyapunov iterate (uncontrolled) must dominate the solution
     model = closed_form_model(50)
     P_it, _ = solve_P_iterative(model)
-    from lqmfg.riccati import _solve_lyapunov, _node_coeffs
-    cs = _node_coeffs(model)
+    from lqmfg.riccati import _solve_lyapunov
+    M = model.grid.steps
     P0 = _solve_lyapunov(model.grid, model.G,
-                         lambda j, stage: (cs[j].A, cs[j].C, cs[j].C0, cs[j].Q))
+                         *(getattr(model, name).values[:M]
+                           for name in ("A", "C", "C0", "Q")))
     gap = P0 - P_it
     assert np.linalg.eigvalsh(0.5 * (gap + np.transpose(gap, (0, 2, 1)))).min() \
         > -1e-10
@@ -360,3 +380,93 @@ def test_direct_solve_is_fast_enough_for_preset_grid():
     t0 = time.perf_counter()
     solve_riccati(model)
     assert time.perf_counter() - t0 < 1.0
+
+
+# ------------------------------------------------------ time-varying models
+
+_COEFFS = ("A", "B", "alpha", "b", "C", "D", "beta", "sigma", "C0", "D0",
+           "beta0", "sigma0", "Q", "R")
+
+
+def time_varying_model(steps, amp):
+    """n = k = 2 with every coefficient a schedule X + amp sin(2 pi t) dX."""
+    grid = TimeGrid(1.0, steps)
+    wave = np.sin(2.0 * np.pi * grid.nodes)[:, None, None]
+    rng = np.random.default_rng(7)
+    shapes = {"nn": (2, 2), "nk": (2, 2), "n1": (2, 1), "kk": (2, 2)}
+    codes = ("nn", "nk", "nn", "n1", "nn", "nk", "nn", "n1", "nn", "nk",
+             "nn", "n1", "nn", "kk")
+    scheds = {}
+    for name, code in zip(_COEFFS, codes):
+        X = rng.uniform(-0.5, 0.5, shapes[code])
+        dX = rng.uniform(-1.0, 1.0, shapes[code])
+        if name in ("Q", "R"):
+            X, dX = X @ X.T + np.eye(2), dX + dX.T
+        scheds[name] = CoefficientSchedule(grid, X[None] + amp * wave * dX)
+    return LqMfgModel(grid=grid, G=np.eye(2), x0=np.zeros(2), **scheds)
+
+
+def interval_oracle(model):
+    """(P, Gamma, Phi) by solve_ivp, one grid interval at a time, with the
+    interval's left-node coefficients held fixed."""
+    from scipy.integrate import solve_ivp
+    n = model.n
+
+    def rhs(_, y, c):
+        A, B, al, b, C, D, be, sg, C0, D0, be0, sg0, Q, R = c
+        P, Gam = y[:n * n].reshape(n, n), y[n * n:2 * n * n].reshape(n, n)
+        Phi = y[2 * n * n:]
+        Si = np.linalg.inv(R + D.T @ P @ D + D0.T @ P @ D0)
+        S = P @ B + C.T @ P @ D + C0.T @ P @ D0
+        dP = -(P @ A + A.T @ P + C.T @ P @ C + C0.T @ P @ C0 + Q
+               - S @ Si @ S.T)
+        Th = D.T @ P @ be + D0.T @ P @ be0
+        Acl = A - B @ Si @ S.T
+        dG = Q - (Gam @ Acl + Acl.T @ Gam - Gam @ B @ Si @ Th
+                  + C.T @ P @ be + C0.T @ P @ be0 - S @ Si @ Th
+                  + (P + Gam) @ al - Gam @ B @ Si @ B.T @ Gam)
+        W = (S + Gam @ B) @ Si
+        f = ((C.T - W @ D.T) @ P @ sg + (C0.T - W @ D0.T) @ P @ sg0
+             + (P + Gam) @ b)[:, 0]
+        dPhi = -((A.T - W @ B.T) @ Phi + f)
+        return np.concatenate([dP.ravel(), dG.ravel(), dPhi])
+
+    t, M = model.grid.nodes, model.grid.steps
+    Y = np.empty((M + 1, 2 * n * n + n))
+    Y[M] = np.concatenate([model.G.ravel(), np.zeros(n * n + n)])
+    for j in range(M - 1, -1, -1):
+        c = tuple(getattr(model, name).values[j] for name in _COEFFS)
+        sol = solve_ivp(rhs, (t[j + 1], t[j]), Y[j + 1], args=(c,),
+                        method="DOP853", rtol=1e-12, atol=1e-13)
+        Y[j] = sol.y[:, -1]
+    return (Y[:, :n * n].reshape(-1, n, n),
+            Y[:, n * n:2 * n * n].reshape(-1, n, n), Y[:, 2 * n * n:])
+
+
+def test_time_varying_schedules_match_interval_oracle():
+    # P takes its stage values from its own RK4 stages, so it is fourth
+    # order even when every coefficient varies strongly.
+    model = time_varying_model(200, amp=0.3)
+    P_or, _, _ = interval_oracle(model)
+    assert np.max(np.abs(solve_P_direct(model) - P_or)) < 1e-8
+    # Gamma and Phi read P (and Phi reads Gamma) at interval midpoints
+    # through the cubic node stencil.  Against the left-node oracle that
+    # stencil is off by O(h^2 |dc/dt|) where the coefficients vary, so the
+    # schedules vary slowly here: the errors are about 3e-9, while taking
+    # every coefficient one node late moves P, Gamma and Phi by about 1e-5.
+    model = time_varying_model(200, amp=5e-4)
+    P_or, Gam_or, Phi_or = interval_oracle(model)
+    P = solve_P_direct(model)
+    Gam = solve_Gamma_direct(model, P)
+    Phi = solve_Phi(model, P, Gam)
+    assert np.max(np.abs(P - P_or)) < 1e-8
+    assert np.max(np.abs(Gam - Gam_or)) < 1e-8
+    assert np.max(np.abs(Phi - Phi_or)) < 1e-8
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    code = ("import sys, lqmfg, lqmfg.cli; "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -313,3 +313,40 @@ def test_cli_reruns_are_byte_identical(tmp_path):
         else:
             assert first[name] == second[name], name
     assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("model", "n", "abc"),
+    ("model", "T", [1]),
+    ("model", "x0", ["a"]),
+    (None, "format_version", "x"),
+    ("model", "steps", 1.5),
+    ("solver", "m00_beta_literal", "false"),
+    ("output", "directory", None),
+])
+def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
+                                     key, value):
+    monkeypatch.chdir(tmp_path)
+    d = closed_form_dict()
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "bad"}
+    (d if block is None else d[block])[key] = value
+    code = main(["--config", write_config(tmp_path, d), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError" and record["exit_code"] == 2
+    assert key in record["message"]
+
+
+def test_csv_cells_are_shortest_round_trip_reprs():
+    from lqmfg.io import _csv
+    special = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1, -2.5e-7]
+    columns = [np.arange(len(special), dtype=float), np.array(special),
+               np.array(special[::-1]), np.arange(len(special))]
+    reference = "\n".join(
+        ["t,x,y,i"] + [",".join(repr(float(col[j])) for col in columns)
+                       for j in range(len(special))]) + "\n"
+    assert _csv(["t", "x", "y", "i"], columns) == reference
