@@ -240,6 +240,9 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+# stderr carries only the JSON error record: overflow on extreme inputs ends
+# in the typed errors raised by the finite checks, not in RuntimeWarnings
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     try:

@@ -15,7 +15,10 @@ i >= 1 is agent i's W_i.  Increments are a pure function of
 numpy's ziggurat transform, which is fixed for a given numpy release line.
 Distinct streams are independent by construction of the keyed counter
 sequence, so paths may be generated in any order or in parallel without
-changing results.
+changing results.  Because a Philox stream is fully determined by its key
+and counter, one generator per process is rekeyed for every stream (counter
+0, empty output buffer) instead of building a new one; the bits are those of
+a freshly keyed generator.  ``numpy.random`` is imported on first use only.
 """
 
 from __future__ import annotations
@@ -52,15 +55,50 @@ def derive_seed(*parts: int) -> int:
     return h
 
 
-def gaussian_increments(grid: TimeGrid, seed: int, stream: int) -> np.ndarray:
-    """M Brownian increments ~ N(0, h), bit-reproducible in (seed, stream)."""
+_PHILOX = None   # (bit generator, Generator, state template), built lazily
+
+
+def _philox():
+    global _PHILOX
+    if _PHILOX is None:
+        bits = np.random.Philox()
+        zeros = np.zeros(4, np.uint64)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": zeros,
+                           "key": np.zeros(2, np.uint64)},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0,
+                 "uinteger": 0}
+        _PHILOX = bits, np.random.Generator(bits), state
+    return _PHILOX
+
+
+def fill_increments(out: np.ndarray, h: float, seed: int,
+                    streams) -> np.ndarray:
+    """Fill row r of ``out`` with the increments ~ N(0, h) of streams[r].
+
+    Row r equals ``Generator(Philox(key=(seed << 64) + streams[r]))
+    .standard_normal(M) * sqrt(h)`` bit for bit; ``out`` is (len(streams),
+    M) and C-contiguous.  Returns ``out``.
+    """
     if not 0 <= int(seed) <= _MASK64:
         raise UsageError("seed must fit in 64 bits")
-    if stream < 0:
-        raise UsageError("stream id must be non-negative")
-    key = (int(seed) << 64) + int(stream)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(grid.steps) * np.sqrt(grid.h)
+    bits, gen, state = _philox()
+    key = state["state"]["key"]
+    key[1] = int(seed)
+    for row, stream in zip(out, streams):
+        if not 0 <= stream <= _MASK64:
+            raise UsageError("stream id must be a non-negative 64-bit value")
+        key[0] = stream
+        bits.state = state
+        gen.standard_normal(out=row)
+    out *= np.sqrt(h)
+    return out
+
+
+def gaussian_increments(grid: TimeGrid, seed: int, stream: int) -> np.ndarray:
+    """M Brownian increments ~ N(0, h), bit-reproducible in (seed, stream)."""
+    return fill_increments(np.empty((1, grid.steps)), grid.h, seed,
+                           (int(stream),))[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,6 +161,7 @@ def _mean_control(law: FeedbackLaw, Em: np.ndarray, j: int) -> np.ndarray:
     return (law.K_z[j] + law.K_m[j]) @ Em[j] + law.c_u[j]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_Em(model: LqMfgModel, law: FeedbackLaw) -> np.ndarray:
     """Forward Euler for dE[m] = {(A + alpha) E[m] + B E[u] + b} dt, from x0."""
     _check_law(model, law)
@@ -141,6 +180,7 @@ def integrate_Em(model: LqMfgModel, law: FeedbackLaw) -> np.ndarray:
     return Em
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
                 common: NoisePath, beta_literal: bool = False) -> np.ndarray:
     """Euler-Maruyama for the conditional-mean SDE driven by stream 0.
@@ -183,6 +223,7 @@ def integrate_mean_field(model: LqMfgModel, law: FeedbackLaw, seed: int,
     return MeanFieldPath(grid=model.grid, m=m, Em=Em)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_z_hat(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
                     individual: NoisePath) -> FilteredStatePath:
     """Euler-Maruyama for one agent's filtered state, control recorded.

@@ -394,6 +394,8 @@ def wellposedness_diagnostic(model: LqMfgModel) -> DiagnosticReport:
         "beta0": _sup_opnorm(model.beta0),
     }
     lhs = 4.0 * lambda_star
-    rhs = (-2.0 * norms["alpha"] - 6.0 * norms["C"] ** 2 - 6.0 * norms["C0"] ** 2
-           - 5.0 * norms["beta"] ** 2 - 5.0 * norms["beta0"] ** 2)
+    # products, not ** 2: a float power raises OverflowError past 1e154
+    sq = {name: v * v for name, v in norms.items()}
+    rhs = (-2.0 * norms["alpha"] - 6.0 * sq["C"] - 6.0 * sq["C0"]
+           - 5.0 * sq["beta"] - 5.0 * sq["beta0"])
     return DiagnosticReport(lambda_star=lambda_star, norms=norms, lhs=lhs, rhs=rhs)

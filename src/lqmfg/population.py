@@ -16,24 +16,35 @@ of scheduling.  Empirical averages over agents are computed as sorted sums,
 which makes every aggregate exactly invariant under permuting agent labels
 together with their streams.
 
-The per-step working set is a handful of length-N vectors, so samples are
-vectorized over agents; scalar models (n = k = 1) take a cheaper code path
-that avoids matrix products entirely.
+Samples run in blocks: one kernel steps B samples of one population size
+at once on (C, B, N) arrays, or (C, B, N, n) for general models, where the
+C rows of a sample share its noise (row 0 the equilibrium policy, the others
+deviation candidates of agent 0).  A ladder block holds up to
+2**18 // (N M) samples, so its increments take at most 2 MB (or one
+sample's worth); a deviation block is one sample with every candidate as a
+row, and the limiting problem is the kernel at N = 1.  Scalar models
+(n = k = 1) use a kernel without matrix products.  Blocks are the tasks of
+the process pool, and every block's statistics equal those of its samples
+run one at a time.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import os
 
 import numpy as np
 
 from .errors import DivergenceError, UsageError
-from .meanfield import derive_seed, gaussian_increments, integrate_Em
+from .meanfield import derive_seed, fill_increments, integrate_Em
 from .model import LqMfgModel
 from .riccati import FeedbackLaw
+
+# Noise draws per block of samples: 2 MB of float64 increments.
+_BLOCK_ELEMENTS = 2 ** 18
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,19 +80,16 @@ def default_candidate_family() -> tuple[DeviationCandidate, ...]:
 
 
 class _SimPayload:
-    """Everything a sample needs, precomputed once and shipped to workers.
+    """Everything a block needs, precomputed once and shipped to workers.
 
     Holds per-node transposed coefficient arrays for row-vector states, the
     deterministic mean-control pieces, and (for scalar models) plain-float
-    coefficient lists for the fast path.
+    coefficient lists for the scalar kernel.
     """
 
     def __init__(self, model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
                  beta_literal: bool = False):
         grid = model.grid
-        self.model = model
-        self.law = law
-        self.beta_literal = bool(beta_literal)
         self.h = float(grid.h)
         self.M = int(grid.steps)
         self.n = model.n
@@ -136,7 +144,7 @@ class _SimPayload:
 
         # Mean-field step: m' = ApAl m + BEu, diffusion Md0 m + D0Eu.
         ApAl = A + vals("alpha")
-        Md0 = vals("C0") + (vals("beta") if self.beta_literal
+        Md0 = vals("C0") + (vals("beta") if beta_literal
                             else vals("beta0"))
         self.ApAlT = np.ascontiguousarray(ApAl.transpose(0, 2, 1))
         self.Md0T = np.ascontiguousarray(Md0.transpose(0, 2, 1))
@@ -164,14 +172,11 @@ class _SimPayload:
             self.s_kz = law.K_z[:, 0, 0].tolist()
             self.s_kmc = self.kmc[:, 0].tolist()
             self.s_eu = self.Euv[:, 0].tolist()
-            self.s_em = self.Em[:, 0].tolist()
             self.s_p1 = P1[:, 0, 0].tolist()
             self.s_p0 = self.p0[:, 0].tolist()
             self.s_q1 = Q1[:, 0, 0].tolist()
             self.s_q0 = self.q0[:, 0].tolist()
             self.s_md = Md0[:, 0, 0].tolist()
-            self.s_beu = self.BEu[:, 0].tolist()
-            self.s_d0eu = self.D0Eu[:, 0].tolist()
             self.s_wq = (w * self.Q[:, 0, 0]).tolist()
             self.s_wr = (w * self.R[:, 0, 0]).tolist()
             self.s_g = float(self.G[0, 0])
@@ -179,14 +184,18 @@ class _SimPayload:
 
 
 @dataclasses.dataclass(frozen=True)
-class _SampleStats:
-    """Aggregates of one sample, without stored paths."""
+class _BlockStats:
+    """Aggregates of a block of samples, without stored paths.
 
-    xbar_gap: float          # sup_t |xbar - m|^2
-    agent_gaps: np.ndarray   # (N,) sup_t |x_i - zbar_i|^2
-    zbar_gap: float          # sup_t |mean(zbar) - m|^2
-    J_central: np.ndarray    # (N,)
-    J_limit: np.ndarray      # (N,)
+    Arrays are indexed (sample, row[, agent]); row 0 is the equilibrium
+    policy, row r >= 1 the r-th candidate played by agent 0.
+    """
+
+    xbar_gap: np.ndarray     # (B, C) sup_t |xbar - m|^2
+    agent_gaps: np.ndarray   # (B, C, N) sup_t |x_i - zbar_i|^2
+    zbar_gap: np.ndarray     # (B, C) sup_t |mean(zbar) - m|^2
+    J_central: np.ndarray    # (B, C, N)
+    J_limit: np.ndarray      # (B, C, N)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,62 +214,93 @@ class PopulationSample:
     J_limit: np.ndarray        # (N,)
 
 
-def _agent_increments(grid, seed, N):
-    dWi = np.empty((N, grid.steps))
-    for i in range(N):
-        dWi[i] = gaussian_increments(grid, seed, i + 1)
-    return dWi, gaussian_increments(grid, seed, 0)
+def _block_noise(pl: _SimPayload, N: int, seeds):
+    """Increments of samples ``seeds`` for the kernels.
+
+    Returns dWi (B, N, M), agent i + 1's stream in row i, and dW0 (B, 1, M),
+    the common stream; a kernel reads step j as dWi[..., j].
+    """
+    buf = np.empty((len(seeds), N + 1, pl.M))
+    for b, seed in enumerate(seeds):
+        fill_increments(buf[b], pl.h, seed, range(N + 1))
+    return buf[:, 1:], buf[:, :1]
 
 
-def _candidate_control_scalar(cand, kz_j, zh0, kmc_j):
-    if cand.zero_control:
-        return 0.0
-    return cand.gain_scale * (kz_j * zh0) + kmc_j + cand.offset
+def _row_arrays(cands, ndim):
+    """Gain, offset and zero flag of the candidate rows, shaped to broadcast
+    against agent 0's (C - 1, B, ...) slice of ``ndim`` dimensions."""
+    shape = (len(cands),) + (1,) * (ndim - 1)
+    return (np.array([c.gain_scale for c in cands], float).reshape(shape),
+            np.array([c.offset for c in cands], float).reshape(shape),
+            np.array([c.zero_control for c in cands], bool).reshape(shape))
 
 
-def _run_sample_scalar(pl: _SimPayload, N: int, seed: int,
-                       cand: DeviationCandidate | None) -> _SampleStats:
+def _finish(pl, Jc, Jl, gap, sup_x, sup_z):
+    """Halve the costs, check them and put samples first: (C, B) -> (B, C)."""
+    Jc *= 0.5
+    Jl *= 0.5
+    if not (np.isfinite(Jc).all() and np.isfinite(Jl).all()
+            and np.isfinite(gap).all()):
+        raise DivergenceError("population state diverged",
+                              node=pl.M, t=pl.grid.nodes[pl.M])
+    return _BlockStats(*(np.swapaxes(v, 0, 1) for v in
+                         (sup_x[..., 0], gap, sup_z[..., 0], Jc, Jl)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _block_scalar(pl: _SimPayload, dWi, dW0, cands=()) -> _BlockStats:
+    """Scalar (n = k = 1) kernel on (C, B, N) arrays, no matrix products."""
     M, h = pl.M, pl.h
-    dWi, dW0 = _agent_increments(pl.grid, seed, N)
+    B, N = dWi.shape[:2]
     a, bc, al, bb = pl.s_a, pl.s_b, pl.s_al, pl.s_bb
     c, d, be, sg = pl.s_c, pl.s_d, pl.s_be, pl.s_sg
     c0, d0, be0, sg0 = pl.s_c0, pl.s_d0, pl.s_be0, pl.s_sg0
     kz, kmc, eu = pl.s_kz, pl.s_kmc, pl.s_eu
     p1, p0, q1, q0 = pl.s_p1, pl.s_p0, pl.s_q1, pl.s_q0
-    md, beu, d0eu = pl.s_md, pl.s_beu, pl.s_d0eu
+    md = pl.s_md
     wq, wr = pl.s_wq, pl.s_wr
-    modify = cand is not None and not cand.is_self
+    if cands:
+        gain, offset, zero = _row_arrays(cands, 2)
 
-    x = np.full(N, pl.s_x0)
+    x = np.full((1 + len(cands), B, N), pl.s_x0)
     zh = x.copy()
     zb = x.copy()
-    mj = pl.s_x0
-    Jc = np.zeros(N)
-    Jl = np.zeros(N)
-    gap = np.zeros(N)
-    sup_x = 0.0
-    sup_z = 0.0
+    mj = np.full((B, 1), pl.s_x0)
+    Jc = np.zeros(x.shape)
+    Jl = np.zeros(x.shape)
+    gap = np.zeros(x.shape)
+    sup_x = np.zeros(x.shape[:2] + (1,))
+    sup_z = sup_x.copy()
 
-    for j in range(M):
+    for j in range(M + 1):
         u = kz[j] * zh + kmc[j]
-        if modify:
-            u[0] = _candidate_control_scalar(cand, kz[j], zh[0], kmc[j])
-        xm = np.sort(x).sum() / N
-        zm = np.sort(zb).sum() / N
+        if cands:
+            u[1:, :, 0] = np.where(
+                zero, 0.0, gain * (kz[j] * zh[1:, :, 0]) + kmc[j] + offset)
+        xm = np.sort(x).sum(axis=-1, keepdims=True) / N
+        zm = np.sort(zb).sum(axis=-1, keepdims=True) / N
         dx = x - xm
         dz = zb - mj
         uu = u * u
-        Jc += wq[j] * (dx * dx) + wr[j] * uu
-        Jl += wq[j] * (dz * dz) + wr[j] * uu
+        run_c = wq[j] * (dx * dx) + wr[j] * uu
+        run_l = wq[j] * (dz * dz) + wr[j] * uu
         gxz = x - zb
         np.maximum(gap, gxz * gxz, out=gap)
         e = xm - mj
-        sup_x = max(sup_x, e * e)
+        np.maximum(sup_x, e * e, out=sup_x)
         e = zm - mj
-        sup_z = max(sup_z, e * e)
+        np.maximum(sup_z, e * e, out=sup_z)
+        if j == M:
+            # the terminal cost joins the last running cost before it is
+            # added, the rounding order of the per-sample recursion
+            Jc += run_c + pl.s_g * (x * x)
+            Jl += run_l + pl.s_g * (zb * zb)
+            break
+        Jc += run_c
+        Jl += run_l
 
-        dWi_j = dWi[:, j]
-        dW0_j = dW0[j]
+        dWi_j = dWi[..., j]
+        dW0_j = dW0[..., j]
         x = (x + h * (a[j] * x + bc[j] * u + (al[j] * xm + bb[j]))
              + dWi_j * (c[j] * x + d[j] * u + (be[j] * xm + sg[j]))
              + dW0_j * (c0[j] * x + d0[j] * u + (be0[j] * xm + sg0[j])))
@@ -270,56 +310,31 @@ def _run_sample_scalar(pl: _SimPayload, N: int, seed: int,
         zh = zh + h * (p1[j] * zh + p0[j]) + dWi_j * (q1[j] * zh + q0[j])
         mj = (mj + h * ((a[j] + al[j]) * mj + bc[j] * eu[j] + bb[j])
               + dW0_j * (md[j] * mj + d0[j] * eu[j] + sg0[j]))
-        if mj != mj or (j & 63) == 63 and not np.isfinite(x).all():
+        if (j & 63) == 63 and not (np.isfinite(mj).all()
+                                   and np.isfinite(x).all()):
             raise DivergenceError("population state diverged", node=j + 1,
                                   t=pl.grid.nodes[j + 1])
-
-    u = kz[M] * zh + kmc[M]
-    if modify:
-        u[0] = _candidate_control_scalar(cand, kz[M], zh[0], kmc[M])
-    xm = np.sort(x).sum() / N
-    zm = np.sort(zb).sum() / N
-    dx = x - xm
-    dz = zb - mj
-    uu = u * u
-    Jc += wq[M] * (dx * dx) + wr[M] * uu + pl.s_g * (x * x)
-    Jl += wq[M] * (dz * dz) + wr[M] * uu + pl.s_g * (zb * zb)
-    Jc *= 0.5
-    Jl *= 0.5
-    gxz = x - zb
-    np.maximum(gap, gxz * gxz, out=gap)
-    e = xm - mj
-    sup_x = max(sup_x, e * e)
-    e = zm - mj
-    sup_z = max(sup_z, e * e)
-    if not (np.isfinite(Jc).all() and np.isfinite(Jl).all()
-            and np.isfinite(gap).all()):
-        raise DivergenceError("population state diverged",
-                              node=M, t=pl.grid.nodes[M])
-    return _SampleStats(float(sup_x), gap, float(sup_z), Jc, Jl)
+    return _finish(pl, Jc, Jl, gap, sup_x, sup_z)
 
 
-def _candidate_control_general(cand, zh, KzT_j, kmc_j, k):
-    if cand.zero_control:
-        return np.zeros(k)
-    return cand.gain_scale * (zh @ KzT_j) + kmc_j + cand.offset
-
-
-def _run_sample_general(pl: _SimPayload, N: int, seed: int,
-                        cand: DeviationCandidate | None, record: bool):
+@np.errstate(over="ignore", invalid="ignore")
+def _block_general(pl: _SimPayload, dWi, dW0, cands=(),
+                   record: bool = False):
+    """General kernel on (C, B, N, n) arrays; ``record`` needs B = C = 1."""
     M, h, n, k = pl.M, pl.h, pl.n, pl.k
-    dWi, dW0 = _agent_increments(pl.grid, seed, N)
-    modify = cand is not None and not cand.is_self
+    B, N = dWi.shape[:2]
+    if cands:
+        gain, offset, zero = _row_arrays(cands, 3)
 
-    x = np.tile(pl.x0, (N, 1))
+    x = np.broadcast_to(pl.x0, (1 + len(cands), B, N, n)).copy()
     zh = x.copy()
     zb = x.copy()
-    m = pl.x0.copy()
-    Jc = np.zeros(N)
-    Jl = np.zeros(N)
-    gap = np.zeros(N)
-    sup_x = 0.0
-    sup_z = 0.0
+    m = np.broadcast_to(pl.x0, (B, 1, n)).copy()
+    Jc = np.zeros(x.shape[:3])
+    Jl = np.zeros(x.shape[:3])
+    gap = np.zeros(x.shape[:3])
+    sup_x = np.zeros(x.shape[:2] + (1,))
+    sup_z = sup_x.copy()
     if record:
         rec_x = np.empty((N, M + 1, n))
         rec_zh = np.empty((N, M + 1, n))
@@ -330,83 +345,75 @@ def _run_sample_general(pl: _SimPayload, N: int, seed: int,
 
     for j in range(M + 1):
         u = zh @ pl.KzT[j] + pl.kmc[j]
-        if modify:
-            u[0] = _candidate_control_general(cand, zh[0], pl.KzT[j],
-                                              pl.kmc[j], k)
-        xm = np.sort(x, axis=0).sum(axis=0) / N
-        zm = np.sort(zb, axis=0).sum(axis=0) / N
+        if cands:
+            u[1:, :, 0] = np.where(
+                zero, 0.0,
+                gain * (zh[1:, :, 0] @ pl.KzT[j]) + pl.kmc[j] + offset)
+        xm = np.sort(x, axis=2).sum(axis=2, keepdims=True) / N
+        zm = np.sort(zb, axis=2).sum(axis=2, keepdims=True) / N
         dx = x - xm
         dz = zb - m
-        run_c = ((dx @ pl.Qw[j]) * dx).sum(axis=1)
-        run_l = ((dz @ pl.Qw[j]) * dz).sum(axis=1)
-        ru = ((u @ pl.Rw[j]) * u).sum(axis=1)
+        run_c = ((dx @ pl.Qw[j]) * dx).sum(axis=-1)
+        run_l = ((dz @ pl.Qw[j]) * dz).sum(axis=-1)
+        ru = ((u @ pl.Rw[j]) * u).sum(axis=-1)
         Jc += run_c + ru
         Jl += run_l + ru
-        g2 = ((x - zb) ** 2).sum(axis=1)
+        g2 = ((x - zb) ** 2).sum(axis=-1)
         np.maximum(gap, g2, out=gap)
         e = xm - m
-        sup_x = max(sup_x, float(e @ e))
+        np.maximum(sup_x, (e * e).sum(axis=-1), out=sup_x)
         e = zm - m
-        sup_z = max(sup_z, float(e @ e))
+        np.maximum(sup_z, (e * e).sum(axis=-1), out=sup_z)
         if record:
-            rec_x[:, j] = x
-            rec_zh[:, j] = zh
-            rec_zb[:, j] = zb
-            rec_u[:, j] = u
-            rec_xbar[j] = xm
-            rec_m[j] = m
+            rec_x[:, j] = x[0, 0]
+            rec_zh[:, j] = zh[0, 0]
+            rec_zb[:, j] = zb[0, 0]
+            rec_u[:, j] = u[0, 0]
+            rec_xbar[j] = xm[0, 0, 0]
+            rec_m[j] = m[0, 0]
         if j == M:
             break
 
-        dWi_j = dWi[:, j][:, None]
-        dW0_j = dW0[j]
-        x_new = (x + h * (x @ pl.AT[j] + u @ pl.BT[j] + (pl.alT[j].T @ xm
+        dWi_j = dWi[..., j, None]
+        dW0_j = dW0[..., j, None]
+        x_new = (x + h * (x @ pl.AT[j] + u @ pl.BT[j] + (xm @ pl.alT[j]
                                                          + pl.bb[j]))
                  + dWi_j * (x @ pl.CT[j] + u @ pl.DT[j]
-                            + (pl.beT[j].T @ xm + pl.sgv[j]))
+                            + (xm @ pl.beT[j] + pl.sgv[j]))
                  + dW0_j * (x @ pl.C0T[j] + u @ pl.D0T[j]
-                            + (pl.be0T[j].T @ xm + pl.sg0v[j])))
-        zb_new = (zb + h * (zb @ pl.AT[j] + u @ pl.BT[j] + (pl.alT[j].T @ m
+                            + (xm @ pl.be0T[j] + pl.sg0v[j])))
+        zb_new = (zb + h * (zb @ pl.AT[j] + u @ pl.BT[j] + (m @ pl.alT[j]
                                                             + pl.bb[j]))
                   + dWi_j * (zb @ pl.CT[j] + u @ pl.DT[j]
-                             + (pl.beT[j].T @ m + pl.sgv[j]))
+                             + (m @ pl.beT[j] + pl.sgv[j]))
                   + dW0_j * (zb @ pl.C0T[j] + u @ pl.D0T[j]
-                             + (pl.be0T[j].T @ m + pl.sg0v[j])))
+                             + (m @ pl.be0T[j] + pl.sg0v[j])))
         zh = (zh + h * (zh @ pl.P1T[j] + pl.p0[j])
               + dWi_j * (zh @ pl.Q1T[j] + pl.q0[j]))
-        m = (m + h * (pl.ApAlT[j].T @ m + pl.BEu[j])
-             + dW0_j * (pl.Md0T[j].T @ m + pl.D0Eu[j]))
+        m = (m + h * (m @ pl.ApAlT[j] + pl.BEu[j])
+             + dW0_j * (m @ pl.Md0T[j] + pl.D0Eu[j]))
         x, zb = x_new, zb_new
         if not np.isfinite(m).all() or \
                 ((j & 63) == 63 and not np.isfinite(x).all()):
             raise DivergenceError("population state diverged", node=j + 1,
                                   t=pl.grid.nodes[j + 1])
 
-    Jc += (x @ pl.G * x).sum(axis=1)
-    Jl += (zb @ pl.G * zb).sum(axis=1)
-    Jc *= 0.5
-    Jl *= 0.5
-    if not (np.isfinite(Jc).all() and np.isfinite(Jl).all()
-            and np.isfinite(gap).all()):
-        raise DivergenceError("population state diverged",
-                              node=M, t=pl.grid.nodes[M])
-    stats = _SampleStats(float(sup_x), gap, float(sup_z), Jc, Jl)
+    Jc += (x @ pl.G * x).sum(axis=-1)
+    Jl += (zb @ pl.G * zb).sum(axis=-1)
+    stats = _finish(pl, Jc, Jl, gap, sup_x, sup_z)
     if not record:
         return stats
     sample = PopulationSample(N=N, x=rec_x, z_hat=rec_zh, z_bar=rec_zb,
                               u=rec_u, state_average=rec_xbar, m=rec_m,
-                              Em=pl.Em.copy(), J_central=Jc, J_limit=Jl)
+                              Em=pl.Em.copy(), J_central=Jc[0, 0],
+                              J_limit=Jl[0, 0])
     return stats, sample
 
 
-def _run_sample(pl: _SimPayload, N: int, seed: int,
-                cand: DeviationCandidate | None = None, record: bool = False,
-                force_general: bool = False):
-    if record:
-        return _run_sample_general(pl, N, seed, cand, True)
-    if pl.scalar_ok and not force_general:
-        return _run_sample_scalar(pl, N, seed, cand)
-    return _run_sample_general(pl, N, seed, cand, False)
+def _run_block(pl: _SimPayload, N: int, seeds, cands=()) -> _BlockStats:
+    """Stats of samples ``seeds`` of size N, with candidate rows ``cands``."""
+    kernel = _block_scalar if pl.scalar_ok else _block_general
+    return kernel(pl, *_block_noise(pl, N, seeds), cands)
 
 
 def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
@@ -423,7 +430,8 @@ def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
     if N < 1:
         raise UsageError("population size must be at least 1")
     pl = _SimPayload(model, law, Em, beta_literal)
-    _, sample = _run_sample_general(pl, N, int(seed), None, True)
+    _, sample = _block_general(pl, *_block_noise(pl, N, (int(seed),)),
+                               record=True)
     return sample
 
 
@@ -439,9 +447,8 @@ def _worker_init(payload):
 
 
 def _worker_run(task):
-    key, N, sample_seed, cand, force_general = task
-    return key, _run_sample(_WORKER_PAYLOAD, N, sample_seed, cand,
-                            False, force_general)
+    key, N, seeds, cands = task
+    return key, _run_block(_WORKER_PAYLOAD, N, seeds, cands)
 
 
 def resolve_workers(workers=None) -> int:
@@ -463,14 +470,13 @@ def resolve_workers(workers=None) -> int:
 
 
 def _map_samples(payload: _SimPayload, tasks, workers: int) -> dict:
-    """Run tasks (key, N, sample_seed, candidate, force_general) -> stats.
+    """Run tasks (key, N, sample seeds, candidates) -> block stats.
 
     Results are keyed, so the reduction order downstream is fixed by the
     caller regardless of completion order.
     """
     if workers <= 1 or len(tasks) <= 1:
-        return {t[0]: _run_sample(payload, t[1], t[2], t[3], False, t[4])
-                for t in tasks}
+        return {t[0]: _run_block(payload, *t[1:]) for t in tasks}
     out = {}
     chunk = max(1, len(tasks) // (workers * 8))
     with concurrent.futures.ProcessPoolExecutor(
@@ -479,6 +485,25 @@ def _map_samples(payload: _SimPayload, tasks, workers: int) -> dict:
         for key, stats in ex.map(_worker_run, tasks, chunksize=chunk):
             out[key] = stats
     return out
+
+
+def _sample_tasks(N: int, S: int, M: int, seed: int, cands=()):
+    """Blocks of the S samples of size N as tasks keyed (N, first sample).
+
+    A block holds at most max(one sample, _BLOCK_ELEMENTS) increments.
+    """
+    B = max(1, min(S, _BLOCK_ELEMENTS // (N * M)))
+    return [((N, s0), N, tuple(derive_seed(seed, N, s)
+                               for s in range(s0, min(S, s0 + B))), cands)
+            for s0 in range(0, S, B)]
+
+
+def _gather(stats: dict, tasks) -> _BlockStats:
+    """The block stats of ``tasks``, taken from ``stats``, stacked along the
+    sample axis."""
+    blocks = [stats.pop(t[0]) for t in tasks]
+    return _BlockStats(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                         for f in dataclasses.fields(_BlockStats)))
 
 
 # ---------------------------------------------------------------------------
@@ -555,31 +580,30 @@ def rate_experiments(model: LqMfgModel, law: FeedbackLaw, Ns, S: int,
     workers = resolve_workers(workers)
     Em = integrate_Em(model, law)
     payload = _SimPayload(model, law, Em, beta_literal)
-    tasks = [((N, s), N, derive_seed(seed, N, s), None, False)
-             for N in Ns for s in range(S)]
-    stats = _map_samples(payload, tasks, workers)
+    rungs = {N: _sample_tasks(N, S, payload.M, seed) for N in Ns}
+    stats = _map_samples(payload, [t for N in Ns for t in rungs[N]],
+                         workers)
 
     xbar_vals, xbar_ses = [], []
     agent_vals, agent_ses = [], []
     zavg_vals, zavg_ses = [], []
     cost_vals, cost_ses = [], []
     for N in Ns:
-        per = [stats[(N, s)] for s in range(S)]
-        mean, se = _mean_se([p.xbar_gap for p in per])
+        per = _gather(stats, rungs[N])
+        mean, se = _mean_se(per.xbar_gap[:, 0].tolist())
         xbar_vals.append(mean)
         xbar_ses.append(se)
         # Worst agent by sample-mean of its gap to the limiting state.
-        gaps = np.stack([p.agent_gaps for p in per])     # (S, N)
+        gaps = per.agent_gaps[:, 0]                      # (S, N)
         worst = int(np.argmax(gaps.mean(axis=0)))
         mean, se = _mean_se(gaps[:, worst].tolist())
         agent_vals.append(mean)
         agent_ses.append(se)
-        mean, se = _mean_se([p.zbar_gap for p in per])
+        mean, se = _mean_se(per.zbar_gap[:, 0].tolist())
         zavg_vals.append(mean)
         zavg_ses.append(se)
-        mean, se = _mean_se(
-            [math.fsum(np.abs(p.J_central - p.J_limit).tolist()) / N
-             for p in per])
+        gap = np.abs(per.J_central[:, 0] - per.J_limit[:, 0])
+        mean, se = _mean_se([math.fsum(row.tolist()) / N for row in gap])
         cost_vals.append(mean)
         cost_ses.append(se)
 
@@ -633,6 +657,30 @@ class DeviationReport:
     max_gain: float
 
 
+def _candidate_rows(candidates):
+    """Kernel rows for ``candidates`` and each candidate's row index.
+
+    Row 0 is the baseline.  A "self" candidate replays it bit for bit, so
+    it reads row 0 instead of running again.
+    """
+    rows = tuple(c for c in candidates if not c.is_self)
+    row = itertools.count(1)
+    return rows, [0 if c.is_self else next(row) for c in candidates]
+
+
+def _candidate_results(J: np.ndarray, cols, candidates):
+    """Baseline mean and SE and paired candidate results from (S, C) costs."""
+    base_mean, base_se = _mean_se(J[:, 0].tolist())
+    results = []
+    for col, cand in zip(cols, candidates):
+        mean, se = _mean_se(J[:, col].tolist())
+        gain, gain_se = _mean_se((J[:, 0] - J[:, col]).tolist())
+        results.append(CandidateResult(name=cand.name, mean_cost=mean,
+                                       cost_stderr=se, gain=gain,
+                                       gain_stderr=gain_se))
+    return base_mean, base_se, tuple(results)
+
+
 def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
                          candidates, seed: int, workers=None,
                          beta_literal: bool = False) -> DeviationReport:
@@ -655,32 +703,13 @@ def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
     workers = resolve_workers(workers)
     Em = integrate_Em(model, law)
     payload = _SimPayload(model, law, Em, beta_literal)
-
-    # A "self" candidate replays the baseline bit for bit, so it reuses the
-    # baseline's stats (key -1) instead of running again.
-    keys = [-1 if cand.is_self else ci for ci, cand in enumerate(candidates)]
-    tasks = []
-    for s in range(S):
-        sample_seed = derive_seed(seed, N, s)
-        tasks.append(((-1, s), N, sample_seed, None, False))
-        for ci, cand in enumerate(candidates):
-            if not cand.is_self:
-                tasks.append(((ci, s), N, sample_seed, cand, False))
+    rows, cols = _candidate_rows(candidates)
+    tasks = [((N, s), N, (derive_seed(seed, N, s),), rows) for s in range(S)]
     stats = _map_samples(payload, tasks, workers)
-
-    base = [float(stats[(-1, s)].J_central[0]) for s in range(S)]
-    base_mean, base_se = _mean_se(base)
-    results = []
-    for key, cand in zip(keys, candidates):
-        vals = [float(stats[(key, s)].J_central[0]) for s in range(S)]
-        mean, se = _mean_se(vals)
-        diffs = [b - v for b, v in zip(base, vals)]
-        gain, gain_se = _mean_se(diffs)
-        results.append(CandidateResult(name=cand.name, mean_cost=mean,
-                                       cost_stderr=se, gain=gain,
-                                       gain_stderr=gain_se))
+    J = _gather(stats, tasks).J_central[:, :, 0]       # agent 0, (S, C)
+    base_mean, base_se, results = _candidate_results(J, cols, candidates)
     return DeviationReport(N=N, S=S, seed=seed, baseline_mean_cost=base_mean,
-                           baseline_stderr=base_se, results=tuple(results),
+                           baseline_stderr=base_se, results=results,
                            max_gain=max(r.gain for r in results))
 
 
@@ -721,69 +750,15 @@ class LimitCostReport:
     max_gain: float
 
 
-def _run_limit_batch(pl: _SimPayload, S: int, seed: int,
-                     cand: DeviationCandidate | None) -> np.ndarray:
-    """Limiting costs of S independent samples, vectorized over samples.
-
-    Each sample owns streams 0 (common) and 1 (individual) of its derived
-    seed, exactly as a size-1 population sample would, so results can be
-    cross-checked against the per-sample path.
-    """
-    M, h, n, k = pl.M, pl.h, pl.n, pl.k
-    dWi = np.empty((S, M))
-    dW0 = np.empty((S, M))
-    for s in range(S):
-        seed_s = derive_seed(seed, 1, s)
-        dW0[s] = gaussian_increments(pl.grid, seed_s, 0)
-        dWi[s] = gaussian_increments(pl.grid, seed_s, 1)
-    modify = cand is not None and not cand.is_self
-
-    zh = np.tile(pl.x0, (S, 1))
-    zb = zh.copy()
-    m = np.tile(pl.x0, (S, 1))
-    Jl = np.zeros(S)
-
-    for j in range(M + 1):
-        u = zh @ pl.KzT[j] + pl.kmc[j]
-        if modify:
-            if cand.zero_control:
-                u = np.zeros((S, k))
-            else:
-                u = cand.gain_scale * (zh @ pl.KzT[j]) + pl.kmc[j] \
-                    + cand.offset
-        dz = zb - m
-        Jl += ((dz @ pl.Qw[j]) * dz).sum(axis=1) \
-            + ((u @ pl.Rw[j]) * u).sum(axis=1)
-        if j == M:
-            break
-        dWi_j = dWi[:, j][:, None]
-        dW0_j = dW0[:, j][:, None]
-        zb = (zb + h * (zb @ pl.AT[j] + u @ pl.BT[j] + m @ pl.alT[j]
-                        + pl.bb[j])
-              + dWi_j * (zb @ pl.CT[j] + u @ pl.DT[j] + m @ pl.beT[j]
-                         + pl.sgv[j])
-              + dW0_j * (zb @ pl.C0T[j] + u @ pl.D0T[j] + m @ pl.be0T[j]
-                         + pl.sg0v[j]))
-        zh = (zh + h * (zh @ pl.P1T[j] + pl.p0[j])
-              + dWi_j * (zh @ pl.Q1T[j] + pl.q0[j]))
-        m = (m + h * (m @ pl.ApAlT[j] + pl.BEu[j])
-             + dW0_j * (m @ pl.Md0T[j] + pl.D0Eu[j]))
-
-    Jl += (zb @ pl.G * zb).sum(axis=1)
-    Jl *= 0.5
-    if not np.isfinite(Jl).all():
-        raise DivergenceError("limiting state diverged")
-    return Jl
-
-
 def limit_problem_experiment(model: LqMfgModel, law: FeedbackLaw, S: int,
                              seed: int, candidates=(),
                              beta_literal: bool = False) -> LimitCostReport:
     """Costs of the policy (and optional deviations) in the limiting problem.
 
-    No population coupling is involved: each sample integrates the limiting
-    state against its own noises and the mean-field path.  Candidates share
-    sample streams with the baseline (common random numbers).
+    Sample s is the population kernel at N = 1 on streams 0 (common) and 1
+    (individual) of derive_seed(seed, 1, s); its limiting cost involves no
+    population coupling.  Candidates are rows of the same samples, so they
+    share streams with the baseline (common random numbers).
     """
     S = int(S)
     if S < 2:
@@ -791,17 +766,12 @@ def limit_problem_experiment(model: LqMfgModel, law: FeedbackLaw, S: int,
     candidates = tuple(candidates)
     Em = integrate_Em(model, law)
     payload = _SimPayload(model, law, Em, beta_literal)
-    base = _run_limit_batch(payload, S, seed, None)
-    base_mean, base_se = _mean_se(base.tolist())
-    results = []
-    for cand in candidates:
-        vals = _run_limit_batch(payload, S, seed, cand)
-        mean, se = _mean_se(vals.tolist())
-        gain, gain_se = _mean_se((base - vals).tolist())
-        results.append(CandidateResult(name=cand.name, mean_cost=mean,
-                                       cost_stderr=se, gain=gain,
-                                       gain_stderr=gain_se))
+    rows, cols = _candidate_rows(candidates)
+    tasks = _sample_tasks(1, S, payload.M, seed, rows)
+    stats = _map_samples(payload, tasks, resolve_workers())
+    J = _gather(stats, tasks).J_limit[:, :, 0]          # (S, C)
+    base_mean, base_se, results = _candidate_results(J, cols, candidates)
     max_gain = max((r.gain for r in results), default=float("nan"))
     return LimitCostReport(S=S, seed=seed, baseline_mean_cost=base_mean,
-                           baseline_stderr=base_se, results=tuple(results),
+                           baseline_stderr=base_se, results=results,
                            max_gain=max_gain)

@@ -143,6 +143,7 @@ def _gain_terms(c, P, r_min, t):
     return Sinv, P @ c.B + c.Ct @ P @ c.D + c.C0t @ P @ c.D0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4_backward(grid: TimeGrid, terminal, rhs, name: str,
                   sym: bool = False, psd: bool = False) -> np.ndarray:
     """Classical RK4 from ``terminal`` at T back to 0, one grid step a time.

@@ -16,6 +16,8 @@ Oracles:
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ import lqmfg
 from lqmfg import (LqMfgModel, NoisePath, TimeGrid, UsageError, derive_seed,
                    gaussian_increments, integrate_Em, integrate_m,
                    integrate_mean_field, integrate_z_hat)
+from lqmfg.meanfield import fill_increments
 from lqmfg.riccati import solve_riccati
 from lqmfg.scenario import preset
 
@@ -59,6 +62,35 @@ def test_increments_reproducible_and_stream_separated():
     assert a.shape == (64,)
     np.testing.assert_array_equal(a, b)
     assert np.any(a != c) and np.any(a != d)
+
+
+def test_rekeyed_increments_match_freshly_keyed_philox():
+    M, h = 37, 0.03
+    streams = (0, 1, 2 ** 32, 2 ** 64 - 1)
+    for seed in (0, 2 ** 64 - 1):
+        rows = fill_increments(np.empty((len(streams), M)), h, seed, streams)
+        for row, stream in zip(rows, streams):
+            gen = np.random.Generator(
+                np.random.Philox(key=(seed << 64) + stream))
+            np.testing.assert_array_equal(
+                row, gen.standard_normal(M) * np.sqrt(h))
+
+
+def test_increments_reject_out_of_range_ids():
+    grid = TimeGrid(1.0, 8)
+    for seed, stream in ((-1, 0), (1 << 64, 0), (3, -1), (3, 1 << 64)):
+        with pytest.raises(UsageError):
+            gaussian_increments(grid, seed, stream)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random costs about 6 MB of resident memory; it is imported when
+    # the first noise stream is drawn, not with the package
+    code = ("import sys, lqmfg, lqmfg.cli; "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_increment_scale_is_sqrt_h():

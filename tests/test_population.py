@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 import lqmfg
-from lqmfg import (DeviationCandidate, DivergenceError, LqMfgModel, TimeGrid,
-                   UsageError, default_candidate_family, derive_seed,
-                   deviation_experiment, integrate_Em, limit_problem_experiment,
+from lqmfg import (DeviationCandidate, DivergenceError, LqMfgModel, NoisePath,
+                   TimeGrid, UsageError, default_candidate_family, derive_seed,
+                   deviation_experiment, integrate_Em, integrate_m,
+                   integrate_z_hat, limit_problem_experiment,
                    lq_value_prediction, rate_experiment_state,
                    rate_experiments, resolve_workers, simulate_population)
-from lqmfg.population import (_SimPayload, _check_ladder, _fit_loglog,
-                              _run_limit_batch, _run_sample)
+from lqmfg.population import (_block_general, _block_noise, _block_scalar,
+                              _check_ladder, _fit_loglog, _run_block,
+                              _SimPayload)
 from lqmfg.riccati import FeedbackLaw, solve_riccati
 from lqmfg.scenario import preset
 
@@ -73,19 +75,52 @@ def test_zero_noise_decoupled_population_hits_the_limit():
     assert np.max(np.abs(sample.state_average - sample.m)) < 1e-12
 
 
-def test_scalar_and_general_paths_agree():
+STAT_FIELDS = ("xbar_gap", "agent_gaps", "zbar_gap", "J_central", "J_limit")
+
+
+def test_scalar_and_general_block_kernels_agree():
     pl = payload(100)
+    rows = default_candidate_family()[1:]
     for N in (1, 3, 16):
-        s_fast = _run_sample(pl, N, derive_seed(5, N))
-        s_gen = _run_sample(pl, N, derive_seed(5, N), force_general=True)
-        assert s_fast.xbar_gap == pytest.approx(s_gen.xbar_gap, abs=1e-12)
-        assert s_fast.zbar_gap == pytest.approx(s_gen.zbar_gap, abs=1e-12)
-        np.testing.assert_allclose(s_fast.agent_gaps, s_gen.agent_gaps,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(s_fast.J_central, s_gen.J_central,
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(s_fast.J_limit, s_gen.J_limit,
-                                   rtol=1e-12, atol=1e-12)
+        noise = _block_noise(pl, N, [derive_seed(5, N, s) for s in range(3)])
+        fast = _block_scalar(pl, *noise, rows)
+        gen = _block_general(pl, *noise, rows)
+        assert fast.J_central.shape == (3, len(rows) + 1, N)
+        for field in STAT_FIELDS:
+            np.testing.assert_allclose(getattr(fast, field),
+                                       getattr(gen, field),
+                                       rtol=1e-12, atol=1e-12)
+
+
+def test_splitting_a_rung_into_blocks_keeps_bits():
+    pl = payload(60)
+    N, S = 5, 6
+    seeds = [derive_seed(8, N, s) for s in range(S)]
+    whole = _run_block(pl, N, seeds)
+    for size in (1, 3):
+        parts = [_run_block(pl, N, seeds[i:i + size])
+                 for i in range(0, S, size)]
+        for field in STAT_FIELDS:
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(p, field) for p in parts]),
+                getattr(whole, field))
+
+
+def test_block_kernel_matches_single_path_integrators():
+    # the recorded block (one sample) against the independent
+    # meanfield.integrate_* oracles on the same streams
+    model, law, Em = closed_form(80)
+    seed = derive_seed(3, 4, 0)
+    sample = simulate_population(model, law, Em, N=4, seed=seed)
+    m = integrate_m(model, law, Em, NoisePath.generate(model.grid, seed, 0))
+    np.testing.assert_allclose(sample.m, m, rtol=1e-12, atol=1e-12)
+    for i in (0, 3):
+        path = integrate_z_hat(model, law, Em,
+                               NoisePath.generate(model.grid, seed, i + 1))
+        np.testing.assert_allclose(sample.z_hat[i], path.z_hat, rtol=1e-12,
+                                   atol=1e-12)
+        np.testing.assert_allclose(sample.u[i], path.u, rtol=1e-12,
+                                   atol=1e-12)
 
 
 def test_population_rejects_bad_arguments():
@@ -201,8 +236,9 @@ def test_self_candidate_gain_is_exactly_zero():
 
 
 def test_deviation_runs_no_self_replays(monkeypatch):
-    # "self" candidates reuse the baseline's stats: only the baseline and
-    # the other candidates are queued, S x (1 + non-self candidates) tasks
+    # "self" candidates reuse the baseline's stats: a task is one sample
+    # whose rows are the baseline and the other candidates, S x (1 +
+    # non-self candidates) rows in all
     import lqmfg.population as population
     model, law, Em = closed_form(40)
     family = default_candidate_family()
@@ -218,7 +254,9 @@ def test_deviation_runs_no_self_replays(monkeypatch):
     report = deviation_experiment(model, law, N=4, S=S, candidates=family,
                                   seed=21, workers=1)
     non_self = sum(not cand.is_self for cand in family)
-    assert len(queued) == S * (1 + non_self)
+    assert len(queued) == S
+    assert sum(len(seeds) * (1 + len(rows))
+               for _, _, seeds, rows in queued) == S * (1 + non_self)
     assert report.results[0].name == "self"
     assert report.results[0].gain == 0.0
 
@@ -226,17 +264,14 @@ def test_deviation_runs_no_self_replays(monkeypatch):
 @pytest.mark.parametrize("N", [1, 6])
 def test_self_candidate_replays_baseline_bit_for_bit(N):
     # the property that lets deviation_experiment skip the "self" runs,
-    # on both the scalar and the general sample paths
+    # on both the scalar and the general block kernels
     pl = payload(60)
-    seed = derive_seed(21, N, 0)
-    for force_general in (False, True):
-        base = _run_sample(pl, N, seed, force_general=force_general)
-        same = _run_sample(pl, N, seed, DeviationCandidate("self"),
-                           force_general=force_general)
-        for field in ("xbar_gap", "agent_gaps", "zbar_gap", "J_central",
-                      "J_limit"):
-            np.testing.assert_array_equal(getattr(same, field),
-                                          getattr(base, field))
+    noise = _block_noise(pl, N, [derive_seed(21, N, 0)])
+    for kernel in (_block_scalar, _block_general):
+        stats = kernel(pl, *noise, (DeviationCandidate("self"),))
+        for field in STAT_FIELDS:
+            rows = getattr(stats, field)[0]
+            np.testing.assert_array_equal(rows[1], rows[0])
 
 
 def test_deviation_report_reproducible_and_gain_sign():
@@ -259,18 +294,41 @@ def test_deviation_rejects_empty_family():
         deviation_experiment(model, law, N=4, S=4, candidates=(), seed=1)
 
 
-# ------------------------------------------------------------ limit batch
+# ------------------------------------------------------- limiting problem
 
-def test_limit_batch_matches_single_agent_samples():
+def test_limit_costs_match_single_path_integrators():
+    # limiting cost of sample s rebuilt from the meanfield oracles on
+    # streams 0 and 1 of derive_seed(seed, 1, s): zbar integrated against
+    # m and the recorded control of zhat, trapezoid running cost
     model, law, Em = closed_form(80)
-    pl = _SimPayload(model, law, Em)
-    S = 6
-    batch = _run_limit_batch(pl, S, seed=13, cand=None)
-    singles = [
-        _run_sample(pl, 1, derive_seed(13, 1, s)).J_limit[0]
-        for s in range(S)
-    ]
-    np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
+    grid, S = model.grid, 5
+    w = np.full(grid.node_count, grid.h)
+    w[0] = w[-1] = 0.5 * grid.h
+    c = {name: getattr(model, name).values[:, 0, 0]
+         for name in ("A", "B", "alpha", "b", "C", "D", "beta", "sigma",
+                      "C0", "D0", "beta0", "sigma0", "Q", "R")}
+    costs = []
+    for s in range(S):
+        seed = derive_seed(13, 1, s)
+        common = NoisePath.generate(grid, seed, 0)
+        own = NoisePath.generate(grid, seed, 1)
+        m = integrate_m(model, law, Em, common)[:, 0]
+        u = integrate_z_hat(model, law, Em, own).u[:, 0]
+        zb = np.empty(grid.node_count)
+        zb[0] = model.x0[0]
+        for j in range(grid.steps):
+            def lin(a, d, b, s0):
+                return (c[a][j] * zb[j] + c[d][j] * u[j] + c[b][j] * m[j]
+                        + c[s0][j])
+            zb[j + 1] = (zb[j] + grid.h * lin("A", "B", "alpha", "b")
+                         + own.increments[j] * lin("C", "D", "beta", "sigma")
+                         + common.increments[j]
+                         * lin("C0", "D0", "beta0", "sigma0"))
+        run = (w * (c["Q"] * (zb - m) ** 2 + c["R"] * u ** 2)).sum()
+        costs.append(0.5 * (run + model.G[0, 0] * zb[-1] ** 2))
+    report = limit_problem_experiment(model, law, S=S, seed=13)
+    assert report.baseline_mean_cost == pytest.approx(np.mean(costs),
+                                                      rel=1e-12)
 
 
 def test_limit_experiment_baseline_and_candidates():

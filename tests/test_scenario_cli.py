@@ -1,10 +1,18 @@
 """Scenario schema round-trips and the command-line pipeline."""
 
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from lqmfg import UsageError
 from lqmfg.cli import main, run
@@ -211,6 +219,30 @@ def test_cli_numerical_failure_exits_4_and_writes_nothing(tmp_path, capsys):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("key, value, code", [
+    ("T", 1e308, 4),    # the backward sweep overflows
+    ("C", 1e200, 4),    # |C|^2 in the diagnostic used to raise OverflowError
+    ("R", -1e308, 3),   # the symmetry check of R overflows
+    ("D", 1e153, 0),    # Sigma overflows to inf, so the gain goes to zero
+])
+def test_cli_extreme_values_write_only_the_error_record(tmp_path, key, value,
+                                                        code):
+    # overflow ends in a typed error or a clean run: stderr holds the JSON
+    # record alone, with no RuntimeWarning and no traceback
+    d = closed_form_dict(steps=20, **{key: value})
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "big"}
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-m", "lqmfg.cli", "--config",
+                          write_config(tmp_path, d), "--quiet"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == code, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == (1 if code else 0), out.stderr
+    if code:
+        assert json.loads(lines[0])["exit_code"] == code
+
+
 def test_cli_short_rate_ladder_exits_2(tmp_path, capsys):
     d = closed_form_dict(steps=30)
     d["experiment"] = {"kind": "rate_state", "seed": 3, "N": None,
@@ -350,3 +382,62 @@ def test_csv_cells_are_shortest_round_trip_reprs():
         ["t,x,y,i"] + [",".join(repr(float(col[j])) for col in columns)
                        for j in range(len(special))]) + "\n"
     assert _csv(["t", "x", "y", "i"], columns) == reference
+
+
+# ------------------------------------------------------ mutated scenarios
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 50)
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text(alphabet="abcnkT01_-", max_size=6))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(alphabet="abnkT", max_size=3),
+                                     inner, max_size=2)),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) pair of a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix, key
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["netsec-closed-form", "netsec-numeric"]),
+       data=st.data())
+def test_cli_mutated_solve_scenarios_exit_cleanly(name, data):
+    # any JSON-level edit of a preset, run as a solve on at most 50 steps,
+    # ends in a documented exit code with at most one stderr record
+    d = preset(name).to_dict()
+    d["experiment"] = {"kind": "solve", "seed": 1}
+    parent_path, key = data.draw(st.sampled_from(list(_paths(d))))
+    parent = d
+    for part in parent_path:
+        parent = parent[part]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_JSON_VALUES)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "scenario.json")
+        with open(cfg, "w") as fh:
+            json.dump(d, fh)
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["--config", cfg, "--out", os.path.join(tmp, "out"),
+                         "--steps", "30", "--quiet"])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (0 if code == 0 else 1), lines
+    if lines:
+        assert json.loads(lines[0])["exit_code"] == code
