@@ -373,7 +373,7 @@ class DiagnosticReport:
 
 
 def _sup_opnorm(sched):
-    return float(max(np.linalg.norm(sched.values[j], 2) for j in range(len(sched))))
+    return float(np.linalg.norm(sched.values, 2, axis=(1, 2)).max())
 
 
 def wellposedness_diagnostic(model: LqMfgModel) -> DiagnosticReport:

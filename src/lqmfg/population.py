@@ -17,15 +17,17 @@ which makes every aggregate exactly invariant under permuting agent labels
 together with their streams.
 
 Samples run in blocks: one kernel steps B samples of one population size
-at once on (C, B, N) arrays, or (C, B, N, n) for general models, where the
-C rows of a sample share its noise (row 0 the equilibrium policy, the others
-deviation candidates of agent 0).  A ladder block holds up to
-2**18 // (N M) samples, so its increments take at most 2 MB (or one
-sample's worth); a deviation block is one sample with every candidate as a
-row, and the limiting problem is the kernel at N = 1.  Scalar models
-(n = k = 1) use a kernel without matrix products.  Blocks are the tasks of
-the process pool, and every block's statistics equal those of its samples
-run one at a time.
+at once, where the C rows of a sample share its noise (row 0 the
+equilibrium policy, the others deviation candidates of agent 0).  A ladder
+block holds up to 2**18 // (N M) samples, so its increments take at most
+2 MB (or one sample's worth); a deviation block is one sample with every
+candidate as a row, the limiting problem is the kernel at N = 1, and a
+recorded population is a block of one sample and one row.  The kernel
+applies the coefficients in one of two forms, chosen from the model shape:
+scalar models (n = k = 1) step (C, B, N) arrays and multiply by per-node
+floats, matrix models step (C, B, N, n) arrays and multiply by per-node
+matrices with matmul.  Blocks are the tasks of the process pool, and every
+block's statistics equal those of its samples run one at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
+import operator
 import os
 
 import numpy as np
@@ -82,9 +85,10 @@ def default_candidate_family() -> tuple[DeviationCandidate, ...]:
 class _SimPayload:
     """Everything a block needs, precomputed once and shipped to workers.
 
-    Holds per-node transposed coefficient arrays for row-vector states, the
-    deterministic mean-control pieces, and (for scalar models) plain-float
-    coefficient lists for the scalar kernel.
+    Holds per-node coefficient arrays for row-vector states (matrices
+    transposed) and the deterministic mean-control pieces.  The kernel reads
+    the ``_STEP_COEFFS`` of a node as plain floats for scalar models and as
+    these arrays for matrix models.
     """
 
     def __init__(self, model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
@@ -101,8 +105,6 @@ class _SimPayload:
         if self.Em.shape != (self.M + 1, self.n):
             raise UsageError("Em sequence does not match the grid and state "
                              "dimension")
-
-        cnt = self.M + 1
 
         def vals(name):
             return getattr(model, name).values
@@ -122,13 +124,11 @@ class _SimPayload:
         self.bb = vals("b")[:, :, 0].copy()
         self.sgv = vals("sigma")[:, :, 0].copy()
         self.sg0v = vals("sigma0")[:, :, 0].copy()
-        self.Q = vals("Q")
-        self.R = vals("R")
 
         self.KzT = np.ascontiguousarray(law.K_z.transpose(0, 2, 1))
         # Deterministic control pieces: K_m Em + c_u, and the mean control.
         self.kmc = np.einsum("jkn,jn->jk", law.K_m, self.Em) + law.c_u
-        self.Euv = np.einsum("jkn,jn->jk", law.K_z, self.Em) + self.kmc
+        Euv = np.einsum("jkn,jn->jk", law.K_z, self.Em) + self.kmc
 
         # Filtered-state step: zhat' = P1 zhat + p0, diffusion Q1 zhat + q0.
         A, B = vals("A"), vals("B")
@@ -148,39 +148,21 @@ class _SimPayload:
                             else vals("beta0"))
         self.ApAlT = np.ascontiguousarray(ApAl.transpose(0, 2, 1))
         self.Md0T = np.ascontiguousarray(Md0.transpose(0, 2, 1))
-        self.BEu = np.einsum("jnk,jk->jn", B, self.Euv) + self.bb
-        self.D0Eu = (np.einsum("jnk,jk->jn", vals("D0"), self.Euv)
-                     + self.sg0v)
+        self.BEu = np.einsum("jnk,jk->jn", B, Euv) + self.bb
+        self.D0Eu = np.einsum("jnk,jk->jn", vals("D0"), Euv) + self.sg0v
 
-        w = np.full(cnt, self.h)
+        w = np.full(self.M + 1, self.h)
         w[0] = w[-1] = 0.5 * self.h
-        self.w = w
-        self.Qw = w[:, None, None] * self.Q
-        self.Rw = w[:, None, None] * self.R
+        self.Qw = w[:, None, None] * vals("Q")
+        self.Rw = w[:, None, None] * vals("R")
 
-        self.scalar_ok = (self.n == 1 and self.k == 1)
-        if self.scalar_ok:
-            def flat(name):
-                return vals(name)[:, 0, 0].tolist()
 
-            self.s_a, self.s_b = flat("A"), flat("B")
-            self.s_al, self.s_bb = flat("alpha"), flat("b")
-            self.s_c, self.s_d = flat("C"), flat("D")
-            self.s_be, self.s_sg = flat("beta"), flat("sigma")
-            self.s_c0, self.s_d0 = flat("C0"), flat("D0")
-            self.s_be0, self.s_sg0 = flat("beta0"), flat("sigma0")
-            self.s_kz = law.K_z[:, 0, 0].tolist()
-            self.s_kmc = self.kmc[:, 0].tolist()
-            self.s_eu = self.Euv[:, 0].tolist()
-            self.s_p1 = P1[:, 0, 0].tolist()
-            self.s_p0 = self.p0[:, 0].tolist()
-            self.s_q1 = Q1[:, 0, 0].tolist()
-            self.s_q0 = self.q0[:, 0].tolist()
-            self.s_md = Md0[:, 0, 0].tolist()
-            self.s_wq = (w * self.Q[:, 0, 0]).tolist()
-            self.s_wr = (w * self.R[:, 0, 0]).tolist()
-            self.s_g = float(self.G[0, 0])
-            self.s_x0 = float(self.x0[0])
+# Per-node coefficients of a kernel step, in the order the kernel unpacks
+# them.
+_STEP_COEFFS = ("KzT", "kmc", "Qw", "Rw",
+                "AT", "BT", "alT", "bb", "CT", "DT", "beT", "sgv",
+                "C0T", "D0T", "be0T", "sg0v",
+                "P1T", "p0", "Q1T", "q0", "ApAlT", "BEu", "Md0T", "D0Eu")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,10 +197,10 @@ class PopulationSample:
 
 
 def _block_noise(pl: _SimPayload, N: int, seeds):
-    """Increments of samples ``seeds`` for the kernels.
+    """Increments of samples ``seeds`` for the kernel.
 
     Returns dWi (B, N, M), agent i + 1's stream in row i, and dW0 (B, 1, M),
-    the common stream; a kernel reads step j as dWi[..., j].
+    the common stream; the kernel reads step j as dWi[..., j].
     """
     buf = np.empty((len(seeds), N + 1, pl.M))
     for b, seed in enumerate(seeds):
@@ -248,88 +230,40 @@ def _finish(pl, Jc, Jl, gap, sup_x, sup_z):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _block_scalar(pl: _SimPayload, dWi, dW0, cands=()) -> _BlockStats:
-    """Scalar (n = k = 1) kernel on (C, B, N) arrays, no matrix products."""
-    M, h = pl.M, pl.h
-    B, N = dWi.shape[:2]
-    a, bc, al, bb = pl.s_a, pl.s_b, pl.s_al, pl.s_bb
-    c, d, be, sg = pl.s_c, pl.s_d, pl.s_be, pl.s_sg
-    c0, d0, be0, sg0 = pl.s_c0, pl.s_d0, pl.s_be0, pl.s_sg0
-    kz, kmc, eu = pl.s_kz, pl.s_kmc, pl.s_eu
-    p1, p0, q1, q0 = pl.s_p1, pl.s_p0, pl.s_q1, pl.s_q0
-    md = pl.s_md
-    wq, wr = pl.s_wq, pl.s_wr
-    if cands:
-        gain, offset, zero = _row_arrays(cands, 2)
+def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
+    """Step a block of samples; ``record`` needs B = C = 1.
 
-    x = np.full((1 + len(cands), B, N), pl.s_x0)
+    Scalar models (n = k = 1) step (C, B, N) arrays and apply the per-node
+    coefficients as floats by multiplication; matrix models step
+    (C, B, N, n) arrays and apply the transposed coefficient matrices by
+    matmul, so their quadratic forms reduce over the trailing axis.
+    """
+    M, h, n = pl.M, pl.h, pl.n
+    B, N = dWi.shape[:2]
+    coeffs = [getattr(pl, name) for name in _STEP_COEFFS]
+    if n == pl.k == 1:
+        op, vec = operator.mul, ()
+        coeffs = [c.reshape(M + 1).tolist() for c in coeffs]
+        x0, G = float(pl.x0[0]), float(pl.G[0, 0])
+
+        def reduce(v):
+            return v
+    else:
+        op, vec = operator.matmul, (n,)
+        x0, G = pl.x0, pl.G
+        # a step's increments then broadcast along the state axis
+        dWi, dW0 = dWi[:, :, None], dW0[:, :, None]
+
+        def reduce(v):
+            return v.sum(axis=-1)
+
+    if cands:
+        gain, offset, zero = _row_arrays(cands, 2 + len(vec))
+
+    x = np.broadcast_to(x0, (1 + len(cands), B, N) + vec).copy()
     zh = x.copy()
     zb = x.copy()
-    mj = np.full((B, 1), pl.s_x0)
-    Jc = np.zeros(x.shape)
-    Jl = np.zeros(x.shape)
-    gap = np.zeros(x.shape)
-    sup_x = np.zeros(x.shape[:2] + (1,))
-    sup_z = sup_x.copy()
-
-    for j in range(M + 1):
-        u = kz[j] * zh + kmc[j]
-        if cands:
-            u[1:, :, 0] = np.where(
-                zero, 0.0, gain * (kz[j] * zh[1:, :, 0]) + kmc[j] + offset)
-        xm = np.sort(x).sum(axis=-1, keepdims=True) / N
-        zm = np.sort(zb).sum(axis=-1, keepdims=True) / N
-        dx = x - xm
-        dz = zb - mj
-        uu = u * u
-        run_c = wq[j] * (dx * dx) + wr[j] * uu
-        run_l = wq[j] * (dz * dz) + wr[j] * uu
-        gxz = x - zb
-        np.maximum(gap, gxz * gxz, out=gap)
-        e = xm - mj
-        np.maximum(sup_x, e * e, out=sup_x)
-        e = zm - mj
-        np.maximum(sup_z, e * e, out=sup_z)
-        if j == M:
-            # the terminal cost joins the last running cost before it is
-            # added, the rounding order of the per-sample recursion
-            Jc += run_c + pl.s_g * (x * x)
-            Jl += run_l + pl.s_g * (zb * zb)
-            break
-        Jc += run_c
-        Jl += run_l
-
-        dWi_j = dWi[..., j]
-        dW0_j = dW0[..., j]
-        x = (x + h * (a[j] * x + bc[j] * u + (al[j] * xm + bb[j]))
-             + dWi_j * (c[j] * x + d[j] * u + (be[j] * xm + sg[j]))
-             + dW0_j * (c0[j] * x + d0[j] * u + (be0[j] * xm + sg0[j])))
-        zb = (zb + h * (a[j] * zb + bc[j] * u + (al[j] * mj + bb[j]))
-              + dWi_j * (c[j] * zb + d[j] * u + (be[j] * mj + sg[j]))
-              + dW0_j * (c0[j] * zb + d0[j] * u + (be0[j] * mj + sg0[j])))
-        zh = zh + h * (p1[j] * zh + p0[j]) + dWi_j * (q1[j] * zh + q0[j])
-        mj = (mj + h * ((a[j] + al[j]) * mj + bc[j] * eu[j] + bb[j])
-              + dW0_j * (md[j] * mj + d0[j] * eu[j] + sg0[j]))
-        if (j & 63) == 63 and not (np.isfinite(mj).all()
-                                   and np.isfinite(x).all()):
-            raise DivergenceError("population state diverged", node=j + 1,
-                                  t=pl.grid.nodes[j + 1])
-    return _finish(pl, Jc, Jl, gap, sup_x, sup_z)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _block_general(pl: _SimPayload, dWi, dW0, cands=(),
-                   record: bool = False):
-    """General kernel on (C, B, N, n) arrays; ``record`` needs B = C = 1."""
-    M, h, n, k = pl.M, pl.h, pl.n, pl.k
-    B, N = dWi.shape[:2]
-    if cands:
-        gain, offset, zero = _row_arrays(cands, 3)
-
-    x = np.broadcast_to(pl.x0, (1 + len(cands), B, N, n)).copy()
-    zh = x.copy()
-    zb = x.copy()
-    m = np.broadcast_to(pl.x0, (B, 1, n)).copy()
+    m = np.broadcast_to(x0, (B, 1) + vec).copy()
     Jc = np.zeros(x.shape[:3])
     Jl = np.zeros(x.shape[:3])
     gap = np.zeros(x.shape[:3])
@@ -339,67 +273,56 @@ def _block_general(pl: _SimPayload, dWi, dW0, cands=(),
         rec_x = np.empty((N, M + 1, n))
         rec_zh = np.empty((N, M + 1, n))
         rec_zb = np.empty((N, M + 1, n))
-        rec_u = np.empty((N, M + 1, k))
+        rec_u = np.empty((N, M + 1, pl.k))
         rec_xbar = np.empty((M + 1, n))
         rec_m = np.empty((M + 1, n))
 
-    for j in range(M + 1):
-        u = zh @ pl.KzT[j] + pl.kmc[j]
+    for j, (kz, kmc, qw, rw, a, bm, al, bb, c, d, be, sg, c0, d0, be0, sg0,
+            p1, p0, q1, q0, apal, beu, md0, d0eu) in enumerate(zip(*coeffs)):
+        u = op(zh, kz) + kmc
         if cands:
             u[1:, :, 0] = np.where(
-                zero, 0.0,
-                gain * (zh[1:, :, 0] @ pl.KzT[j]) + pl.kmc[j] + offset)
+                zero, 0.0, gain * op(zh[1:, :, 0], kz) + kmc + offset)
         xm = np.sort(x, axis=2).sum(axis=2, keepdims=True) / N
         zm = np.sort(zb, axis=2).sum(axis=2, keepdims=True) / N
         dx = x - xm
         dz = zb - m
-        run_c = ((dx @ pl.Qw[j]) * dx).sum(axis=-1)
-        run_l = ((dz @ pl.Qw[j]) * dz).sum(axis=-1)
-        ru = ((u @ pl.Rw[j]) * u).sum(axis=-1)
-        Jc += run_c + ru
-        Jl += run_l + ru
-        g2 = ((x - zb) ** 2).sum(axis=-1)
-        np.maximum(gap, g2, out=gap)
+        ru = reduce(op(u, rw) * u)
+        Jc += reduce(op(dx, qw) * dx) + ru
+        Jl += reduce(op(dz, qw) * dz) + ru
+        e = x - zb
+        np.maximum(gap, reduce(e * e), out=gap)
         e = xm - m
-        np.maximum(sup_x, (e * e).sum(axis=-1), out=sup_x)
+        np.maximum(sup_x, reduce(e * e), out=sup_x)
         e = zm - m
-        np.maximum(sup_z, (e * e).sum(axis=-1), out=sup_z)
+        np.maximum(sup_z, reduce(e * e), out=sup_z)
         if record:
-            rec_x[:, j] = x[0, 0]
-            rec_zh[:, j] = zh[0, 0]
-            rec_zb[:, j] = zb[0, 0]
-            rec_u[:, j] = u[0, 0]
-            rec_xbar[j] = xm[0, 0, 0]
-            rec_m[j] = m[0, 0]
+            rec_x[:, j] = x[0, 0].reshape(N, n)
+            rec_zh[:, j] = zh[0, 0].reshape(N, n)
+            rec_zb[:, j] = zb[0, 0].reshape(N, n)
+            rec_u[:, j] = u[0, 0].reshape(N, pl.k)
+            rec_xbar[j] = xm[0, 0].reshape(n)
+            rec_m[j] = m[0].reshape(n)
         if j == M:
             break
 
-        dWi_j = dWi[..., j, None]
-        dW0_j = dW0[..., j, None]
-        x_new = (x + h * (x @ pl.AT[j] + u @ pl.BT[j] + (xm @ pl.alT[j]
-                                                         + pl.bb[j]))
-                 + dWi_j * (x @ pl.CT[j] + u @ pl.DT[j]
-                            + (xm @ pl.beT[j] + pl.sgv[j]))
-                 + dW0_j * (x @ pl.C0T[j] + u @ pl.D0T[j]
-                            + (xm @ pl.be0T[j] + pl.sg0v[j])))
-        zb_new = (zb + h * (zb @ pl.AT[j] + u @ pl.BT[j] + (m @ pl.alT[j]
-                                                            + pl.bb[j]))
-                  + dWi_j * (zb @ pl.CT[j] + u @ pl.DT[j]
-                             + (m @ pl.beT[j] + pl.sgv[j]))
-                  + dW0_j * (zb @ pl.C0T[j] + u @ pl.D0T[j]
-                             + (m @ pl.be0T[j] + pl.sg0v[j])))
-        zh = (zh + h * (zh @ pl.P1T[j] + pl.p0[j])
-              + dWi_j * (zh @ pl.Q1T[j] + pl.q0[j]))
-        m = (m + h * (m @ pl.ApAlT[j] + pl.BEu[j])
-             + dW0_j * (m @ pl.Md0T[j] + pl.D0Eu[j]))
-        x, zb = x_new, zb_new
+        dWi_j = dWi[..., j]
+        dW0_j = dW0[..., j]
+        x = (x + h * (op(x, a) + op(u, bm) + (op(xm, al) + bb))
+             + dWi_j * (op(x, c) + op(u, d) + (op(xm, be) + sg))
+             + dW0_j * (op(x, c0) + op(u, d0) + (op(xm, be0) + sg0)))
+        zb = (zb + h * (op(zb, a) + op(u, bm) + (op(m, al) + bb))
+              + dWi_j * (op(zb, c) + op(u, d) + (op(m, be) + sg))
+              + dW0_j * (op(zb, c0) + op(u, d0) + (op(m, be0) + sg0)))
+        zh = zh + h * (op(zh, p1) + p0) + dWi_j * (op(zh, q1) + q0)
+        m = m + h * (op(m, apal) + beu) + dW0_j * (op(m, md0) + d0eu)
         if not np.isfinite(m).all() or \
                 ((j & 63) == 63 and not np.isfinite(x).all()):
             raise DivergenceError("population state diverged", node=j + 1,
                                   t=pl.grid.nodes[j + 1])
 
-    Jc += (x @ pl.G * x).sum(axis=-1)
-    Jl += (zb @ pl.G * zb).sum(axis=-1)
+    Jc += reduce(op(x, G) * x)
+    Jl += reduce(op(zb, G) * zb)
     stats = _finish(pl, Jc, Jl, gap, sup_x, sup_z)
     if not record:
         return stats
@@ -412,8 +335,7 @@ def _block_general(pl: _SimPayload, dWi, dW0, cands=(),
 
 def _run_block(pl: _SimPayload, N: int, seeds, cands=()) -> _BlockStats:
     """Stats of samples ``seeds`` of size N, with candidate rows ``cands``."""
-    kernel = _block_scalar if pl.scalar_ok else _block_general
-    return kernel(pl, *_block_noise(pl, N, seeds), cands)
+    return _block_kernel(pl, *_block_noise(pl, N, seeds), cands)
 
 
 def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
@@ -430,8 +352,8 @@ def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
     if N < 1:
         raise UsageError("population size must be at least 1")
     pl = _SimPayload(model, law, Em, beta_literal)
-    _, sample = _block_general(pl, *_block_noise(pl, N, (int(seed),)),
-                               record=True)
+    _, sample = _block_kernel(pl, *_block_noise(pl, N, (int(seed),)),
+                              record=True)
     return sample
 
 

@@ -12,9 +12,8 @@ from lqmfg import (DeviationCandidate, DivergenceError, LqMfgModel, NoisePath,
                    integrate_z_hat, limit_problem_experiment,
                    lq_value_prediction, rate_experiment_state,
                    rate_experiments, resolve_workers, simulate_population)
-from lqmfg.population import (_block_general, _block_noise, _block_scalar,
-                              _check_ladder, _fit_loglog, _run_block,
-                              _SimPayload)
+from lqmfg.population import (_block_kernel, _block_noise, _check_ladder,
+                              _fit_loglog, _run_block, _SimPayload)
 from lqmfg.riccati import FeedbackLaw, solve_riccati
 from lqmfg.scenario import preset
 
@@ -29,6 +28,75 @@ def closed_form(steps):
 def payload(steps):
     model, law, Em = closed_form(steps)
     return _SimPayload(model, law, Em)
+
+
+def matrix_model(steps):
+    """A coupled n = 3, k = 2 model with every coefficient nonzero."""
+    rng = np.random.default_rng(17)
+
+    def u(shape):
+        return rng.uniform(-1.0, 1.0, shape)
+
+    Mq, Mg, Mr = u((3, 3)), u((3, 3)), u((2, 2))
+    model = LqMfgModel.from_constants(
+        TimeGrid(1.0, steps), A=u((3, 3)), B=u((3, 2)), alpha=u((3, 3)),
+        b=u((3, 1)), C=u((3, 3)), D=u((3, 2)), beta=u((3, 3)),
+        sigma=u((3, 1)), C0=u((3, 3)), D0=u((3, 2)), beta0=u((3, 3)),
+        sigma0=u((3, 1)), Q=Mq.T @ Mq, R=np.eye(2) + Mr.T @ Mr,
+        G=Mg.T @ Mg, x0=[1.0, 0.5, -0.5])
+    law = solve_riccati(model).feedback
+    return model, law, integrate_Em(model, law)
+
+
+def netsec_numeric(steps, dim):
+    """The netsec-numeric preset, or for dim > 1 its diagonal embedding:
+    every coefficient c becomes c I, and x0, b, sigma, sigma0 repeat."""
+    base = preset("netsec-numeric").model.build(steps)
+    if dim == 1:
+        model = base
+    else:
+        eye = np.eye(dim)
+
+        def c(name):
+            return float(getattr(base, name).values[0, 0, 0])
+
+        model = LqMfgModel.from_constants(
+            base.grid, x0=np.repeat(base.x0, dim), G=base.G[0, 0] * eye,
+            r_min=base.r_min,
+            **{name: c(name) * eye for name in
+               ("A", "B", "alpha", "C", "D", "beta", "C0", "D0", "beta0",
+                "Q", "R")},
+            **{name: np.full((dim, 1), c(name)) for name in
+               ("b", "sigma", "sigma0")})
+    law = solve_riccati(model).feedback
+    return _SimPayload(model, law, integrate_Em(model, law))
+
+
+KERNEL_MODELS = {"scalar": closed_form, "matrix": matrix_model}
+
+
+def state_oracle(model, u, own, common, m=None):
+    """States of agents i with controls u[i] and streams own[i], stepped
+    from the model's own coefficient matrices: the limiting states when the
+    mean-field path m is given, else the centralized states coupled to
+    their plain average."""
+    c = {name: getattr(model, name).values
+         for name in ("A", "B", "alpha", "b", "C", "D", "beta", "sigma",
+                      "C0", "D0", "beta0", "sigma0")}
+    x = np.empty(u.shape[:2] + (model.n,))
+    x[:, 0] = model.x0
+    for j in range(model.grid.steps):
+        avg = x[:, j].mean(axis=0) if m is None else m[j]
+
+        def lin(a, d, b, s0):
+            return (x[:, j] @ c[a][j].T + u[:, j] @ c[d][j].T
+                    + c[b][j] @ avg + c[s0][j][:, 0])
+        dWi = np.array([path.increments[j] for path in own])[:, None]
+        x[:, j + 1] = (x[:, j] + model.grid.h * lin("A", "B", "alpha", "b")
+                       + dWi * lin("C", "D", "beta", "sigma")
+                       + common.increments[j]
+                       * lin("C0", "D0", "beta0", "sigma0"))
+    return x
 
 
 # ----------------------------------------------------------------- samples
@@ -78,17 +146,20 @@ def test_zero_noise_decoupled_population_hits_the_limit():
 STAT_FIELDS = ("xbar_gap", "agent_gaps", "zbar_gap", "J_central", "J_limit")
 
 
-def test_scalar_and_general_block_kernels_agree():
-    pl = payload(100)
+def test_diagonal_embedding_doubles_every_statistic():
+    # the scalar (float multiply) and matrix (matmul) coefficient forms on
+    # one model: its n = k = 2 diagonal embedding runs two identical copies
+    # of the scalar state, so every cost and gap doubles
+    scalar, embedded = netsec_numeric(100, 1), netsec_numeric(100, 2)
     rows = default_candidate_family()[1:]
     for N in (1, 3, 16):
-        noise = _block_noise(pl, N, [derive_seed(5, N, s) for s in range(3)])
-        fast = _block_scalar(pl, *noise, rows)
-        gen = _block_general(pl, *noise, rows)
-        assert fast.J_central.shape == (3, len(rows) + 1, N)
+        seeds = [derive_seed(5, N, s) for s in range(3)]
+        one = _run_block(scalar, N, seeds, rows)
+        two = _run_block(embedded, N, seeds, rows)
+        assert one.J_central.shape == (3, len(rows) + 1, N)
         for field in STAT_FIELDS:
-            np.testing.assert_allclose(getattr(fast, field),
-                                       getattr(gen, field),
+            np.testing.assert_allclose(getattr(two, field),
+                                       2.0 * getattr(one, field),
                                        rtol=1e-12, atol=1e-12)
 
 
@@ -106,21 +177,24 @@ def test_splitting_a_rung_into_blocks_keeps_bits():
                 getattr(whole, field))
 
 
-def test_block_kernel_matches_single_path_integrators():
+@pytest.mark.parametrize("form", KERNEL_MODELS)
+def test_block_kernel_matches_single_path_integrators(form):
     # the recorded block (one sample) against the independent
-    # meanfield.integrate_* oracles on the same streams
-    model, law, Em = closed_form(80)
+    # meanfield.integrate_* oracles and state_oracle on the same streams
+    model, law, Em = KERNEL_MODELS[form](80)
     seed = derive_seed(3, 4, 0)
     sample = simulate_population(model, law, Em, N=4, seed=seed)
-    m = integrate_m(model, law, Em, NoisePath.generate(model.grid, seed, 0))
-    np.testing.assert_allclose(sample.m, m, rtol=1e-12, atol=1e-12)
-    for i in (0, 3):
-        path = integrate_z_hat(model, law, Em,
-                               NoisePath.generate(model.grid, seed, i + 1))
-        np.testing.assert_allclose(sample.z_hat[i], path.z_hat, rtol=1e-12,
-                                   atol=1e-12)
-        np.testing.assert_allclose(sample.u[i], path.u, rtol=1e-12,
-                                   atol=1e-12)
+    common = NoisePath.generate(model.grid, seed, 0)
+    m = integrate_m(model, law, Em, common)
+    own = [NoisePath.generate(model.grid, seed, i + 1) for i in range(4)]
+    paths = [integrate_z_hat(model, law, Em, path) for path in own]
+    u = np.array([path.u for path in paths])
+    for got, want in ((sample.m, m),
+                      (sample.z_hat, [path.z_hat for path in paths]),
+                      (sample.u, u),
+                      (sample.z_bar, state_oracle(model, u, own, common, m)),
+                      (sample.x, state_oracle(model, u, own, common))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_population_rejects_bad_arguments():
@@ -132,8 +206,9 @@ def test_population_rejects_bad_arguments():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_exploding_feedback_is_diagnosed():
-    model, law, Em = closed_form(100)
+@pytest.mark.parametrize("form", KERNEL_MODELS)
+def test_exploding_feedback_is_diagnosed(form):
+    model, law, Em = KERNEL_MODELS[form](100)
     huge = FeedbackLaw(grid=law.grid, K_z=np.full_like(law.K_z, 1e155),
                        K_m=np.zeros_like(law.K_m),
                        c_u=np.zeros_like(law.c_u))
@@ -261,17 +336,17 @@ def test_deviation_runs_no_self_replays(monkeypatch):
     assert report.results[0].gain == 0.0
 
 
-@pytest.mark.parametrize("N", [1, 6])
-def test_self_candidate_replays_baseline_bit_for_bit(N):
-    # the property that lets deviation_experiment skip the "self" runs,
-    # on both the scalar and the general block kernels
-    pl = payload(60)
+@pytest.mark.parametrize("N, dim", [(1, 1), (6, 1), (1, 2), (6, 2)],
+                         ids=["1", "6", "1-embedded", "6-embedded"])
+def test_self_candidate_replays_baseline_bit_for_bit(N, dim):
+    # the property that lets deviation_experiment skip the "self" runs, in
+    # the scalar form and the matrix form (the n = k = 2 embedding)
+    pl = netsec_numeric(60, dim)
     noise = _block_noise(pl, N, [derive_seed(21, N, 0)])
-    for kernel in (_block_scalar, _block_general):
-        stats = kernel(pl, *noise, (DeviationCandidate("self"),))
-        for field in STAT_FIELDS:
-            rows = getattr(stats, field)[0]
-            np.testing.assert_array_equal(rows[1], rows[0])
+    stats = _block_kernel(pl, *noise, (DeviationCandidate("self"),))
+    for field in STAT_FIELDS:
+        rows = getattr(stats, field)[0]
+        np.testing.assert_array_equal(rows[1], rows[0])
 
 
 def test_deviation_report_reproducible_and_gain_sign():
@@ -304,27 +379,17 @@ def test_limit_costs_match_single_path_integrators():
     grid, S = model.grid, 5
     w = np.full(grid.node_count, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
-    c = {name: getattr(model, name).values[:, 0, 0]
-         for name in ("A", "B", "alpha", "b", "C", "D", "beta", "sigma",
-                      "C0", "D0", "beta0", "sigma0", "Q", "R")}
+    q, r = model.Q.values[:, 0, 0], model.R.values[:, 0, 0]
     costs = []
     for s in range(S):
         seed = derive_seed(13, 1, s)
         common = NoisePath.generate(grid, seed, 0)
         own = NoisePath.generate(grid, seed, 1)
-        m = integrate_m(model, law, Em, common)[:, 0]
-        u = integrate_z_hat(model, law, Em, own).u[:, 0]
-        zb = np.empty(grid.node_count)
-        zb[0] = model.x0[0]
-        for j in range(grid.steps):
-            def lin(a, d, b, s0):
-                return (c[a][j] * zb[j] + c[d][j] * u[j] + c[b][j] * m[j]
-                        + c[s0][j])
-            zb[j + 1] = (zb[j] + grid.h * lin("A", "B", "alpha", "b")
-                         + own.increments[j] * lin("C", "D", "beta", "sigma")
-                         + common.increments[j]
-                         * lin("C0", "D0", "beta0", "sigma0"))
-        run = (w * (c["Q"] * (zb - m) ** 2 + c["R"] * u ** 2)).sum()
+        m = integrate_m(model, law, Em, common)
+        u = integrate_z_hat(model, law, Em, own).u
+        zb = state_oracle(model, u[None], [own], common, m)[0, :, 0]
+        m, u = m[:, 0], u[:, 0]
+        run = (w * (q * (zb - m) ** 2 + r * u ** 2)).sum()
         costs.append(0.5 * (run + model.G[0, 0] * zb[-1] ** 2))
     report = limit_problem_experiment(model, law, S=S, seed=13)
     assert report.baseline_mean_cost == pytest.approx(np.mean(costs),

@@ -406,15 +406,8 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(name=st.sampled_from(["netsec-closed-form", "netsec-numeric"]),
-       data=st.data())
-def test_cli_mutated_solve_scenarios_exit_cleanly(name, data):
-    # any JSON-level edit of a preset, run as a solve on at most 50 steps,
-    # ends in a documented exit code with at most one stderr record
-    d = preset(name).to_dict()
-    d["experiment"] = {"kind": "solve", "seed": 1}
+def _edit_json(d, data):
+    """Replace or delete any node of the scenario tree."""
     parent_path, key = data.draw(st.sampled_from(list(_paths(d))))
     parent = d
     for part in parent_path:
@@ -423,6 +416,42 @@ def test_cli_mutated_solve_scenarios_exit_cleanly(name, data):
         del parent[key]
     else:
         parent[key] = data.draw(_JSON_VALUES)
+
+
+def _perturb_coefficient(d, data):
+    """Keep the schema; scale one nonzero real of the model by 10**(+-k),
+    flip its sign or set it to zero."""
+    leaves = []
+    for parent_path, key in _paths(d["model"]):
+        parent = d["model"]
+        for part in parent_path:
+            parent = parent[part]
+        if isinstance(parent[key], float) and parent[key] != 0.0:
+            leaves.append((parent, key))
+    parent, key = data.draw(st.sampled_from(leaves))
+    how = data.draw(st.sampled_from(["scale", "negate", "zero"]))
+    if how == "scale":
+        parent[key] *= 10.0 ** data.draw(st.integers(-300, 300).filter(bool))
+    elif how == "negate":
+        parent[key] = -parent[key]
+    else:
+        parent[key] = 0.0
+
+
+# A JSON-level edit mostly fails to parse, while a perturbation mostly
+# runs a whole solve (about 50 ms), so one example in four perturbs.
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["netsec-closed-form", "netsec-numeric"]),
+       mutate=st.sampled_from([_edit_json] * 3 + [_perturb_coefficient]),
+       data=st.data())
+def test_cli_mutated_solve_scenarios_exit_cleanly(name, mutate, data):
+    # any JSON-level edit of a preset, or any coefficient perturbation that
+    # keeps its schema, run as a solve on at most 50 steps, ends in a
+    # documented exit code with at most one stderr record
+    d = preset(name).to_dict()
+    d["experiment"] = {"kind": "solve", "seed": 1}
+    mutate(d, data)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "scenario.json")
@@ -434,7 +463,7 @@ def test_cli_mutated_solve_scenarios_exit_cleanly(name, data):
             warnings.simplefilter("always")
             code = main(["--config", cfg, "--out", os.path.join(tmp, "out"),
                          "--steps", "30", "--quiet"])
-    event(f"exit {code}")
+    event(f"{mutate.__name__} exit {code}")
     assert code in (0, 2, 3, 4)
     assert not caught, [str(w.message) for w in caught]
     lines = err.getvalue().splitlines()
