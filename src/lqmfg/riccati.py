@@ -17,18 +17,18 @@ Three routes are implemented:
 ``solve_Gamma_direct`` and ``solve_Phi`` complete the system, and
 ``build_feedback`` produces the decentralized gains (K_z, K_m, c_u).
 
-Every equation goes through one backward RK4 loop, ``_rk4_backward``.
-Coefficient schedules are piecewise-constant per grid interval (left node).
-The RK4 stages of interval j sit at its right node, its midpoint and its
-left node.  Previously computed matrix sequences (P when solving for
-Gamma/Phi/Pi, the current iterate inside the Lyapunov scheme) are evaluated
-at interval midpoints with a cubic 4-point stencil; holding them frozen at the
-left node instead would drop the integrator to first order and miss the
-tolerances the closed-form checks require.  Everything such a sequence
-determines (Sigma^{-1} with its r_min check, the closed-loop matrices and the
-forcing terms) is built once per route as stacked (3, M, ...) arrays, so
-those right-hand sides are matrix products only.  ``solve_P_direct`` alone
-inverts Sigma at every stage, since there Sigma depends on the stage value.
+Every equation goes through one backward RK4 loop, ``_rk4_backward``, and
+has one right-hand side (``_p_rhs``, ``_lyapunov_rhs``, ``_gamma_rhs``).
+Coefficient schedules are piecewise-constant per grid interval (left node),
+and the RK4 stages of interval j sit at its right node, midpoint and left
+node.  A known sequence (P for Gamma/Phi/Pi, Gamma for Phi, each Lyapunov
+iterate for the next) is read at midpoints through its own equation, by the
+cubic Hermite interpolant of each interval; so every route stays fourth
+order when the coefficients vary, and under constant coefficients a constant
+sequence is read exactly.  What it determines (Sigma^{-1} with its r_min
+check, the closed-loop matrices, the forcing terms) is built once per route
+as stacked (3, M, ...) arrays.  ``solve_P_direct`` alone inverts Sigma at
+every stage, since there Sigma depends on the stage value.
 """
 
 from __future__ import annotations
@@ -79,40 +79,22 @@ class _Coeffs:
         return one
 
 
-def interval_midpoints(values) -> np.ndarray:
-    """Values of a node sequence at interval midpoints, cubic 4-point stencil.
-
-    Input shape (M+1, ...), output (M, ...).  Exact for polynomials up to
-    degree 3 in the node index, hence O(h^4) accurate for smooth sequences;
-    constant sequences are reproduced exactly.
-    """
-    v = np.asarray(values, dtype=float)
-    M = v.shape[0] - 1
-    if M < 1:
-        raise UsageError("need at least one interval")
-    mids = np.empty((M,) + v.shape[1:])
-    if M == 1:
-        mids[0] = 0.5 * (v[0] + v[1])
-    elif M == 2:
-        mids[0] = (3.0 * v[0] + 6.0 * v[1] - v[2]) / 8.0
-        mids[1] = (-v[0] + 6.0 * v[1] + 3.0 * v[2]) / 8.0
-    else:
-        mids[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
-        mids[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
-        mids[-1] = (v[-4] - 5.0 * v[-3] + 15.0 * v[-2] + 5.0 * v[-1]) / 16.0
-    return mids
-
-
-def _stages(values) -> np.ndarray:
-    """A node sequence at the RK4 stage points: (3, M, ...) with right
-    nodes, interval midpoints and left nodes."""
-    v = np.asarray(values, dtype=float)
-    return np.stack([v[1:], interval_midpoints(v), v[:-1]])
-
-
 def _stage_times(grid: TimeGrid) -> np.ndarray:
     left = grid.nodes[:-1]
     return np.stack([grid.nodes[1:], left + 0.5 * grid.h, left])
+
+
+def _hermite_stages(values, slope, h) -> np.ndarray:
+    """A known node sequence at the RK4 stage points, (3, M, ...): right
+    nodes, midpoints (y_j + y_{j+1})/2 + (h/8)(f_j - f_{j+1}) of each
+    interval's cubic Hermite interpolant, left nodes.  ``slope(ends)`` is the
+    sequence's own dy/dt at its (2, M, ...) right and left node values, with
+    each interval's coefficients."""
+    v = np.asarray(values, dtype=float)
+    ends = np.stack([v[1:], v[:-1]])
+    f = slope(ends)
+    mid = 0.5 * (ends[0] + ends[1]) + (h / 8.0) * (f[1] - f[0])
+    return np.stack([ends[0], mid, ends[1]])
 
 
 def _sigma(c, P):
@@ -154,8 +136,7 @@ def _rk4_backward(grid: TimeGrid, terminal, rhs, name: str,
     the (M+1, ...) node sequence.  Raises ``DivergenceError`` at the first
     node that is non-finite or fails the PSD check.
     """
-    M, h = grid.steps, grid.h
-    nodes = grid.nodes
+    M, h, nodes = grid.steps, grid.h, grid.nodes
     Y = np.empty((M + 1,) + np.shape(terminal))
     Y[M] = terminal
     for j in range(M - 1, -1, -1):
@@ -188,38 +169,56 @@ def solve_P_direct(model: LqMfgModel) -> np.ndarray:
     ``DivergenceError`` if an iterate goes non-finite or loses positive
     semidefiniteness beyond the tolerance.
     """
-    c = _Coeffs(model, model.grid.steps)
-    cs = [c.interval(j) for j in range(model.grid.steps)]
+    cs = list(map(_Coeffs(model).interval, range(model.grid.steps)))
     t = _stage_times(model.grid)
-    r_min = model.r_min
 
     def rhs(P, s, j):
-        cj = cs[j]
-        Sinv, S = _gain_terms(cj, P, r_min, t[s, j])
-        return -(P @ cj.A + cj.At @ P + cj.Ct @ P @ cj.C + cj.C0t @ P @ cj.C0
-                 + cj.Q - S @ Sinv @ S.T)
+        return _p_rhs(cs[j], P, model.r_min, t[s, j])
 
     return _rk4_backward(model.grid, _sym(model.G), rhs, "P",
                          sym=True, psd=True)
 
 
-def _solve_lyapunov(grid: TimeGrid, G, Ah, Ch, C0h, Qh) -> np.ndarray:
+def _p_rhs(c, P, r_min, t):
+    """dP/dt of the quadratic equation, for one matrix or a stack."""
+    Sinv, S = _gain_terms(c, P, r_min, t)
+    return -(P @ c.A + c.At @ P + c.Ct @ P @ c.C + c.C0t @ P @ c.C0
+             + c.Q - S @ Sinv @ _T(S))
+
+
+def _p_stages(model: LqMfgModel, c, P):
+    """A supplied P at the RK4 stage points, read through its own equation,
+    with Sigma^{-1} and S there: three (3, M, ...) stacks."""
+    t = _stage_times(model.grid)
+    Ps = _hermite_stages(P, lambda ends: _p_rhs(c, ends, model.r_min, t[::2]),
+                         model.grid.h)
+    return (Ps,) + _gain_terms(c, Ps, model.r_min, t)
+
+
+def _lyapunov_rhs(P, Ah, Aht, Ch, Cht, C0h, C0ht, Qh):
+    return -(P @ Ah + Aht @ P + Cht @ P @ Ch + C0ht @ P @ C0h + Qh)
+
+
+def _solve_lyapunov(grid: TimeGrid, G, Ah, Ch, C0h, Qh):
     """Backward RK4 for the linear Lyapunov equation
 
         -dP/dt = P Ah + Ah'P + Ch'P Ch + C0h'P C0h + Qh,   P(T) = G.
 
     Coefficients are (3, M, n, n) stage stacks, or (M, n, n) left-node
-    values used at every stage.
+    values used at every stage.  Returns the node sequence and its (3, M,
+    n, n) stage values, read through this equation.
     """
     Ah, Ch, C0h, Qh = (np.broadcast_to(X, (3,) + X.shape[-3:])
                        for X in (Ah, Ch, C0h, Qh))
     Aht, Cht, C0ht = _T(Ah), _T(Ch), _T(C0h)
 
     def rhs(P, s, j):
-        return -(P @ Ah[s, j] + Aht[s, j] @ P + Cht[s, j] @ P @ Ch[s, j]
-                 + C0ht[s, j] @ P @ C0h[s, j] + Qh[s, j])
+        return _lyapunov_rhs(P, Ah[s, j], Aht[s, j], Ch[s, j], Cht[s, j],
+                             C0h[s, j], C0ht[s, j], Qh[s, j])
 
-    return _rk4_backward(grid, _sym(G), rhs, "Lyapunov iterate", sym=True)
+    Y = _rk4_backward(grid, _sym(G), rhs, "Lyapunov iterate", sym=True)
+    ends = [X[::2] for X in (Ah, Aht, Ch, Cht, C0h, C0ht, Qh)]
+    return Y, _hermite_stages(Y, lambda P: _lyapunov_rhs(P, *ends), grid.h)
 
 
 def _psi_transform(c, P, r_min, t):
@@ -257,12 +256,12 @@ def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
     grid = model.grid
     c = _Coeffs(model, grid.steps)
     t = _stage_times(grid)
-    P_prev = _solve_lyapunov(grid, model.G, c.A, c.C, c.C0, c.Q)
+    P_prev, stages = _solve_lyapunov(grid, model.G, c.A, c.C, c.C0, c.Q)
 
     residuals = []
     for i in range(max_iters):
-        P_next = _solve_lyapunov(grid, model.G, *_psi_transform(
-            c, _stages(P_prev), model.r_min, t))
+        P_next, stages = _solve_lyapunov(grid, model.G, *_psi_transform(
+            c, stages, model.r_min, t))
 
         diff = P_prev - P_next
         min_eigs = np.linalg.eigvalsh(_sym(diff))[:, 0]
@@ -282,28 +281,35 @@ def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
 def solve_Gamma_direct(model: LqMfgModel, P) -> np.ndarray:
     """Integrate the mean-field correction Gamma backward from Gamma(T) = 0.
 
-    ``P`` is the node sequence from either P-solver; midpoint values are
-    interpolated.  No symmetrization is applied: the equation is not symmetric
-    in general, and the output may legitimately be non-symmetric.
+    ``P`` is the node sequence from either P-solver, read at midpoints
+    through the P equation.  No symmetrization is applied: the equation is
+    not symmetric in general, and neither is its solution.
     """
     P = np.asarray(P, float)
     c = _Coeffs(model, model.grid.steps)
-    Ps = _stages(P)
-    Sinv, S = _gain_terms(c, Ps, model.r_min, _stage_times(model.grid))
+    F, L, Aclt, N = _gamma_terms(c, *_p_stages(model, c, P))
+
+    def rhs(Gam, s, j):
+        return _gamma_rhs(Gam, F[s, j], L[s, j], Aclt[s, j], N[s, j])
+
+    return _rk4_backward(model.grid, np.zeros(P.shape[1:]), rhs, "Gamma")
+
+
+def _gamma_terms(c, Ps, Sinv, S):
+    """(F, L, Acl', N) of -dGamma/dt = Gamma L + Acl' Gamma - Gamma N Gamma
+    - F along stacked P values, with Sigma^{-1} and S there."""
     Th = c.Dt @ Ps @ c.beta + c.D0t @ Ps @ c.beta0
     BSinv = c.B @ Sinv
     Acl = c.A - BSinv @ _T(S)
-    # -dGamma/dt = Gamma L + Acl' Gamma - Gamma N Gamma - F
     L = Acl - BSinv @ Th + c.alpha
-    Aclt = _T(Acl)
     N = BSinv @ c.Bt
     F = (c.Q - c.Ct @ Ps @ c.beta - c.C0t @ Ps @ c.beta0 + S @ Sinv @ Th
          - Ps @ c.alpha)
+    return F, L, _T(Acl), N
 
-    def rhs(Gam, s, j):
-        return F[s, j] - Gam @ L[s, j] - Aclt[s, j] @ Gam + Gam @ N[s, j] @ Gam
 
-    return _rk4_backward(model.grid, np.zeros(P.shape[1:]), rhs, "Gamma")
+def _gamma_rhs(Gam, F, L, Aclt, N):
+    return F - Gam @ L - Aclt @ Gam + Gam @ N @ Gam
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,11 +329,9 @@ class PiTransformReport:
         return np.nonzero(self.condition_margins < -TOL_PSD)[0]
 
 
-def _pi_terms(c, P, r_min, t):
-    """Sigma^{-1}, A_hat = A - B Sigma^{-1}(D'PC + D0'PC0), the constant
-    term M of the Pi equation, and the cross term of M whose PSD-ness backs
-    the substitution."""
-    Sinv = _sigma_inv(_sigma(c, P), r_min, t)
+def _pi_terms(c, P, Sinv):
+    """A_hat = A - B Sigma^{-1}(D'PC + D0'PC0), the Pi equation's constant
+    term M, and the cross term of M whose PSD-ness backs the substitution."""
     DtP, D0tP = c.Dt @ P, c.D0t @ P
     SigDtP, SigD0tP = Sinv @ DtP, Sinv @ D0tP
     Ahat = c.A - c.B @ Sinv @ (DtP @ c.C + D0tP @ c.C0)
@@ -335,7 +339,7 @@ def _pi_terms(c, P, r_min, t):
     cross = -c.Ct @ PD @ (SigD0tP @ c.C0) - c.C0t @ PD0 @ (SigDtP @ c.C)
     Mterm = (c.Ct @ (P - PD @ SigDtP) @ c.C
              + c.C0t @ (P - PD0 @ SigD0tP) @ c.C0 + cross)
-    return Sinv, Ahat, Mterm, cross
+    return Ahat, Mterm, cross
 
 
 def solve_Gamma_via_Pi(model: LqMfgModel, P):
@@ -352,23 +356,22 @@ def solve_Gamma_via_Pi(model: LqMfgModel, P):
     """
     P = np.asarray(P, float)
     grid = model.grid
-    n = model.n
     alpha = model.alpha.values
-    delta = float(alpha[0, 0, 0]) if n >= 1 else 0.0
-    eye = np.eye(n)
-    if np.abs(alpha - delta * eye).max() > PRECONDITION_ATOL:
+    delta = float(alpha[0, 0, 0])
+    if np.abs(alpha - delta * np.eye(model.n)).max() > PRECONDITION_ATOL:
         raise UsageError("Pi substitution requires alpha = delta * identity "
                          "with one scalar delta at every node")
     if np.abs(model.beta.values).max() > PRECONDITION_ATOL or \
        np.abs(model.beta0.values).max() > PRECONDITION_ATOL:
         raise UsageError("Pi substitution requires beta = beta0 = 0")
 
-    cross = _pi_terms(_Coeffs(model), P, model.r_min, grid.nodes)[3]
-    margins = np.linalg.eigvalsh(_sym(cross))[:, 0]
+    cn = _Coeffs(model)
+    Sinv = _sigma_inv(_sigma(cn, P), model.r_min, grid.nodes)
+    margins = np.linalg.eigvalsh(_sym(_pi_terms(cn, P, Sinv)[2]))[:, 0]
 
     c = _Coeffs(model, grid.steps)
-    Sinv, Ahat, Mterm, _ = _pi_terms(c, _stages(P), model.r_min,
-                                     _stage_times(grid))
+    Ps, Sinv, _ = _p_stages(model, c, P)
+    Ahat, Mterm, _ = _pi_terms(c, Ps, Sinv)
     Ahatt = _T(Ahat)
     N = c.B @ Sinv @ c.Bt
 
@@ -384,12 +387,13 @@ def solve_Gamma_via_Pi(model: LqMfgModel, P):
 def solve_Phi(model: LqMfgModel, P, Gamma) -> np.ndarray:
     """Integrate the affine offset Phi backward from Phi(T) = 0.
 
-    Linear in Phi once P and Gamma are known; both are interpolated at
-    interval midpoints for the RK4 stages.  Returns an (M+1, n) array.
+    Linear in Phi once P and Gamma are known; each is read at interval
+    midpoints through its own equation.  Returns an (M+1, n) array.
     """
     c = _Coeffs(model, model.grid.steps)
-    Ps, Gs = _stages(P), _stages(Gamma)
-    Sinv, S = _gain_terms(c, Ps, model.r_min, _stage_times(model.grid))
+    Ps, Sinv, S = _p_stages(model, c, P)
+    ends = _gamma_terms(c, Ps[::2], Sinv[::2], S[::2])
+    Gs = _hermite_stages(Gamma, lambda G: _gamma_rhs(G, *ends), model.grid.h)
     W = (S + Gs @ c.B) @ Sinv
     # -dPhi/dt = lam Phi + forcing
     lam = c.At - W @ c.Bt
@@ -483,8 +487,7 @@ def solve_riccati(model: LqMfgModel, p_method: str = "direct",
     if gamma_method not in ("direct", "pi_transform", "both"):
         raise UsageError(f"unknown gamma_method '{gamma_method}'")
 
-    p_agreement = None
-    iterations = None
+    p_agreement = iterations = None
     if p_method == "direct":
         P = solve_P_direct(model)
     elif p_method == "iterative":
@@ -496,15 +499,12 @@ def solve_riccati(model: LqMfgModel, p_method: str = "direct",
         iterations = info.iterations
         p_agreement = float(np.sqrt(((P - P_it) ** 2).sum(axis=(1, 2))).max())
 
-    gamma_agreement = None
-    pi_report = None
-    pi_error = None
-    if gamma_method == "direct":
-        Gamma = solve_Gamma_direct(model, P)
-    elif gamma_method == "pi_transform":
+    gamma_agreement = pi_report = pi_error = None
+    if gamma_method == "pi_transform":
         Gamma, pi_report = solve_Gamma_via_Pi(model, P)
     else:
         Gamma = solve_Gamma_direct(model, P)
+    if gamma_method == "both":
         try:
             Gamma_pi, pi_report = solve_Gamma_via_Pi(model, P)
         except UsageError as exc:

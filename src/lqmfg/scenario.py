@@ -218,7 +218,7 @@ class ModelBlock:
         return out
 
     def build(self, steps_override: int | None = None) -> LqMfgModel:
-        steps = int(steps_override) if steps_override else self.steps
+        steps = self.steps if steps_override is None else int(steps_override)
         if steps < 1:
             raise UsageError(f"steps override must be positive, got {steps}")
         grid = TimeGrid(self.horizon, steps)

@@ -21,14 +21,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import lqmfg
 from lqmfg import (CoefficientSchedule, ConvergenceError, DivergenceError,
                    LqMfgModel, SingularSigmaError, TimeGrid, UsageError)
-from lqmfg.riccati import (build_feedback, interval_midpoints,
-                           sigma_sequence, solve_Gamma_direct,
+from lqmfg.riccati import (build_feedback, sigma_sequence, solve_Gamma_direct,
                            solve_Gamma_via_Pi, solve_P_direct,
                            solve_P_iterative, solve_Phi, solve_riccati)
 from lqmfg.scenario import preset
@@ -47,50 +44,6 @@ def logistic_P(t, T=1.0):
 
 def logistic_Pi(t, T=1.0):
     return 3.0 / (1.0 + 2.0 * np.exp(3.0 * (t - T)))
-
-
-# ---------------------------------------------------------------- midpoints
-
-def test_midpoints_exact_for_cubic_sequences():
-    M = 17
-    j = np.arange(M + 1) / M
-    v = j ** 3 - 2.0 * j ** 2 + 0.5
-    mids = interval_midpoints(v)
-    jm = (np.arange(M) + 0.5) / M
-    exact = jm ** 3 - 2.0 * jm ** 2 + 0.5
-    assert np.max(np.abs(mids - exact)) < 1e-13
-
-
-def test_midpoints_exact_for_constants_and_short_grids():
-    for M in (1, 2, 3, 5):
-        v = np.full((M + 1, 2, 2), 0.7)
-        mids = interval_midpoints(v)
-        assert mids.shape == (M, 2, 2)
-        np.testing.assert_allclose(mids, np.full((M, 2, 2), 0.7),
-                                   rtol=0, atol=1e-15)
-    # linear sequences are also reproduced exactly on the short stencils
-    for M in (1, 2):
-        v = np.arange(M + 1, dtype=float)
-        np.testing.assert_allclose(interval_midpoints(v),
-                                   np.arange(M) + 0.5, atol=1e-14)
-
-
-def test_midpoints_reject_empty_grid():
-    with pytest.raises(UsageError):
-        interval_midpoints(np.zeros((1, 1, 1)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(coeffs=st.tuples(*[st.floats(-4.0, 4.0) for _ in range(4)]),
-       M=st.integers(3, 40))
-def test_midpoints_exact_for_every_cubic(coeffs, M):
-    a, b, c, d = coeffs
-    j = np.arange(M + 1) / M
-    v = a * j ** 3 + b * j ** 2 + c * j + d
-    jm = (np.arange(M) + 0.5) / M
-    exact = a * jm ** 3 + b * jm ** 2 + c * jm + d
-    scale = 1.0 + np.max(np.abs(v))
-    assert np.max(np.abs(interval_midpoints(v) - exact)) < 1e-12 * scale
 
 
 # ------------------------------------------------------------------ P route
@@ -192,9 +145,9 @@ def test_iterative_starts_above_solution():
     P_it, _ = solve_P_iterative(model)
     from lqmfg.riccati import _solve_lyapunov
     M = model.grid.steps
-    P0 = _solve_lyapunov(model.grid, model.G,
-                         *(getattr(model, name).values[:M]
-                           for name in ("A", "C", "C0", "Q")))
+    P0, _ = _solve_lyapunov(model.grid, model.G,
+                            *(getattr(model, name).values[:M]
+                              for name in ("A", "C", "C0", "Q")))
     gap = P0 - P_it
     assert np.linalg.eigvalsh(0.5 * (gap + np.transpose(gap, (0, 2, 1)))).min() \
         > -1e-10
@@ -388,10 +341,19 @@ _COEFFS = ("A", "B", "alpha", "b", "C", "D", "beta", "sigma", "C0", "D0",
            "beta0", "sigma0", "Q", "R")
 
 
-def time_varying_model(steps, amp):
-    """n = k = 2 with every coefficient a schedule X + amp sin(2 pi t) dX."""
+# Every coefficient moves by 0.3 dX, smoothly or in one jump at t = 0.5.
+_WAVES = {"sine": lambda t: 0.3 * np.sin(2.0 * np.pi * t),
+          "step": lambda t: 0.3 * (t >= 0.5)}
+
+
+def time_varying_model(steps, wave, structured=False):
+    """n = k = 2 with every coefficient a schedule X + w(t) dX.
+
+    ``structured`` holds alpha = delta I constant and sets beta = beta0 =
+    C0 = 0, the structure the Pi route requires.
+    """
     grid = TimeGrid(1.0, steps)
-    wave = np.sin(2.0 * np.pi * grid.nodes)[:, None, None]
+    w = _WAVES[wave](grid.nodes)[:, None, None]
     rng = np.random.default_rng(7)
     shapes = {"nn": (2, 2), "nk": (2, 2), "n1": (2, 1), "kk": (2, 2)}
     codes = ("nn", "nk", "nn", "n1", "nn", "nk", "nn", "n1", "nn", "nk",
@@ -402,7 +364,11 @@ def time_varying_model(steps, amp):
         dX = rng.uniform(-1.0, 1.0, shapes[code])
         if name in ("Q", "R"):
             X, dX = X @ X.T + np.eye(2), dX + dX.T
-        scheds[name] = CoefficientSchedule(grid, X[None] + amp * wave * dX)
+        if structured and name in ("beta", "beta0", "C0"):
+            X, dX = np.zeros_like(X), 0.0
+        if structured and name == "alpha":
+            X, dX = 0.4 * np.eye(2), 0.0
+        scheds[name] = CoefficientSchedule(grid, X[None] + w * dX)
     return LqMfgModel(grid=grid, G=np.eye(2), x0=np.zeros(2), **scheds)
 
 
@@ -444,24 +410,35 @@ def interval_oracle(model):
 
 
 def test_time_varying_schedules_match_interval_oracle():
-    # P takes its stage values from its own RK4 stages, so it is fourth
-    # order even when every coefficient varies strongly.
-    model = time_varying_model(200, amp=0.3)
-    P_or, _, _ = interval_oracle(model)
-    assert np.max(np.abs(solve_P_direct(model) - P_or)) < 1e-8
-    # Gamma and Phi read P (and Phi reads Gamma) at interval midpoints
-    # through the cubic node stencil.  Against the left-node oracle that
-    # stencil is off by O(h^2 |dc/dt|) where the coefficients vary, so the
-    # schedules vary slowly here: the errors are about 3e-9, while taking
-    # every coefficient one node late moves P, Gamma and Phi by about 1e-5.
-    model = time_varying_model(200, amp=5e-4)
-    P_or, Gam_or, Phi_or = interval_oracle(model)
-    P = solve_P_direct(model)
-    Gam = solve_Gamma_direct(model, P)
-    Phi = solve_Phi(model, P, Gam)
-    assert np.max(np.abs(P - P_or)) < 1e-8
-    assert np.max(np.abs(Gam - Gam_or)) < 1e-8
-    assert np.max(np.abs(Phi - Phi_or)) < 1e-8
+    # Every route reads a known sequence at interval midpoints through its
+    # own equation with the interval's coefficients, so each stays fourth
+    # order when the coefficients vary or jump: Gamma's error falls about
+    # 16x per grid doubling.  A reading that ignores the equation, such as
+    # a cubic node stencil across the jumps, is second order here: errors
+    # above 1e-7, falling 4x.
+    for wave in _WAVES:
+        gamma_errs = []
+        for M in (100, 200):
+            model = time_varying_model(M, wave)
+            P_or, Gam_or, Phi_or = interval_oracle(model)
+            P = solve_P_direct(model)
+            Gam = solve_Gamma_direct(model, P)
+            gamma_errs.append(np.max(np.abs(Gam - Gam_or)))
+        assert gamma_errs[0] / gamma_errs[1] >= 8.0, wave
+        assert np.max(np.abs(P - P_or)) < 1e-8, wave
+        assert gamma_errs[1] < 1e-8, wave
+        assert np.max(np.abs(solve_Phi(model, P, Gam) - Phi_or)) < 1e-8, wave
+        P_it, _ = solve_P_iterative(model)
+        assert np.max(np.abs(P_it - P_or)) < 1e-8, wave
+
+
+def test_pi_route_time_varying_matches_interval_oracle():
+    for wave in _WAVES:
+        model = time_varying_model(200, wave, structured=True)
+        _, Gam_or, _ = interval_oracle(model)
+        Gam_pi, report = solve_Gamma_via_Pi(model, solve_P_direct(model))
+        assert report.condition_ok, wave  # C0 = 0 kills the cross term
+        assert np.max(np.abs(Gam_pi - Gam_or)) < 1e-8, wave
 
 
 def test_import_leaves_scipy_linalg_unloaded():

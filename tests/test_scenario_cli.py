@@ -108,6 +108,12 @@ def test_steps_override_conflicts_with_explicit_schedule():
         cfg.model.build(steps_override=8)
 
 
+def test_zero_steps_override_is_rejected():
+    # 0 is an override like any other, not "use the scenario's own steps"
+    with pytest.raises(UsageError):
+        preset("netsec-closed-form").model.build(0)
+
+
 def test_wrong_format_version_rejected():
     d = closed_form_dict()
     d["format_version"] = 99
