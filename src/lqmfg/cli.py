@@ -111,6 +111,12 @@ def _cross_check_dict(summary) -> dict:
            "p_agreement": summary.p_agreement,
            "gamma_agreement": summary.gamma_agreement,
            "iterative_iterations": summary.iterative_iterations,
+           "iterative_residuals": summary.iterative_residuals,
+           "sigma_margin": {
+               "value": summary.sigma_margin,
+               "node": summary.sigma_margin_node,
+               "t": float(summary.solution.grid.nodes[
+                   summary.sigma_margin_node])},
            "pi": None, "pi_error": summary.pi_error}
     if summary.pi_report is not None:
         rep = summary.pi_report

@@ -17,23 +17,23 @@ Three routes are implemented:
 ``solve_Gamma_direct`` and ``solve_Phi`` complete the system, and
 ``build_feedback`` produces the decentralized gains (K_z, K_m, c_u).
 
-Every equation goes through one backward RK4 loop, ``_rk4_backward``, and
-has one right-hand side (``_p_rhs``, ``_lyapunov_rhs``, ``_gamma_rhs``).
-Coefficient schedules are piecewise-constant per grid interval (left node),
-and the RK4 stages of interval j sit at its right node, midpoint and left
-node.  A known sequence (P for Gamma/Phi/Pi, Gamma for Phi, each Lyapunov
-iterate for the next) is read at midpoints through its own equation, by the
-cubic Hermite interpolant of each interval; so every route stays fourth
-order when the coefficients vary, and under constant coefficients a constant
-sequence is read exactly.  What it determines (Sigma^{-1} with its r_min
-check, the closed-loop matrices, the forcing terms) is built once per route
-as stacked (3, M, ...) arrays.  ``solve_P_direct`` alone inverts Sigma at
-every stage, since there Sigma depends on the stage value.
+Coefficient schedules are piecewise-constant per grid interval (left node);
+the RK4 stages of interval j sit at its right node, midpoint and left node.
+P, Gamma and Pi go through one RK4 loop, ``_rk4_backward``, P evaluated from
+per-interval affine maps of vech(P) built once (``_PEquation``).  The linear
+equations, each Lyapunov iterate (in vech coordinates, so exactly symmetric)
+and Phi, go through ``_rk4_linear``, which composes every interval's step
+into an affine map at once.  Operators are built from each equation's one
+right-hand side, one basis matrix at a time.  A known sequence (P for
+Gamma/Phi/Pi, Gamma for Phi, each Lyapunov iterate for the next) is read at
+midpoints through its own equation, by each interval's cubic Hermite
+interpolant, so every route stays fourth order when coefficients vary.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -50,11 +50,32 @@ _NAMES = ("A", "B", "alpha", "b", "C", "D", "beta", "sigma",
 
 
 def _T(X):
-    return np.swapaxes(X, -1, -2)
+    return X.swapaxes(-1, -2)
 
 
 def _sym(X):
     return 0.5 * (X + _T(X))
+
+
+@functools.lru_cache(maxsize=None)
+def _vech_index(n):
+    """vech's (rows, columns) and each n x n matrix entry's vech position."""
+    iu = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=int)
+    pos[iu] = pos[iu[::-1]] = np.arange(len(iu[0]))
+    return iu, pos
+
+
+def _vech(X):
+    return X[(...,) + _vech_index(X.shape[-1])[0]]
+
+
+def _vech_matrix(linear, n):
+    """A linear map of symmetric n x n matrices as matrices on vech: column i
+    (last axis) is ``linear(E_i)``, vech(E_i) the i-th unit vector."""
+    pos = _vech_index(n)[1]
+    return np.stack([linear((pos == i).astype(float))
+                     for i in range(pos.max() + 1)], axis=-1)
 
 
 class _Coeffs:
@@ -71,18 +92,6 @@ class _Coeffs:
             setattr(self, name, values)
             setattr(self, name + "t", _T(values))
 
-    def interval(self, j: int) -> "_Coeffs":
-        """The values of one interval as plain matrices."""
-        one = object.__new__(_Coeffs)
-        for name, values in vars(self).items():
-            setattr(one, name, values[j])
-        return one
-
-
-def _stage_times(grid: TimeGrid) -> np.ndarray:
-    left = grid.nodes[:-1]
-    return np.stack([grid.nodes[1:], left + 0.5 * grid.h, left])
-
 
 def _hermite_stages(values, slope, h) -> np.ndarray:
     """A known node sequence at the RK4 stage points, (3, M, ...): right
@@ -97,44 +106,37 @@ def _hermite_stages(values, slope, h) -> np.ndarray:
     return np.stack([ends[0], mid, ends[1]])
 
 
-def _sigma(c, P):
-    return c.R + c.Dt @ P @ c.D + c.D0t @ P @ c.D0
+def _gain_forms(c, P):
+    """D'PD + D0'PD0 and S = PB + C'PD + C0'PD0: the weighting is Sigma =
+    R + D'PD + D0'PD0 and the feedback gain on the state -Sigma^{-1} S'."""
+    PD, PD0 = P @ c.D, P @ c.D0
+    return c.Dt @ PD + c.D0t @ PD0, P @ c.B + c.Ct @ PD + c.C0t @ PD0
 
 
 def _sigma_inv(Sig, r_min, t):
-    """Sigma^{-1} for one matrix or a stack, guarding the r_min floor.
-
-    ``t`` holds the time of each point.  A point below the floor raises
-    ``SingularSigmaError`` at the latest such time, the one that a backward
-    sweep reaches first.
-    """
-    Sig = _sym(Sig)
-    w = np.linalg.eigvalsh(Sig)[..., 0]
-    bad = w < r_min
+    """Sigma^{-1} = V diag(1/w) V' for one matrix or a stack, by one
+    eigendecomposition (of the lower triangle) that also guards r_min: a
+    point below the floor raises ``SingularSigmaError`` at the latest of its
+    times ``t``, the one that a backward sweep reaches first."""
+    w, V = np.linalg.eigh(Sig)
+    bad = w[..., 0] < r_min
     if bad.any():
-        t = np.broadcast_to(t, w.shape)
+        t = np.broadcast_to(t, bad.shape)
         i = np.flatnonzero(bad & (t == t[bad].max()))[-1]
-        raise SingularSigmaError(t.flat[i], w.flat[i], r_min)
-    return np.linalg.inv(Sig)
-
-
-def _gain_terms(c, P, r_min, t):
-    """Sigma^{-1} and S = PB + C'PD + C0'PD0, so that the feedback gain on
-    the state is -Sigma^{-1} S'."""
-    Sinv = _sigma_inv(_sigma(c, P), r_min, t)
-    return Sinv, P @ c.B + c.Ct @ P @ c.D + c.C0t @ P @ c.D0
+        raise SingularSigmaError(t.flat[i], w[..., 0].flat[i], r_min)
+    return (V / w[..., None, :]) @ _T(V)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4_backward(grid: TimeGrid, terminal, rhs, name: str,
-                  sym: bool = False, psd: bool = False) -> np.ndarray:
+                  psd: bool = False) -> np.ndarray:
     """Classical RK4 from ``terminal`` at T back to 0, one grid step a time.
 
     ``rhs(y, stage, j)`` is dy/dt at stage 0 (right node), 1 (midpoint) or
-    2 (left node) of interval j.  With ``sym`` every step is symmetrized;
-    with ``psd`` its minimum eigenvalue must stay above -TOL_PSD.  Returns
-    the (M+1, ...) node sequence.  Raises ``DivergenceError`` at the first
-    node that is non-finite or fails the PSD check.
+    2 (left node) of interval j.  With ``psd`` every step is symmetrized and
+    its minimum eigenvalue must stay above -TOL_PSD.  Returns the (M+1, ...)
+    node sequence.  Raises ``DivergenceError`` at the first node that is
+    non-finite or fails the PSD check.
     """
     M, h, nodes = grid.steps, grid.h, grid.nodes
     Y = np.empty((M + 1,) + np.shape(terminal))
@@ -146,7 +148,7 @@ def _rk4_backward(grid: TimeGrid, terminal, rhs, name: str,
         k3 = rhs(y - 0.5 * h * k2, 1, j)
         k4 = rhs(y - h * k3, 2, j)
         yj = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if sym:
+        if psd:
             yj = 0.5 * (yj + yj.T)
         if not np.isfinite(yj).all():
             raise DivergenceError(f"{name} diverged", node=j, t=nodes[j])
@@ -160,6 +162,64 @@ def _rk4_backward(grid: TimeGrid, terminal, rhs, name: str,
     return Y
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _rk4_linear(grid: TimeGrid, L, f, terminal, name: str) -> np.ndarray:
+    """Classical RK4 from ``terminal`` at T back to 0 for dy/dt = L y + f,
+    given the (3, M, p, p) operator and (3, M, p) forcing at every stage.
+    Each interval's step is composed, for all intervals in batch, into the
+    affine map y_j = T_j y_{j+1} + g_j.  Returns the (M+1, p) node sequence;
+    raises ``DivergenceError`` at the first non-finite node of the sweep."""
+    h, M = grid.h, grid.steps
+    eye = np.eye(L.shape[-1])
+    K = K_sum = L[0]          # stage slopes as affine maps k = K y + c
+    c = c_sum = f[0]
+    for s, a, weight in ((1, 0.5, 2.0), (1, 0.5, 2.0), (2, 1.0, 1.0)):
+        c = f[s] - a * h * (L[s] @ c[..., None])[..., 0]
+        K = L[s] @ (eye - a * h * K)
+        K_sum, c_sum = K_sum + weight * K, c_sum + weight * c
+    T, g = eye - (h / 6.0) * K_sum, -(h / 6.0) * c_sum
+    Y = np.empty((M + 1,) + np.shape(terminal))
+    Y[M] = terminal
+    for j in range(M - 1, -1, -1):
+        Y[j] = T[j] @ Y[j + 1] + g[j]
+    bad = np.flatnonzero(~np.isfinite(Y).all(axis=1))
+    if bad.size:  # the last one is the first the backward sweep meets
+        raise DivergenceError(f"{name} diverged", node=int(bad[-1]),
+                              t=grid.nodes[bad[-1]])
+    return Y
+
+
+class _PEquation:
+    """The P equation on each interval as affine maps of vech(P), built once:
+    ``W[j] @ vech(P) + w0[j]`` stacks, flattened, its Lyapunov part
+    -(PA + A'P + C'PC + C0'PC0 + Q), Sigma and S with interval j's
+    coefficients, and dP/dt = Lyapunov part + S Sigma^{-1} S'."""
+
+    def __init__(self, model: LqMfgModel):
+        g, M, n, k = model.grid, model.grid.steps, model.n, model.k
+        c = self.c = _Coeffs(model, M)
+        self.n, self.k, self.h, self.r_min = n, k, g.h, model.r_min
+        self.t = np.stack([g.nodes[1:], g.nodes[:-1] + 0.5 * g.h, g.nodes[:-1]])
+
+        def flat(*parts):
+            return np.concatenate([X.reshape(M, -1) for X in parts], axis=-1)
+
+        self.W = _vech_matrix(lambda P: flat(_lyapunov_rhs(P, c.A, c.C, c.C0),
+                                             *_gain_forms(c, P)), n)
+        self.w0 = flat(-c.Q, c.R, np.zeros_like(c.B))
+
+    def __call__(self, P, s=slice(None), j=slice(None)):
+        """dP/dt, Sigma^{-1} and S at symmetric P, at stage s of interval j
+        or stacked over stages and intervals."""
+        n, k = self.n, self.k
+        v = (self.W[j] @ _vech(P)[..., None])[..., 0] + self.w0[j]
+        shape = v.shape[:-1]
+        S = v[..., n * n + k * k:].reshape(shape + (n, k))
+        Sinv = _sigma_inv(v[..., n * n:n * n + k * k].reshape(shape + (k, k)),
+                          self.r_min, self.t[s, j])
+        return v[..., :n * n].reshape(shape + (n, n)) + S @ Sinv @ _T(S), Sinv, S
+
+
 def solve_P_direct(model: LqMfgModel) -> np.ndarray:
     """Integrate the quadratic equation for P backward from P(T) = G.
 
@@ -169,65 +229,42 @@ def solve_P_direct(model: LqMfgModel) -> np.ndarray:
     ``DivergenceError`` if an iterate goes non-finite or loses positive
     semidefiniteness beyond the tolerance.
     """
-    cs = list(map(_Coeffs(model).interval, range(model.grid.steps)))
-    t = _stage_times(model.grid)
-
-    def rhs(P, s, j):
-        return _p_rhs(cs[j], P, model.r_min, t[s, j])
-
-    return _rk4_backward(model.grid, _sym(model.G), rhs, "P",
-                         sym=True, psd=True)
+    eq = _PEquation(model)
+    return _rk4_backward(model.grid, _sym(model.G),
+                         lambda P, s, j: eq(P, s, j)[0], "P", psd=True)
 
 
-def _p_rhs(c, P, r_min, t):
-    """dP/dt of the quadratic equation, for one matrix or a stack."""
-    Sinv, S = _gain_terms(c, P, r_min, t)
-    return -(P @ c.A + c.At @ P + c.Ct @ P @ c.C + c.C0t @ P @ c.C0
-             + c.Q - S @ Sinv @ _T(S))
-
-
-def _p_stages(model: LqMfgModel, c, P):
+def _p_stages(eq: _PEquation, P):
     """A supplied P at the RK4 stage points, read through its own equation,
     with Sigma^{-1} and S there: three (3, M, ...) stacks."""
-    t = _stage_times(model.grid)
-    Ps = _hermite_stages(P, lambda ends: _p_rhs(c, ends, model.r_min, t[::2]),
-                         model.grid.h)
-    return (Ps,) + _gain_terms(c, Ps, model.r_min, t)
+    Ps = _hermite_stages(P, lambda ends: eq(ends, slice(None, None, 2))[0],
+                         eq.h)
+    return (Ps,) + eq(Ps)[1:]
 
 
-def _lyapunov_rhs(P, Ah, Aht, Ch, Cht, C0h, C0ht, Qh):
-    return -(P @ Ah + Aht @ P + Cht @ P @ Ch + C0ht @ P @ C0h + Qh)
+def _lyapunov_rhs(P, Ah, Ch, C0h):
+    """dP/dt of the Lyapunov equation with zero forcing, at symmetric P."""
+    PA = P @ Ah
+    return -(PA + _T(PA) + _T(Ch) @ (P @ Ch) + _T(C0h) @ (P @ C0h))
 
 
 def _solve_lyapunov(grid: TimeGrid, G, Ah, Ch, C0h, Qh):
     """Backward RK4 for the linear Lyapunov equation
 
-        -dP/dt = P Ah + Ah'P + Ch'P Ch + C0h'P C0h + Qh,   P(T) = G.
+        -dP/dt = P Ah + Ah'P + Ch'P Ch + C0h'P C0h + Qh,   P(T) = G,
 
-    Coefficients are (3, M, n, n) stage stacks, or (M, n, n) left-node
-    values used at every stage.  Returns the node sequence and its (3, M,
-    n, n) stage values, read through this equation.
-    """
-    Ah, Ch, C0h, Qh = (np.broadcast_to(X, (3,) + X.shape[-3:])
-                       for X in (Ah, Ch, C0h, Qh))
-    Aht, Cht, C0ht = _T(Ah), _T(Ch), _T(C0h)
-
-    def rhs(P, s, j):
-        return _lyapunov_rhs(P, Ah[s, j], Aht[s, j], Ch[s, j], Cht[s, j],
-                             C0h[s, j], C0ht[s, j], Qh[s, j])
-
-    Y = _rk4_backward(grid, _sym(G), rhs, "Lyapunov iterate", sym=True)
-    ends = [X[::2] for X in (Ah, Aht, Ch, Cht, C0h, C0ht, Qh)]
-    return Y, _hermite_stages(Y, lambda P: _lyapunov_rhs(P, *ends), grid.h)
-
-
-def _psi_transform(c, P, r_min, t):
-    """(A_hat, C_hat, C0_hat, Q_hat) for the Lyapunov step linearized at P,
-    with gain Psi = Sigma^{-1} S'."""
-    Sinv, S = _gain_terms(c, P, r_min, t)
-    Psi = Sinv @ _T(S)
-    return (c.A - c.B @ Psi, c.C - c.D @ Psi, c.C0 - c.D0 @ Psi,
-            c.Q + _T(Psi) @ c.R @ Psi)
+    in vech coordinates, from (3, M, n, n) stage stacks or (M, n, n) values
+    used at every stage.  Returns the exactly symmetric node sequence and
+    its (3, M, n, n) stage values, read through this equation."""
+    n = np.shape(G)[-1]
+    L = _vech_matrix(lambda E: _vech(_lyapunov_rhs(E, Ah, Ch, C0h)), n)
+    L = np.broadcast_to(L, (3,) + L.shape[-3:])
+    f = np.broadcast_to(_vech(-Qh), L.shape[:-1])
+    Y = _rk4_linear(grid, L, f, _vech(_sym(G)), "Lyapunov iterate")
+    stages = _hermite_stages(
+        Y, lambda ends: (L[::2] @ ends[..., None])[..., 0] + f[::2], grid.h)
+    pos = _vech_index(n)[1]
+    return Y[..., pos], stages[..., pos]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,26 +286,31 @@ def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
     Lyapunov equation with weight Q + Psi' R Psi.  The sequence decreases in
     the PSD order down to the Riccati solution.
 
-    Returns (P, IterativeInfo).  Raises ``MonotonicityError`` if an iterate
-    fails to sit below its predecessor beyond tolerance, ``ConvergenceError``
-    if max_iters is exhausted.
+    Returns (P, IterativeInfo).  Raises ``UsageError`` unless max_iters >= 1
+    and tol > 0, ``MonotonicityError`` if an iterate fails to sit below its
+    predecessor beyond tolerance, ``ConvergenceError`` if max_iters is
+    exhausted.
     """
-    grid = model.grid
-    c = _Coeffs(model, grid.steps)
-    t = _stage_times(grid)
-    P_prev, stages = _solve_lyapunov(grid, model.G, c.A, c.C, c.C0, c.Q)
+    if max_iters < 1 or not tol > 0:
+        raise UsageError("solve_P_iterative needs max_iters >= 1 and tol > 0, "
+                         f"got {max_iters} and {tol}")
+    eq = _PEquation(model)
+    c = eq.c
+    P_prev, stages = _solve_lyapunov(model.grid, model.G, c.A, c.C, c.C0, c.Q)
 
     residuals = []
     for i in range(max_iters):
-        P_next, stages = _solve_lyapunov(grid, model.G, *_psi_transform(
-            c, stages, model.r_min, t))
-
+        # linearized at the previous iterate's stages, gain Psi = Sigma^-1 S'
+        _, Sinv, S = eq(stages)
+        Psi = Sinv @ _T(S)
+        P_next, stages = _solve_lyapunov(
+            model.grid, model.G, c.A - c.B @ Psi, c.C - c.D @ Psi,
+            c.C0 - c.D0 @ Psi, c.Q + _T(Psi) @ c.R @ Psi)
         diff = P_prev - P_next
-        min_eigs = np.linalg.eigvalsh(_sym(diff))[:, 0]
+        min_eigs = np.linalg.eigvalsh(diff)[:, 0]
         worst = int(np.argmin(min_eigs))
         if min_eigs[worst] < -TOL_PSD:
             raise MonotonicityError(i + 1, worst, min_eigs[worst])
-
         res = float(np.sqrt((diff ** 2).sum(axis=(1, 2))).max())
         residuals.append(res)
         P_prev = P_next
@@ -286,8 +328,8 @@ def solve_Gamma_direct(model: LqMfgModel, P) -> np.ndarray:
     not symmetric in general, and neither is its solution.
     """
     P = np.asarray(P, float)
-    c = _Coeffs(model, model.grid.steps)
-    F, L, Aclt, N = _gamma_terms(c, *_p_stages(model, c, P))
+    eq = _PEquation(model)
+    F, L, Aclt, N = _gamma_terms(eq.c, *_p_stages(eq, P))
 
     def rhs(Gam, s, j):
         return _gamma_rhs(Gam, F[s, j], L[s, j], Aclt[s, j], N[s, j])
@@ -366,11 +408,12 @@ def solve_Gamma_via_Pi(model: LqMfgModel, P):
         raise UsageError("Pi substitution requires beta = beta0 = 0")
 
     cn = _Coeffs(model)
-    Sinv = _sigma_inv(_sigma(cn, P), model.r_min, grid.nodes)
+    Sinv = _sigma_inv(cn.R + _gain_forms(cn, P)[0], model.r_min, grid.nodes)
     margins = np.linalg.eigvalsh(_sym(_pi_terms(cn, P, Sinv)[2]))[:, 0]
 
-    c = _Coeffs(model, grid.steps)
-    Ps, Sinv, _ = _p_stages(model, c, P)
+    eq = _PEquation(model)
+    c = eq.c
+    Ps, Sinv, _ = _p_stages(eq, P)
     Ahat, Mterm, _ = _pi_terms(c, Ps, Sinv)
     Ahatt = _T(Ahat)
     N = c.B @ Sinv @ c.Bt
@@ -379,7 +422,7 @@ def solve_Gamma_via_Pi(model: LqMfgModel, P):
         return -(Pi @ Ahat[s, j] + Ahatt[s, j] @ Pi + delta * Pi + Mterm[s, j]
                  - Pi @ N[s, j] @ Pi)
 
-    Pi = _rk4_backward(grid, _sym(model.G), rhs, "Pi", sym=True, psd=True)
+    Pi = _rk4_backward(grid, _sym(model.G), rhs, "Pi", psd=True)
     report = PiTransformReport(delta=delta, Pi=Pi, condition_margins=margins)
     return Pi - P, report
 
@@ -390,8 +433,9 @@ def solve_Phi(model: LqMfgModel, P, Gamma) -> np.ndarray:
     Linear in Phi once P and Gamma are known; each is read at interval
     midpoints through its own equation.  Returns an (M+1, n) array.
     """
-    c = _Coeffs(model, model.grid.steps)
-    Ps, Sinv, S = _p_stages(model, c, P)
+    eq = _PEquation(model)
+    c = eq.c
+    Ps, Sinv, S = _p_stages(eq, P)
     ends = _gamma_terms(c, Ps[::2], Sinv[::2], S[::2])
     Gs = _hermite_stages(Gamma, lambda G: _gamma_rhs(G, *ends), model.grid.h)
     W = (S + Gs @ c.B) @ Sinv
@@ -400,16 +444,13 @@ def solve_Phi(model: LqMfgModel, P, Gamma) -> np.ndarray:
     forcing = ((c.Ct - W @ c.Dt) @ (Ps @ c.sigma)
                + (c.C0t - W @ c.D0t) @ (Ps @ c.sigma0)
                + (Ps + Gs) @ c.b)[..., 0]
-
-    def rhs(Phi, s, j):
-        return -(lam[s, j] @ Phi + forcing[s, j])
-
-    return _rk4_backward(model.grid, np.zeros(model.n), rhs, "Phi")
+    return _rk4_linear(model.grid, -lam, -forcing, np.zeros(model.n), "Phi")
 
 
 def sigma_sequence(model: LqMfgModel, P) -> np.ndarray:
     """Sigma(t_j) = R + D'PD + D0'PD0 at every node, shape (M+1, k, k)."""
-    return _sigma(_Coeffs(model), np.asarray(P, float))
+    c = _Coeffs(model)
+    return c.R + _gain_forms(c, np.asarray(P, float))[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -466,8 +507,11 @@ class SolveSummary:
     p_agreement: float | None = None
     gamma_agreement: float | None = None
     iterative_iterations: int | None = None
+    iterative_residuals: tuple[float, ...] | None = None
     pi_report: PiTransformReport | None = None
     pi_error: str | None = None
+    sigma_margin: float | None = None   # min_j lambda_min(Sigma_j) - r_min
+    sigma_margin_node: int | None = None
 
 
 def solve_riccati(model: LqMfgModel, p_method: str = "direct",
@@ -487,16 +531,14 @@ def solve_riccati(model: LqMfgModel, p_method: str = "direct",
     if gamma_method not in ("direct", "pi_transform", "both"):
         raise UsageError(f"unknown gamma_method '{gamma_method}'")
 
-    p_agreement = iterations = None
+    p_agreement = info = None
     if p_method == "direct":
         P = solve_P_direct(model)
     elif p_method == "iterative":
         P, info = solve_P_iterative(model, max_iters=max_iters, tol=tol)
-        iterations = info.iterations
     else:
         P = solve_P_direct(model)
         P_it, info = solve_P_iterative(model, max_iters=max_iters, tol=tol)
-        iterations = info.iterations
         p_agreement = float(np.sqrt(((P - P_it) ** 2).sum(axis=(1, 2))).max())
 
     gamma_agreement = pi_report = pi_error = None
@@ -517,8 +559,12 @@ def solve_riccati(model: LqMfgModel, p_method: str = "direct",
     Sigma = sigma_sequence(model, P)
     sol = RiccatiSolution(grid=model.grid, P=P, Gamma=Gamma, Phi=Phi, Sigma=Sigma)
     law = build_feedback(model, sol)
-    return SolveSummary(solution=sol, feedback=law, p_method=p_method,
-                        gamma_method=gamma_method, p_agreement=p_agreement,
-                        gamma_agreement=gamma_agreement,
-                        iterative_iterations=iterations,
-                        pi_report=pi_report, pi_error=pi_error)
+    margins = np.linalg.eigvalsh(Sigma)[:, 0] - model.r_min
+    return SolveSummary(
+        solution=sol, feedback=law, p_method=p_method, gamma_method=gamma_method,
+        p_agreement=p_agreement, gamma_agreement=gamma_agreement,
+        iterative_iterations=None if info is None else info.iterations,
+        iterative_residuals=None if info is None else info.residuals,
+        pi_report=pi_report, pi_error=pi_error,
+        sigma_margin=float(margins.min()),
+        sigma_margin_node=int(margins.argmin()))

@@ -123,7 +123,26 @@ def test_divergence_reports_node():
                                       Q=1.0, R=1.0, G=0.0, x0=[0.0])
     with pytest.raises(DivergenceError) as err:
         solve_P_direct(model)
-    assert err.value.node is not None
+    assert err.value.node == 2
+    assert err.value.t == 0.5
+    assert str(err.value) == ("P lost positive semidefiniteness at node 2 "
+                              "(t=0.5): min eigenvalue -1.506e+23")
+
+
+def test_linear_routes_report_divergence_node():
+    # With A = 1e30 each step multiplies by about (2 A h)^4 / 24: the
+    # Lyapunov iterate and Phi stay finite for two steps and overflow at the
+    # third, node 1 of 4, the first non-finite node of the backward sweep.
+    model = LqMfgModel.from_constants(TimeGrid(1.0, 4), A=1e30, B=1.0, b=1.0,
+                                      Q=1.0, R=1.0, G=0.0, x0=[0.0])
+    P = np.ones((5, 1, 1))
+    for name, solve in (
+            ("Lyapunov iterate", lambda: solve_P_iterative(model)),
+            ("Phi", lambda: solve_Phi(model, P, np.zeros_like(P)))):
+        with pytest.raises(DivergenceError) as err:
+            solve()
+        assert err.value.node == 1 and err.value.t == 0.25, name
+        assert str(err.value) == f"{name} diverged at node 1 (t=0.25)"
 
 
 # -------------------------------------------------------------- iterative P
@@ -151,6 +170,16 @@ def test_iterative_starts_above_solution():
     gap = P0 - P_it
     assert np.linalg.eigvalsh(0.5 * (gap + np.transpose(gap, (0, 2, 1)))).min() \
         > -1e-10
+
+
+def test_iterative_rejects_bad_settings():
+    model = preset("netsec-closed-form").model.build(20)
+    for max_iters, tol in ((0, 1e-10), (-3, 1e-10), (5, 0.0), (5, -1.0),
+                           (5, float("nan"))):
+        with pytest.raises(UsageError):
+            solve_P_iterative(model, max_iters=max_iters, tol=tol)
+        with pytest.raises(UsageError):
+            solve_riccati(model, "iterative", max_iters=max_iters, tol=tol)
 
 
 def test_iteration_cap_raises():
@@ -439,6 +468,60 @@ def test_pi_route_time_varying_matches_interval_oracle():
         Gam_pi, report = solve_Gamma_via_Pi(model, solve_P_direct(model))
         assert report.condition_ok, wave  # C0 = 0 kills the cross term
         assert np.max(np.abs(Gam_pi - Gam_or)) < 1e-8, wave
+
+
+def stagewise_rk4(grid, terminal, rhs):
+    """Classical backward RK4 in matrix form, one stage at a time:
+    rhs(y, s, j) is dy/dt at stage s (right node, midpoint, left node) of
+    interval j."""
+    M, h = grid.steps, grid.h
+    Y = np.empty((M + 1,) + terminal.shape)
+    Y[M] = terminal
+    for j in range(M - 1, -1, -1):
+        y = Y[j + 1]
+        k1 = rhs(y, 0, j)
+        k2 = rhs(y - 0.5 * h * k1, 1, j)
+        k3 = rhs(y - 0.5 * h * k2, 1, j)
+        k4 = rhs(y - h * k3, 2, j)
+        Y[j] = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return Y
+
+
+def test_backward_solvers_match_stagewise_rk4():
+    # The Lyapunov iterate is stepped by composed per-interval affine maps in
+    # vech coordinates, and P through per-interval maps of vech(P); both must
+    # reproduce the plain stage-by-stage RK4 recursion up to rounding.
+    from lqmfg.riccati import _solve_lyapunov
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        grid = TimeGrid(1.0, 40)
+        Ah, Ch, C0h = rng.uniform(-1.0, 1.0, (3, 3, 40, n, n))
+        Qh = rng.uniform(-1.0, 1.0, (3, 40, n, n))
+        Qh = Qh + np.swapaxes(Qh, -1, -2)
+        G = np.eye(n) + 0.1 * np.ones((n, n))
+
+        def lyapunov(P, s, j):
+            A, C, C0 = Ah[s, j], Ch[s, j], C0h[s, j]
+            return -(P @ A + A.T @ P + C.T @ P @ C + C0.T @ P @ C0 + Qh[s, j])
+
+        P_ref = stagewise_rk4(grid, G, lyapunov)
+        P, _ = _solve_lyapunov(grid, G, Ah, Ch, C0h, Qh)
+        assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref)), n
+
+    model = time_varying_model(40, "sine")
+    c = [{name: getattr(model, name).values[j] for name in _COEFFS}
+         for j in range(model.grid.steps)]
+
+    def riccati(P, s, j):
+        A, B, C, D, C0, D0 = (c[j][x] for x in ("A", "B", "C", "D", "C0", "D0"))
+        Sig = c[j]["R"] + D.T @ P @ D + D0.T @ P @ D0
+        S = P @ B + C.T @ P @ D + C0.T @ P @ D0
+        return -(P @ A + A.T @ P + C.T @ P @ C + C0.T @ P @ C0 + c[j]["Q"]
+                 - S @ np.linalg.solve(Sig, S.T))
+
+    P_ref = stagewise_rk4(model.grid, model.G, riccati)
+    P = solve_P_direct(model)
+    assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
 
 
 def test_import_leaves_scipy_linalg_unloaded():

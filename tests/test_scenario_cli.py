@@ -160,6 +160,28 @@ def test_cli_solve_writes_expected_artifacts(tmp_path, capsys):
     assert manifest["kind"] == "solve"
 
 
+def test_cli_solve_report_carries_margins(tmp_path):
+    # netsec-numeric has D, D0 != 0, so Sigma = R + D'PD + D0'PD0 moves with P
+    d = preset("netsec-numeric").to_dict()
+    d["model"]["steps"] = 40
+    d["experiment"] = {"kind": "solve", "seed": 1}
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "m"}
+    assert main(["--config", write_config(tmp_path, d), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "m_solve_report.json").read_text())
+    cross = report["cross_check"]
+    residuals = cross["iterative_residuals"]
+    assert len(residuals) == cross["iterative_iterations"] >= 2
+    assert residuals[-1] < d["solver"]["tol"] <= residuals[-2]
+    data = np.genfromtxt(tmp_path / "out" / "m_riccati.csv", delimiter=",",
+                         names=True)
+    margins = data["Sigma_1_1"] - d["model"]["r_min"]
+    node = int(np.argmin(margins))
+    assert cross["sigma_margin"]["node"] == node
+    assert cross["sigma_margin"]["t"] == data["t"][node]
+    assert cross["sigma_margin"]["value"] == pytest.approx(margins[node],
+                                                           rel=1e-12)
+
+
 def test_cli_quiet_suppresses_listing(tmp_path, capsys):
     code = main(["--preset", "netsec-closed-form", "--out", str(tmp_path),
                  "--steps", "50", "--quiet"])
