@@ -9,8 +9,9 @@ A population of exchangeable agents follows
 where ``x_avg`` is the population state-average, ``W_i`` the agent's own
 Brownian motion and ``W0`` a Brownian motion common to all agents.  Each agent
 pays a quadratic cost tracking the average, weighted by ``Q``, ``R`` and a
-terminal ``G``.  This module holds the coefficient schedules and the time grid,
-plus validation and a solvability diagnostic.  All coefficients are
+terminal ``G``.  This module holds the coefficient slots and their shapes, the
+one rule that turns a value into a slot matrix, the coefficient schedules and
+the time grid, plus validation and a solvability diagnostic.  All coefficients are
 deterministic, piecewise-constant in time on the grid intervals.
 """
 
@@ -103,33 +104,63 @@ class CoefficientSchedule:
         return bool((self.values == self.values[0]).all())
 
 
-def _coerce_schedule(grid, value, shape, name):
-    """Accept a schedule, a single matrix, a scalar, or an (M+1,r,c) array."""
-    if isinstance(value, CoefficientSchedule):
-        sched = value
-    else:
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            if shape == (1, 1):
-                arr = arr.reshape(1, 1)
-            elif float(arr) == 0.0:
-                arr = np.zeros(shape)
-            else:
-                raise StructureError(
-                    f"scalar value for '{name}' only allowed when shape is (1, 1) or the scalar is 0"
-                )
-            sched = CoefficientSchedule.constant(grid, arr)
-        elif arr.ndim == 1:
-            sched = CoefficientSchedule.constant(grid, arr.reshape(-1, 1))
-        elif arr.ndim == 2:
-            sched = CoefficientSchedule.constant(grid, arr)
+# The coefficient slots of LqMfgModel, in field order, with their shapes:
+# n for the state dimension, k for the control dimension, 1 for one column.
+COEFFICIENTS = {
+    "A": "nn", "B": "nk", "alpha": "nn", "b": "n1",
+    "C": "nn", "D": "nk", "beta": "nn", "sigma": "n1",
+    "C0": "nn", "D0": "nk", "beta0": "nn", "sigma0": "n1",
+    "Q": "nn", "R": "kk",
+}
+
+
+def coefficient_shapes(n: int, k: int) -> dict:
+    """Each coefficient slot's (rows, columns) for dimensions n and k."""
+    dims = {"n": n, "k": k, "1": 1}
+    return {name: (dims[r], dims[c]) for name, (r, c) in COEFFICIENTS.items()}
+
+
+def as_matrix(value, shape, name) -> np.ndarray:
+    """``value`` as a finite float matrix of ``shape``.
+
+    A scalar is valid for 1x1 slots, and 0 for any slot; a vector is one
+    column.  Raises ``StructureError`` naming ``name`` otherwise.
+    """
+    arr = np.asarray(value, dtype=float)
+    rows, cols = shape
+    if arr.ndim == 0:
+        if shape == (1, 1):
+            arr = arr.reshape(1, 1)
+        elif float(arr) == 0.0:
+            arr = np.zeros(shape)
         else:
-            sched = CoefficientSchedule(grid, arr)
-    if sched.shape != shape:
-        raise StructureError(f"'{name}' must have shape {shape}, got {sched.shape}")
-    if sched.grid.steps != grid.steps or sched.grid.horizon != grid.horizon:
-        raise StructureError(f"'{name}' is defined on a different grid than the model")
-    return sched
+            raise StructureError(f"{name}: a nonzero scalar is only valid for "
+                                 f"1x1 entries; give a {rows}x{cols} matrix")
+    elif arr.ndim == 1 and cols == 1:
+        arr = arr.reshape(-1, 1)
+    if arr.shape != shape:
+        raise StructureError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise StructureError(f"{name}: non-finite entry")
+    return arr
+
+
+def _slot_shape(value):
+    """(rows, columns) of a constant, an (M+1, r, c) array or a schedule."""
+    if isinstance(value, CoefficientSchedule):
+        return value.shape
+    arr = np.asarray(value, dtype=float)
+    return (arr.shape[0], 1) if arr.ndim == 1 else np.atleast_2d(arr).shape[-2:]
+
+
+def _schedule(grid, value, shape, name):
+    """A schedule as given, an (M+1, r, c) array, or a constant (as_matrix)."""
+    if isinstance(value, CoefficientSchedule):
+        return value
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 3:
+        return CoefficientSchedule(grid, arr)
+    return CoefficientSchedule.constant(grid, as_matrix(arr, shape, name))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,21 +195,16 @@ class LqMfgModel:
     r_min: float = DEFAULT_R_MIN
 
     def __post_init__(self):
-        n = self.A.shape[0]
-        k = self.B.shape[1]
-        object.__setattr__(self, "G", _frozen_matrix(self.G, (n, n), "G"))
-        object.__setattr__(self, "x0", _frozen_vector(self.x0, n, "x0"))
+        for name in COEFFICIENTS:
+            if not isinstance(getattr(self, name), CoefficientSchedule):
+                raise StructureError(f"'{name}' must be a CoefficientSchedule")
+        n, k = self.n, self.k
+        object.__setattr__(self, "G", _frozen(as_matrix(self.G, (n, n), "G")))
+        object.__setattr__(self, "x0", _frozen(as_matrix(self.x0, (n, 1), "x0")[:, 0]))
         if not (self.r_min > 0.0 and np.isfinite(self.r_min)):
             raise StructureError(f"r_min must be positive and finite, got {self.r_min}")
-        for name, shape in (
-            ("A", (n, n)), ("B", (n, k)), ("alpha", (n, n)), ("b", (n, 1)),
-            ("C", (n, n)), ("D", (n, k)), ("beta", (n, n)), ("sigma", (n, 1)),
-            ("C0", (n, n)), ("D0", (n, k)), ("beta0", (n, n)), ("sigma0", (n, 1)),
-            ("Q", (n, n)), ("R", (k, k)),
-        ):
+        for name, shape in coefficient_shapes(n, k).items():
             sched = getattr(self, name)
-            if not isinstance(sched, CoefficientSchedule):
-                raise StructureError(f"'{name}' must be a CoefficientSchedule")
             if sched.shape != shape:
                 raise StructureError(
                     f"'{name}' has shape {sched.shape}, expected {shape} "
@@ -199,75 +225,22 @@ class LqMfgModel:
     def from_constants(cls, grid, *, A, B, Q, R, G, x0, alpha=0.0, b=0.0,
                        C=0.0, D=0.0, beta=0.0, sigma=0.0, C0=0.0, D0=0.0,
                        beta0=0.0, sigma0=0.0, r_min=DEFAULT_R_MIN):
-        """Build a model from constant coefficients (scalars fine when n = k = 1)."""
-        A_s = _coerce_leading(grid, A, "A")
-        n = A_s.shape[0]
-        B_arr = np.atleast_2d(np.asarray(B, dtype=float))
-        k = B_arr.shape[1]
-        kw = dict(
-            A=A_s,
-            B=_coerce_schedule(grid, B, (n, k), "B"),
-            alpha=_coerce_schedule(grid, alpha, (n, n), "alpha"),
-            b=_coerce_schedule(grid, b, (n, 1), "b"),
-            C=_coerce_schedule(grid, C, (n, n), "C"),
-            D=_coerce_schedule(grid, D, (n, k), "D"),
-            beta=_coerce_schedule(grid, beta, (n, n), "beta"),
-            sigma=_coerce_schedule(grid, sigma, (n, 1), "sigma"),
-            C0=_coerce_schedule(grid, C0, (n, n), "C0"),
-            D0=_coerce_schedule(grid, D0, (n, k), "D0"),
-            beta0=_coerce_schedule(grid, beta0, (n, n), "beta0"),
-            sigma0=_coerce_schedule(grid, sigma0, (n, 1), "sigma0"),
-            Q=_coerce_schedule(grid, Q, (n, n), "Q"),
-            R=_coerce_schedule(grid, R, (k, k), "R"),
-        )
-        return cls(grid=grid, G=_coerce_terminal(G, n),
-                   x0=np.atleast_1d(np.asarray(x0, dtype=float)), r_min=r_min, **kw)
+        """Build a model from a constant or a schedule for each slot.
+
+        A constant is a matrix, a vector (one column) or a scalar (1x1
+        slots, or 0 anywhere); a schedule is a ``CoefficientSchedule`` or an
+        (M+1, r, c) array of one matrix per grid node.  n is read from the
+        rows of A and k from the columns of B.
+        """
+        given = locals()  # the slot keywords by name, before any other local
+        shapes = coefficient_shapes(_slot_shape(A)[0], _slot_shape(B)[1])
+        kw = {name: _schedule(grid, given[name], shape, name)
+              for name, shape in shapes.items()}
+        return cls(grid=grid, G=G, x0=x0, r_min=r_min, **kw)
 
 
-def _coerce_terminal(G, n):
-    arr = np.asarray(G, dtype=float)
-    if arr.ndim == 0:
-        if n == 1:
-            return arr.reshape(1, 1)
-        if float(arr) == 0.0:
-            return np.zeros((n, n))
-        raise StructureError("scalar G only allowed for n = 1 or G = 0")
-    return arr.reshape(n, n)
-
-
-def _coerce_leading(grid, value, name):
-    if isinstance(value, CoefficientSchedule):
-        return value
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return CoefficientSchedule.constant(grid, arr.reshape(1, 1))
-    if arr.ndim == 2:
-        return CoefficientSchedule.constant(grid, arr)
-    if arr.ndim == 3:
-        return CoefficientSchedule(grid, arr)
-    raise StructureError(f"cannot interpret '{name}' with ndim {arr.ndim}")
-
-
-def _frozen_matrix(value, shape, name):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0 and shape == (1, 1):
-        arr = arr.reshape(1, 1)
-    if arr.shape != shape:
-        raise StructureError(f"'{name}' must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise StructureError(f"non-finite entry in '{name}'")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
-def _frozen_vector(value, n, name):
-    arr = np.asarray(value, dtype=float).reshape(-1)
-    if arr.shape != (n,):
-        raise StructureError(f"'{name}' must have length {n}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise StructureError(f"non-finite entry in '{name}'")
-    arr = arr.copy()
+def _frozen(arr):
+    arr = np.array(arr, dtype=float)
     arr.flags.writeable = False
     return arr
 

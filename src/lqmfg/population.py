@@ -70,16 +70,26 @@ class DeviationCandidate:
                 and self.offset == 0.0)
 
 
+def candidate_family(gain_scales, include_zero, offsets
+                     ) -> tuple[DeviationCandidate, ...]:
+    """The equilibrium policy, then scaled gains, no control and shifted
+    control; a gain scale of 1 or an offset of 0 would repeat the first."""
+    family = [DeviationCandidate("self")]
+    for theta in gain_scales:
+        if theta != 1.0:
+            family.append(DeviationCandidate(f"gain_scale_{theta:g}",
+                                             gain_scale=theta))
+    if include_zero:
+        family.append(DeviationCandidate("zero_control", zero_control=True))
+    for off in offsets:
+        if off != 0.0:
+            family.append(DeviationCandidate(f"offset_{off:+g}", offset=off))
+    return tuple(family)
+
+
 def default_candidate_family() -> tuple[DeviationCandidate, ...]:
     """Documented fixed family: scaled gains, no control, shifted control."""
-    family = [DeviationCandidate("self")]
-    for theta in (0.0, 0.5, 0.8, 1.2, 1.5, 2.0):
-        family.append(DeviationCandidate(f"gain_scale_{theta:g}",
-                                         gain_scale=theta))
-    family.append(DeviationCandidate("zero_control", zero_control=True))
-    for off in (0.5, -0.5):
-        family.append(DeviationCandidate(f"offset_{off:+g}", offset=off))
-    return tuple(family)
+    return candidate_family((0.0, 0.5, 0.8, 1.2, 1.5, 2.0), True, (0.5, -0.5))
 
 
 class _SimPayload:
@@ -397,7 +407,9 @@ def _map_samples(payload: _SimPayload, tasks, workers: int) -> dict:
     Results are keyed, so the reduction order downstream is fixed by the
     caller regardless of completion order.
     """
-    if workers <= 1 or len(tasks) <= 1:
+    # the pool starts all its workers up front: no more than there are tasks
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return {t[0]: _run_block(payload, *t[1:]) for t in tasks}
     out = {}
     chunk = max(1, len(tasks) // (workers * 8))

@@ -39,14 +39,11 @@ import numpy as np
 
 from .errors import (ConvergenceError, DivergenceError, MonotonicityError,
                      SingularSigmaError, UsageError)
-from .model import TOL_PSD, LqMfgModel, TimeGrid
+from .model import COEFFICIENTS, TOL_PSD, LqMfgModel, TimeGrid
 
 DEFAULT_MAX_ITERS = 100
 DEFAULT_ITER_TOL = 1e-10
 PRECONDITION_ATOL = 1e-12
-
-_NAMES = ("A", "B", "alpha", "b", "C", "D", "beta", "sigma",
-          "C0", "D0", "beta0", "sigma0", "Q", "R")
 
 
 def _T(X):
@@ -87,7 +84,7 @@ class _Coeffs:
     """
 
     def __init__(self, model: LqMfgModel, stop: int | None = None):
-        for name in _NAMES:
+        for name in COEFFICIENTS:
             values = getattr(model, name).values[:stop]
             setattr(self, name, values)
             setattr(self, name + "t", _T(values))

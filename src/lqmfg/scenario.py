@@ -27,9 +27,11 @@ import numbers
 
 import numpy as np
 
-from .errors import UsageError
-from .model import DEFAULT_R_MIN, LqMfgModel, TimeGrid
-from .population import DeviationCandidate, default_candidate_family
+from .errors import StructureError, UsageError
+from .model import (COEFFICIENTS, DEFAULT_R_MIN, LqMfgModel, TimeGrid,
+                    as_matrix, coefficient_shapes)
+from .population import (DeviationCandidate, candidate_family,
+                         default_candidate_family)
 
 FORMAT_VERSION = 1
 
@@ -37,19 +39,6 @@ KINDS = ("solve", "simulate", "rate_state", "rate_cost", "deviation")
 P_METHODS = ("direct", "iterative", "both")
 GAMMA_METHODS = ("direct", "pi_transform", "both")
 PRESET_NAMES = ("netsec-closed-form", "netsec-numeric")
-
-_COEFF_SHAPES = (
-    ("A", "nn"), ("B", "nk"), ("alpha", "nn"), ("b", "n1"),
-    ("C", "nn"), ("D", "nk"), ("beta", "nn"), ("sigma", "n1"),
-    ("C0", "nn"), ("D0", "nk"), ("beta0", "nn"), ("sigma0", "n1"),
-    ("Q", "nn"), ("R", "kk"),
-)
-
-
-def _shape_of(code: str, n: int, k: int) -> tuple[int, int]:
-    dims = {"n": n, "k": k, "1": 1}
-    return dims[code[0]], dims[code[1]]
-
 
 def _require_keys(d, allowed, context):
     if not isinstance(d, dict):
@@ -112,23 +101,12 @@ def _real_array(value, context) -> np.ndarray:
                          f"length") from None
 
 
-def _float_matrix(value, rows, cols, context):
-    arr = _real_array(value, context)
-    if arr.ndim == 0:
-        if (rows, cols) == (1, 1):
-            arr = arr.reshape(1, 1)
-        elif float(arr) == 0.0:
-            arr = np.zeros((rows, cols))
-        else:
-            raise UsageError(f"{context}: a nonzero scalar is only valid for "
-                             f"1x1 entries; give a {rows}x{cols} matrix")
-    if arr.ndim == 1 and cols == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.shape != (rows, cols):
-        raise UsageError(f"{context}: expected shape ({rows}, {cols}), "
-                         f"got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise UsageError(f"{context}: non-finite entry")
+def _float_matrix(value, shape, context):
+    """A JSON value as nested float rows of a slot matrix (model.as_matrix)."""
+    try:
+        arr = as_matrix(_real_array(value, context), shape, context)
+    except StructureError as exc:
+        raise UsageError(str(exc)) from None
     return tuple(tuple(float(v) for v in row) for row in arr)
 
 
@@ -143,7 +121,7 @@ class CoefficientSpec:
             {self.kind: [[list(row) for row in mat] for mat in self.values]}
 
 
-def _parse_coefficient(name, value, rows, cols, steps):
+def _parse_coefficient(name, value, shape, steps):
     context = f"model.{name}"
     if isinstance(value, dict):
         _require_keys(value, ("const", "schedule"), context)
@@ -152,16 +130,16 @@ def _parse_coefficient(name, value, rows, cols, steps):
                              f"'schedule'")
         if "const" in value:
             return CoefficientSpec(
-                "const", _float_matrix(value["const"], rows, cols, context))
+                "const", _float_matrix(value["const"], shape, context))
         seq = value["schedule"]
         if not isinstance(seq, list) or len(seq) != steps + 1:
             raise UsageError(f"{context}: a schedule needs steps + 1 = "
                              f"{steps + 1} matrices, got "
                              f"{len(seq) if isinstance(seq, list) else type(seq).__name__}")
         return CoefficientSpec("schedule", tuple(
-            _float_matrix(mat, rows, cols, f"{context}[{j}]")
+            _float_matrix(mat, shape, f"{context}[{j}]")
             for j, mat in enumerate(seq)))
-    return CoefficientSpec("const", _float_matrix(value, rows, cols, context))
+    return CoefficientSpec("const", _float_matrix(value, shape, context))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,8 +155,7 @@ class ModelBlock:
 
     @classmethod
     def from_dict(cls, d) -> "ModelBlock":
-        allowed = ("n", "k", "T", "steps", "x0", "G", "r_min") + \
-            tuple(name for name, _ in _COEFF_SHAPES)
+        allowed = ("n", "k", "T", "steps", "x0", "G", "r_min", *COEFFICIENTS)
         _require_keys(d, allowed, "model block")
         for key in ("n", "k", "T", "steps", "x0"):
             if key not in d:
@@ -192,26 +169,22 @@ class ModelBlock:
         steps = _int(d["steps"], "model.steps")
         if steps < 1:
             raise UsageError(f"model steps must be positive, got {steps}")
-        x0 = _real_array(d["x0"], "model.x0").reshape(-1)
-        if x0.shape != (n,):
-            raise UsageError(f"x0 must have length n = {n}, got {x0.shape[0]}")
-        coeffs = {}
-        for name, code in _COEFF_SHAPES:
-            rows, cols = _shape_of(code, n, k)
-            coeffs[name] = _parse_coefficient(name, d.get(name, 0.0),
-                                              rows, cols, steps)
-        G = _float_matrix(d.get("G", 0.0), n, n, "model.G")
+        x0 = _float_matrix(d["x0"], (n, 1), "model.x0")
+        coeffs = {name: _parse_coefficient(name, d.get(name, 0.0), shape,
+                                           steps)
+                  for name, shape in coefficient_shapes(n, k).items()}
+        G = _float_matrix(d.get("G", 0.0), (n, n), "model.G")
         r_min = _real(d.get("r_min", DEFAULT_R_MIN), "model.r_min")
         if not (r_min > 0):
             raise UsageError(f"r_min must be positive, got {r_min}")
         return cls(n=n, k=k, horizon=horizon, steps=steps,
-                   x0=tuple(float(v) for v in x0), coefficients=coeffs,
+                   x0=tuple(row[0] for row in x0), coefficients=coeffs,
                    G=G, r_min=r_min)
 
     def to_dict(self):
         out = {"n": self.n, "k": self.k, "T": self.horizon,
                "steps": self.steps, "x0": list(self.x0)}
-        for name, _ in _COEFF_SHAPES:
+        for name in COEFFICIENTS:
             out[name] = self.coefficients[name].to_json()
         out["G"] = [list(row) for row in self.G]
         out["r_min"] = self.r_min
@@ -224,19 +197,14 @@ class ModelBlock:
         grid = TimeGrid(self.horizon, steps)
         kwargs = {}
         for name, spec in self.coefficients.items():
-            if spec.kind == "const":
-                kwargs[name] = np.asarray(spec.values, float)
-            else:
-                arr = np.asarray(spec.values, float)
-                if arr.shape[0] != steps + 1:
-                    raise UsageError(
-                        f"schedule for '{name}' has {arr.shape[0]} entries "
-                        f"but the grid has {steps + 1} nodes; explicit "
-                        f"schedules cannot be combined with a steps override")
-                kwargs[name] = arr
-        return LqMfgModel.from_constants(
-            grid, G=np.asarray(self.G, float), x0=np.asarray(self.x0, float),
-            r_min=self.r_min, **kwargs)
+            arr = kwargs[name] = np.asarray(spec.values, float)
+            if spec.kind == "schedule" and arr.shape[0] != steps + 1:
+                raise UsageError(
+                    f"schedule for '{name}' has {arr.shape[0]} entries "
+                    f"but the grid has {steps + 1} nodes; explicit "
+                    f"schedules cannot be combined with a steps override")
+        return LqMfgModel.from_constants(grid, G=self.G, x0=self.x0,
+                                         r_min=self.r_min, **kwargs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -314,17 +282,8 @@ def build_candidates(block: CandidateFamilyBlock | None
     """Candidate family from config; the equilibrium policy always leads."""
     if block is None:
         return default_candidate_family()
-    family = [DeviationCandidate("self")]
-    for theta in block.gain_scales:
-        if theta != 1.0:
-            family.append(DeviationCandidate(f"gain_scale_{theta:g}",
-                                             gain_scale=theta))
-    if block.include_zero:
-        family.append(DeviationCandidate("zero_control", zero_control=True))
-    for off in block.offsets:
-        if off != 0.0:
-            family.append(DeviationCandidate(f"offset_{off:+g}", offset=off))
-    return tuple(family)
+    return candidate_family(block.gain_scales, block.include_zero,
+                            block.offsets)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Model container: grids, schedules, validation, and the growth diagnostic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lqmfg import (CoefficientSchedule, LqMfgModel, StructureError, TimeGrid,
                    validate, wellposedness_diagnostic)
+from lqmfg.model import COEFFICIENTS, coefficient_shapes
 
 
 def make_scalar(grid=None, **over):
@@ -59,6 +62,45 @@ def test_zero_scalar_broadcasts_anywhere():
                                       x0=[0.0, 0.0])
     np.testing.assert_array_equal(model.G, np.zeros((2, 2)))
     np.testing.assert_array_equal(model.D.values, np.zeros((5, 2, 1)))
+
+
+def test_nonzero_scalar_message_names_the_slot_shape():
+    grid = TimeGrid(1.0, 4)
+    with pytest.raises(StructureError, match="a nonzero scalar is only valid "
+                       "for 1x1 entries; give a 2x2 matrix"):
+        LqMfgModel.from_constants(grid, A=np.eye(2), B=[[1.0], [0.0]],
+                                  Q=np.eye(2), R=1.0, G=2.0, x0=[0.0, 0.0])
+
+
+def test_slot_table_matches_model_fields():
+    # __post_init__ checks the slots of the table; a field missing from it
+    # would go unchecked
+    fields = [f.name for f in dataclasses.fields(LqMfgModel)
+              if f.type == "CoefficientSchedule"]
+    assert list(COEFFICIENTS) == fields
+    assert coefficient_shapes(3, 2) == {
+        "A": (3, 3), "B": (3, 2), "alpha": (3, 3), "b": (3, 1),
+        "C": (3, 3), "D": (3, 2), "beta": (3, 3), "sigma": (3, 1),
+        "C0": (3, 3), "D0": (3, 2), "beta0": (3, 3), "sigma0": (3, 1),
+        "Q": (3, 3), "R": (2, 2)}
+
+
+@pytest.mark.parametrize("form", ["array", "schedule"])
+def test_control_channel_schedules_with_n_not_k(form):
+    # B, D and D0 are n x k: a time-varying value reads k from its columns
+    grid = TimeGrid(1.0, 4)
+    rng = np.random.default_rng(3)
+    values = {name: rng.uniform(-1.0, 1.0, (5, 3, 2))
+              for name in ("B", "D", "D0")}
+    given = {name: v if form == "array" else CoefficientSchedule(grid, v)
+             for name, v in values.items()}
+    model = LqMfgModel.from_constants(grid, A=-np.eye(3), Q=np.eye(3),
+                                      R=np.eye(2), G=np.eye(3),
+                                      x0=[0.0, 0.0, 0.0], **given)
+    assert (model.n, model.k) == (3, 2)
+    for name, v in values.items():
+        np.testing.assert_array_equal(getattr(model, name).values, v)
+    assert model.R.shape == (2, 2) and model.sigma.shape == (3, 1)
 
 
 def test_schedule_with_wrong_length_rejected():

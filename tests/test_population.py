@@ -287,6 +287,43 @@ def test_resolve_workers_sources(monkeypatch):
     assert resolve_workers() >= 1
 
 
+def test_process_pool_is_capped_at_the_task_count(monkeypatch):
+    # the pool starts all max_workers processes up front; a stand-in pool
+    # records the size asked for and runs the tasks serially in-process
+    import concurrent.futures
+    import lqmfg.population as population
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(population, "_WORKER_PAYLOAD", None)
+    pl = payload(20)
+    tasks = [((4, s), 4, (derive_seed(5, 4, s),), ()) for s in range(3)]
+    pooled = population._map_samples(pl, tasks, workers=8)
+    assert sizes == [3]
+    serial = population._map_samples(pl, tasks, workers=1)
+    assert sizes == [3] and pooled.keys() == serial.keys()
+    for key in serial:
+        for field in STAT_FIELDS:
+            np.testing.assert_array_equal(getattr(pooled[key], field),
+                                          getattr(serial[key], field))
+    population._map_samples(pl, tasks[:1], workers=8)
+    assert sizes == [3]
+
+
 # --------------------------------------------------------------- deviation
 
 def test_default_family_composition():

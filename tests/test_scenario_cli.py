@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from lqmfg import UsageError
 from lqmfg.cli import main, run
+from lqmfg.model import COEFFICIENTS, coefficient_shapes
 from lqmfg.scenario import (ScenarioConfig, build_candidates, parse_scenario,
                             preset, serialize_scenario)
 
@@ -132,8 +133,14 @@ def test_candidate_family_from_config():
     # theta = 1 duplicates the equilibrium policy and is not repeated
     assert names == ["self", "gain_scale_0.5", "gain_scale_2",
                      "zero_control", "offset_+0.25"]
-    assert build_candidates(None) == tuple(
-        __import__("lqmfg").default_candidate_family())
+    default = __import__("lqmfg").default_candidate_family()
+    assert build_candidates(None) == default
+    # the default family is the family of its own parameters
+    d["experiment"]["candidates"] = {
+        "gain_scales": [0.0, 0.5, 0.8, 1.2, 1.5, 2.0], "include_zero": True,
+        "offsets": [0.5, -0.5]}
+    cfg = parse_scenario(json.dumps(d))
+    assert build_candidates(cfg.experiment.candidates) == default
 
 
 # --------------------------------------------------------------------- CLI
@@ -383,6 +390,7 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     ("model", "steps", 1.5),
     ("solver", "m00_beta_literal", "false"),
     ("output", "directory", None),
+    ("model", "x0", [float("nan")]),
 ])
 def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
                                      key, value):
@@ -399,6 +407,64 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
     record = json.loads(lines[0])
     assert record["error"] == "UsageError" and record["exit_code"] == 2
     assert key in record["message"]
+
+
+def n3_k2_dict(steps):
+    """A solvable n = 3, k = 2 solve scenario with every slot nonzero."""
+    rng = np.random.default_rng(23)
+
+    def u(rows, cols):
+        return rng.uniform(-1.0, 1.0, (rows, cols))
+
+    Mq, Mr, Mg = u(3, 3), u(2, 2), u(3, 3)
+    model = {"n": 3, "k": 2, "T": 1.0, "steps": steps, "x0": [1.0, 0.5, -0.5],
+             "Q": Mq.T @ Mq, "R": np.eye(2) + Mr.T @ Mr, "G": Mg.T @ Mg}
+    for name, (r, c) in coefficient_shapes(3, 2).items():
+        model.setdefault(name, u(r, c))
+    return {"model": {key: value.tolist() if isinstance(value, np.ndarray)
+                      else value for key, value in model.items()},
+            "solver": {"p_method": "both"},
+            "experiment": {"kind": "solve"}}
+
+
+def test_cli_schedules_of_every_slot_match_constants(tmp_path):
+    # every slot, the n x k control channels included, accepts a schedule;
+    # a schedule repeating a constant gives the constant's artifacts
+    steps = 30
+    outputs = {}
+    for form in ("const", "schedule"):
+        d = n3_k2_dict(steps)
+        for name in COEFFICIENTS:
+            value = d["model"][name]
+            d["model"][name] = ({"const": value} if form == "const" else
+                                {"schedule": [value] * (steps + 1)})
+        d["output"] = {"directory": str(tmp_path / form), "prefix": "m"}
+        assert main(["--config", write_config(tmp_path, d, form + ".json"),
+                     "--quiet"]) == 0
+        outputs[form] = [(tmp_path / form / f"m_{name}").read_bytes()
+                         for name in ("riccati.csv", "solve_report.json")]
+    assert outputs["const"] == outputs["schedule"]
+
+
+@pytest.mark.parametrize("B, message", [
+    (3.0, "model.B: a nonzero scalar is only valid for 1x1 entries; give a "
+          "3x2 matrix"),
+    ({"schedule": [[[1.0, 0.0]] * 3] * 30 + [[[1.0]] * 3]},
+     "model.B[30]: expected shape (3, 2), got (3, 1)"),
+    ({"schedule": [[[1.0, 0.0]] * 3] * 30 + [[[1.0, float("inf")]] * 3]},
+     "model.B[30]: non-finite entry"),
+], ids=["scalar", "node-shape", "node-inf"])
+def test_cli_malformed_slot_value_exits_2(tmp_path, capsys, B, message):
+    d = n3_k2_dict(30)
+    d["model"]["B"] = B
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "bad"}
+    assert main(["--config", write_config(tmp_path, d), "--quiet"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError" and record["exit_code"] == 2
+    assert record["message"] == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_csv_cells_are_shortest_round_trip_reprs():
