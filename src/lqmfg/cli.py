@@ -19,9 +19,9 @@ a run can be reproduced from its own manifest. All files are written
 atomically, and everything except the manifest's wall-time entry is
 byte-identical across reruns with the same seed.
 
-Exit codes: 0 success, 2 usage/config error, 3 model validation failure,
-4 numerical failure. Failures also emit a one-line JSON error record on
-stderr.
+Exit codes: 0 success, 2 usage/config error or unwritable output, 3 model
+validation failure, 4 numerical failure. Failures also emit a one-line JSON
+error record on stderr.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ from .io import (deviation_report_dict, rate_report_dict, write_agent_csv,
                  write_riccati_csv)
 from .meanfield import integrate_Em
 from .model import validate, wellposedness_diagnostic
-from .population import (deviation_experiment, rate_experiment_cost,
-                         rate_experiment_state, simulate_population)
+from .population import (deviation_experiment, map_tasks,
+                         rate_experiment_cost, rate_experiment_state,
+                         resolve_workers, simulate_population)
 from .riccati import solve_riccati
 from .scenario import (FORMAT_VERSION, ScenarioConfig, build_candidates,
                        load_scenario, preset)
@@ -133,6 +134,19 @@ def _require(value, name: str, kind: str):
     return value
 
 
+def _write_agents(payload, start: int, stop: int) -> None:
+    """Write the CSVs of agents ``start`` to ``stop - 1``, one at a time."""
+    paths, grid, z_hat, u = payload
+    for i in range(start, stop):
+        write_agent_csv(paths[i], grid, z_hat[i], u[i])
+
+
+def _agent_ranges(N: int, workers: int) -> list:
+    """About four contiguous index ranges per worker, as keyed tasks."""
+    count = min(N, 4 * workers)
+    return [(j, N * j // count, N * (j + 1) // count) for j in range(count)]
+
+
 def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
     """Execute a scenario; returns the artifact paths in creation order."""
     started = time.perf_counter()
@@ -175,15 +189,19 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
 
     if exp.kind == "simulate":
         N = _require(exp.N, "N", exp.kind)
+        workers = resolve_workers()
         Em = integrate_Em(model, law)
         sample = simulate_population(model, law, Em, N, exp.seed,
                                      beta_literal=beta_literal)
         emit("meanfield.csv", write_meanfield_csv,
              model.grid, sample.m, sample.Em)
         width = max(3, len(str(N)))
-        for i in range(N):
-            emit(f"agent_{i + 1:0{width}d}.csv", write_agent_csv,
-                 model.grid, sample.z_hat[i], sample.u[i])
+        agents = [dest(f"agent_{i + 1:0{width}d}.csv") for i in range(N)]
+        # formatting the agent files is most of the kind's time: the pool
+        # writes them, each worker reading the recorded arrays it forked with
+        map_tasks(_write_agents, (agents, model.grid, sample.z_hat, sample.u),
+                  _agent_ranges(N, workers), workers)
+        artifacts.extend(agents)
         gaps = np.abs(sample.J_central - sample.J_limit)
         state_gap = float(np.max(
             np.sum((sample.state_average - sample.m) ** 2, axis=1)))
@@ -269,6 +287,8 @@ def main(argv=None) -> int:
         return _fail(exc, 3)
     except LqmfgError as exc:
         return _fail(exc, 4)
+    except OSError as exc:  # the output directory or an artifact write
+        return _fail(exc, 2)
 
 
 if __name__ == "__main__":

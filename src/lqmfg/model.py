@@ -86,7 +86,10 @@ class CoefficientSchedule:
 
     @classmethod
     def constant(cls, grid: TimeGrid, matrix) -> "CoefficientSchedule":
-        mat = np.atleast_2d(np.asarray(matrix, dtype=float))
+        """``matrix`` at every node; a vector is one column, as in
+        ``as_matrix``."""
+        mat = np.asarray(matrix, dtype=float)
+        mat = mat.reshape(-1, 1) if mat.ndim == 1 else np.atleast_2d(mat)
         return cls(grid, np.repeat(mat[None, :, :], grid.node_count, axis=0))
 
     @property

@@ -368,19 +368,19 @@ def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
 
 
 # ---------------------------------------------------------------------------
-# Parallel sample mapping
+# Process pool
 
-_WORKER_PAYLOAD: _SimPayload | None = None
-
-
-def _worker_init(payload):
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
+_WORKER = None  # (run, payload) of a pool worker, set by its initializer
 
 
-def _worker_run(task):
-    key, N, seeds, cands = task
-    return key, _run_block(_WORKER_PAYLOAD, N, seeds, cands)
+def _worker_init(run, payload):
+    global _WORKER
+    _WORKER = (run, payload)
+
+
+def _worker_call(task):
+    run, payload = _WORKER
+    return task[0], run(payload, *task[1:])
 
 
 def resolve_workers(workers=None) -> int:
@@ -401,24 +401,25 @@ def resolve_workers(workers=None) -> int:
     return workers
 
 
-def _map_samples(payload: _SimPayload, tasks, workers: int) -> dict:
-    """Run tasks (key, N, sample seeds, candidates) -> block stats.
+def map_tasks(run, payload, tasks, workers: int) -> dict:
+    """``{key: run(payload, *args)}`` over the tasks ``(key, *args)``.
 
-    Results are keyed, so the reduction order downstream is fixed by the
-    caller regardless of completion order.
+    More than one worker and task run the tasks in a process pool.  The
+    payload reaches the workers through the pool initializer, so forked
+    workers share the parent's arrays instead of receiving pickled copies;
+    ``run`` is called there with it.  Results are keyed, so the caller fixes
+    the reduction order whatever the completion order.  An exception raised
+    by a task is raised here, after the pool has shut down.
     """
     # the pool starts all its workers up front: no more than there are tasks
     workers = min(workers, len(tasks))
     if workers <= 1:
-        return {t[0]: _run_block(payload, *t[1:]) for t in tasks}
-    out = {}
+        return {t[0]: run(payload, *t[1:]) for t in tasks}
     chunk = max(1, len(tasks) // (workers * 8))
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init,
-            initargs=(payload,)) as ex:
-        for key, stats in ex.map(_worker_run, tasks, chunksize=chunk):
-            out[key] = stats
-    return out
+            initargs=(run, payload)) as ex:
+        return dict(ex.map(_worker_call, tasks, chunksize=chunk))
 
 
 def _sample_tasks(N: int, S: int, M: int, seed: int, cands=()):
@@ -515,8 +516,8 @@ def rate_experiments(model: LqMfgModel, law: FeedbackLaw, Ns, S: int,
     Em = integrate_Em(model, law)
     payload = _SimPayload(model, law, Em, beta_literal)
     rungs = {N: _sample_tasks(N, S, payload.M, seed) for N in Ns}
-    stats = _map_samples(payload, [t for N in Ns for t in rungs[N]],
-                         workers)
+    stats = map_tasks(_run_block, payload,
+                      [t for N in Ns for t in rungs[N]], workers)
 
     xbar_vals, xbar_ses = [], []
     agent_vals, agent_ses = [], []
@@ -639,7 +640,7 @@ def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
     payload = _SimPayload(model, law, Em, beta_literal)
     rows, cols = _candidate_rows(candidates)
     tasks = [((N, s), N, (derive_seed(seed, N, s),), rows) for s in range(S)]
-    stats = _map_samples(payload, tasks, workers)
+    stats = map_tasks(_run_block, payload, tasks, workers)
     J = _gather(stats, tasks).J_central[:, :, 0]       # agent 0, (S, C)
     base_mean, base_se, results = _candidate_results(J, cols, candidates)
     return DeviationReport(N=N, S=S, seed=seed, baseline_mean_cost=base_mean,
@@ -702,7 +703,7 @@ def limit_problem_experiment(model: LqMfgModel, law: FeedbackLaw, S: int,
     payload = _SimPayload(model, law, Em, beta_literal)
     rows, cols = _candidate_rows(candidates)
     tasks = _sample_tasks(1, S, payload.M, seed, rows)
-    stats = _map_samples(payload, tasks, resolve_workers())
+    stats = map_tasks(_run_block, payload, tasks, resolve_workers())
     J = _gather(stats, tasks).J_limit[:, :, 0]          # (S, C)
     base_mean, base_se, results = _candidate_results(J, cols, candidates)
     max_gain = max((r.gain for r in results), default=float("nan"))

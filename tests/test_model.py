@@ -34,6 +34,18 @@ def test_constant_schedule_repeats_matrix():
     np.testing.assert_array_equal(sched[3], [[1.0, 2.0]])
 
 
+def test_constant_schedule_reads_a_vector_as_one_column():
+    # as as_matrix does, so a schedule and a plain vector build one model
+    grid = TimeGrid(1.0, 4)
+    sched = CoefficientSchedule.constant(grid, [1.0, 2.0])
+    assert sched.shape == (2, 1)
+    base = dict(A=np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2),
+                G=np.eye(2), x0=[0.0, 0.0])
+    model = LqMfgModel.from_constants(grid, b=sched, **base)
+    plain = LqMfgModel.from_constants(grid, b=[1.0, 2.0], **base)
+    np.testing.assert_array_equal(model.b.values, plain.b.values)
+
+
 def test_schedule_is_read_only():
     grid = TimeGrid(1.0, 4)
     sched = CoefficientSchedule.constant(grid, np.eye(2))

@@ -287,11 +287,13 @@ def test_resolve_workers_sources(monkeypatch):
     assert resolve_workers() >= 1
 
 
-def test_process_pool_is_capped_at_the_task_count(monkeypatch):
+def test_process_pool_is_capped_at_the_task_count(monkeypatch, tmp_path):
     # the pool starts all max_workers processes up front; a stand-in pool
     # records the size asked for and runs the tasks serially in-process
     import concurrent.futures
+    import json
     import lqmfg.population as population
+    from lqmfg.cli import main
     sizes = []
 
     class SerialPool:
@@ -309,19 +311,37 @@ def test_process_pool_is_capped_at_the_task_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(population, "_WORKER_PAYLOAD", None)
+    monkeypatch.setattr(population, "_WORKER", None)
     pl = payload(20)
     tasks = [((4, s), 4, (derive_seed(5, 4, s),), ()) for s in range(3)]
-    pooled = population._map_samples(pl, tasks, workers=8)
+    run = population._run_block
+    pooled = population.map_tasks(run, pl, tasks, workers=8)
     assert sizes == [3]
-    serial = population._map_samples(pl, tasks, workers=1)
+    serial = population.map_tasks(run, pl, tasks, workers=1)
     assert sizes == [3] and pooled.keys() == serial.keys()
     for key in serial:
         for field in STAT_FIELDS:
             np.testing.assert_array_equal(getattr(pooled[key], field),
                                           getattr(serial[key], field))
-    population._map_samples(pl, tasks[:1], workers=8)
+    population.map_tasks(run, pl, tasks[:1], workers=8)
     assert sizes == [3]
+
+    # the simulate kind writes its agent files through the same pool, in
+    # about four ranges per worker
+    d = preset("netsec-numeric").to_dict()
+    d["model"]["steps"] = 20
+    config = tmp_path / "sim.json"
+    for N, threads, size in ((2, 3, 2), (7, 2, 2), (9, 3, 3), (1, 3, None),
+                             (5, 1, None)):
+        sizes.clear()
+        d["experiment"]["N"] = N
+        d["output"] = {"directory": str(tmp_path / f"{N}-{threads}"),
+                       "prefix": "sim"}
+        config.write_text(json.dumps(d))
+        monkeypatch.setenv("MFG_THREADS", str(threads))
+        assert main(["--config", str(config), "--quiet"]) == 0
+        assert sizes == ([] if size is None else [size])
+        assert len(list((tmp_path / f"{N}-{threads}").iterdir())) == N + 5
 
 
 # --------------------------------------------------------------- deviation
@@ -355,13 +375,13 @@ def test_deviation_runs_no_self_replays(monkeypatch):
     model, law, Em = closed_form(40)
     family = default_candidate_family()
     queued = []
-    real = population._map_samples
+    real = population.map_tasks
 
-    def counting(payload, tasks, workers):
+    def counting(run, payload, tasks, workers):
         queued.extend(tasks)
-        return real(payload, tasks, workers)
+        return real(run, payload, tasks, workers)
 
-    monkeypatch.setattr(population, "_map_samples", counting)
+    monkeypatch.setattr(population, "map_tasks", counting)
     S = 3
     report = deviation_experiment(model, law, N=4, S=S, candidates=family,
                                   seed=21, workers=1)

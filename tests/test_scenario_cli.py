@@ -409,17 +409,19 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
     assert key in record["message"]
 
 
-def n3_k2_dict(steps):
-    """A solvable n = 3, k = 2 solve scenario with every slot nonzero."""
+def n3_k2_dict(steps, n=3, k=2):
+    """A solvable n = 3, k = 2 (or smaller) solve scenario with every slot
+    nonzero."""
     rng = np.random.default_rng(23)
 
     def u(rows, cols):
         return rng.uniform(-1.0, 1.0, (rows, cols))
 
-    Mq, Mr, Mg = u(3, 3), u(2, 2), u(3, 3)
-    model = {"n": 3, "k": 2, "T": 1.0, "steps": steps, "x0": [1.0, 0.5, -0.5],
-             "Q": Mq.T @ Mq, "R": np.eye(2) + Mr.T @ Mr, "G": Mg.T @ Mg}
-    for name, (r, c) in coefficient_shapes(3, 2).items():
+    Mq, Mr, Mg = u(n, n), u(k, k), u(n, n)
+    model = {"n": n, "k": k, "T": 1.0, "steps": steps,
+             "x0": [1.0, 0.5, -0.5][:n],
+             "Q": Mq.T @ Mq, "R": np.eye(k) + Mr.T @ Mr, "G": Mg.T @ Mg}
+    for name, (r, c) in coefficient_shapes(n, k).items():
         model.setdefault(name, u(r, c))
     return {"model": {key: value.tolist() if isinstance(value, np.ndarray)
                       else value for key, value in model.items()},
@@ -465,6 +467,77 @@ def test_cli_malformed_slot_value_exits_2(tmp_path, capsys, B, message):
     assert record["error"] == "UsageError" and record["exit_code"] == 2
     assert record["message"] == message
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_naming_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    code = main(["--preset", "netsec-closed-form", "--out", str(blocker),
+                 "--steps", "20", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "FileExistsError" and record["exit_code"] == 2
+    assert str(blocker) in record["message"]
+
+
+def test_cli_agent_write_failure_in_a_pool_worker_exits_2(tmp_path, capfd,
+                                                          monkeypatch):
+    # a directory squats on one agent file: its worker's rename fails, and
+    # the OSError crosses the process boundary to the one error record
+    monkeypatch.setenv("MFG_THREADS", "2")
+    d = preset("netsec-numeric").to_dict()
+    d["model"]["steps"] = 20
+    d["experiment"]["N"] = 4
+    out = tmp_path / "out"
+    d["output"] = {"directory": str(out), "prefix": "sq"}
+    (out / "sq_agent_002.csv").mkdir(parents=True)
+    assert main(["--config", write_config(tmp_path, d), "--quiet"]) == 2
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "IsADirectoryError" and record["exit_code"] == 2
+    assert "sq_agent_002.csv" in record["message"]
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+    assert not (out / "sq_manifest.json").exists()
+
+
+@pytest.mark.parametrize("scenario", ["netsec-numeric", "n2-k2"])
+def test_cli_simulate_artifacts_do_not_depend_on_the_worker_count(
+        tmp_path, monkeypatch, scenario):
+    # 3 workers split N = 7 agents into uneven shares
+    if scenario == "netsec-numeric":
+        d = preset("netsec-numeric").to_dict()
+        d["model"]["steps"] = 50
+    else:
+        d = n3_k2_dict(50, n=2, k=2)
+    d["experiment"] = {"kind": "simulate", "seed": 13, "N": 7}
+    runs = []
+    for threads in (1, 2, 3):
+        monkeypatch.setenv("MFG_THREADS", str(threads))
+        out = tmp_path / str(threads)
+        d["output"] = {"directory": str(out), "prefix": "w"}
+        assert main(["--config", write_config(tmp_path, d), "--quiet"]) == 0
+        manifest = json.loads((out / "w_manifest.json").read_text())
+        files = {p.name: p.read_bytes() for p in out.iterdir()
+                 if p.name != "w_manifest.json"}
+        assert not [name for name in files if name.endswith(".tmp")]
+        runs.append((manifest["artifacts"], files))
+    names, files = runs[0]
+    assert names == (["w_riccati.csv", "w_solve_report.json",
+                      "w_meanfield.csv"]
+                     + [f"w_agent_{i:03d}.csv" for i in range(1, 8)]
+                     + ["w_costs.json"])
+    assert sorted(files) == sorted(names)
+    if scenario == "n2-k2":
+        assert files["w_agent_007.csv"].startswith(b"t,zhat_1,zhat_2,u_1,u_2\n")
+    for other in runs[1:]:
+        assert other == runs[0]
 
 
 def test_csv_cells_are_shortest_round_trip_reprs():
