@@ -107,24 +107,31 @@ def _diagnostic_dict(diag) -> dict:
 
 
 def _cross_check_dict(summary) -> dict:
+    nodes = summary.solution.grid.nodes
+
+    def margin(value, node):
+        return {"value": float(value), "node": int(node),
+                "t": float(nodes[node])}
+
     out = {"p_method": summary.p_method,
            "gamma_method": summary.gamma_method,
            "p_agreement": summary.p_agreement,
            "gamma_agreement": summary.gamma_agreement,
            "iterative_iterations": summary.iterative_iterations,
            "iterative_residuals": summary.iterative_residuals,
-           "sigma_margin": {
-               "value": summary.sigma_margin,
-               "node": summary.sigma_margin_node,
-               "t": float(summary.solution.grid.nodes[
-                   summary.sigma_margin_node])},
+           "sigma_margin": margin(summary.sigma_margin,
+                                  summary.sigma_margin_node),
+           "p_psd_margin": margin(summary.p_psd_margin,
+                                  summary.p_psd_margin_node),
            "pi": None, "pi_error": summary.pi_error}
     if summary.pi_report is not None:
         rep = summary.pi_report
+        node = int(np.argmin(rep.psd_margins))
         out["pi"] = {"delta": float(rep.delta),
                      "condition_ok": bool(rep.condition_ok),
                      "min_margin": float(min(rep.condition_margins)),
-                     "violated_nodes": [int(j) for j in rep.violated_nodes]}
+                     "violated_nodes": [int(j) for j in rep.violated_nodes],
+                     "psd_margin": margin(rep.psd_margins[node], node)}
     return out
 
 

@@ -19,15 +19,24 @@ Three routes are implemented:
 
 Coefficient schedules are piecewise-constant per grid interval (left node);
 the RK4 stages of interval j sit at its right node, midpoint and left node.
-P, Gamma and Pi go through one RK4 loop, ``_rk4_backward``, P evaluated from
-per-interval affine maps of vech(P) built once (``_PEquation``).  The linear
-equations, each Lyapunov iterate (in vech coordinates, so exactly symmetric)
-and Phi, go through ``_rk4_linear``, which composes every interval's step
-into an affine map at once.  Operators are built from each equation's one
-right-hand side, one basis matrix at a time.  A known sequence (P for
-Gamma/Phi/Pi, Gamma for Phi, each Lyapunov iterate for the next) is read at
-midpoints through its own equation, by each interval's cubic Hermite
-interpolant, so every route stays fourth order when coefficients vary.
+Every interval's RK4 step of a linear equation is composed at once into an
+affine map (``_rk4_step_maps``), and the sweep is one map per node.  The
+linear equations, each Lyapunov iterate (in vech coordinates, so exactly
+symmetric) and Phi, go through ``_rk4_linear``.  Gamma and Pi are of
+standard Riccati form, dY/dt = F - Y L - Acl' Y + Y N Y, so they go through
+the step maps of their linear lift (``_riccati_lift``), with X restarted at
+I on every node; a step in which X turns singular is a finite escape time.
+P is the one equation stepped stage by stage: its weighting Sigma depends on
+P through D and D0.  Its stages come from per-interval affine maps of
+vech(P) built once (``_PEquation``); Sigma is inverted directly, and the
+r_min floor and the PSD check run on the whole sweep afterwards, reporting
+the failure that the sweep met first.  ``solve_riccati`` builds one
+``_PEquation`` and one set of P stage stacks for all its routes.  Operators
+are built from each equation's one right-hand side, one basis matrix at a
+time.  A known sequence (P for Gamma/Phi/Pi, Gamma for Phi, each Lyapunov
+iterate for the next) is read at midpoints through its own equation, by
+each interval's cubic Hermite interpolant, so every route stays fourth
+order when coefficients vary.
 """
 
 from __future__ import annotations
@@ -124,49 +133,16 @@ def _sigma_inv(Sig, r_min, t):
     return (V / w[..., None, :]) @ _T(V)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _rk4_backward(grid: TimeGrid, terminal, rhs, name: str,
-                  psd: bool = False) -> np.ndarray:
-    """Classical RK4 from ``terminal`` at T back to 0, one grid step a time.
-
-    ``rhs(y, stage, j)`` is dy/dt at stage 0 (right node), 1 (midpoint) or
-    2 (left node) of interval j.  With ``psd`` every step is symmetrized and
-    its minimum eigenvalue must stay above -TOL_PSD.  Returns the (M+1, ...)
-    node sequence.  Raises ``DivergenceError`` at the first node that is
-    non-finite or fails the PSD check.
-    """
-    M, h, nodes = grid.steps, grid.h, grid.nodes
-    Y = np.empty((M + 1,) + np.shape(terminal))
-    Y[M] = terminal
-    for j in range(M - 1, -1, -1):
-        y = Y[j + 1]
-        k1 = rhs(y, 0, j)
-        k2 = rhs(y - 0.5 * h * k1, 1, j)
-        k3 = rhs(y - 0.5 * h * k2, 1, j)
-        k4 = rhs(y - h * k3, 2, j)
-        yj = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if psd:
-            yj = 0.5 * (yj + yj.T)
-        if not np.isfinite(yj).all():
-            raise DivergenceError(f"{name} diverged", node=j, t=nodes[j])
-        if psd:
-            w_min = float(np.linalg.eigvalsh(yj)[0])
-            if w_min < -TOL_PSD:
-                raise DivergenceError(f"{name} lost positive semidefiniteness",
-                                      node=j, t=nodes[j],
-                                      detail=f"min eigenvalue {w_min:.3e}")
-        Y[j] = yj
-    return Y
+def _psd_error(name, node, t, min_eig):
+    return DivergenceError(f"{name} lost positive semidefiniteness", node=node,
+                           t=t, detail=f"min eigenvalue {min_eig:.3e}")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rk4_linear(grid: TimeGrid, L, f, terminal, name: str) -> np.ndarray:
-    """Classical RK4 from ``terminal`` at T back to 0 for dy/dt = L y + f,
-    given the (3, M, p, p) operator and (3, M, p) forcing at every stage.
-    Each interval's step is composed, for all intervals in batch, into the
-    affine map y_j = T_j y_{j+1} + g_j.  Returns the (M+1, p) node sequence;
-    raises ``DivergenceError`` at the first non-finite node of the sweep."""
-    h, M = grid.h, grid.steps
+def _rk4_step_maps(h, L, f):
+    """Every interval's classical RK4 step backward for dy/dt = L y + f,
+    composed in batch into the affine map y_j = T_j y_{j+1} + g_j, from the
+    (3, M, p, p) operator and (3, M, p) forcing at every stage."""
     eye = np.eye(L.shape[-1])
     K = K_sum = L[0]          # stage slopes as affine maps k = K y + c
     c = c_sum = f[0]
@@ -174,16 +150,77 @@ def _rk4_linear(grid: TimeGrid, L, f, terminal, name: str) -> np.ndarray:
         c = f[s] - a * h * (L[s] @ c[..., None])[..., 0]
         K = L[s] @ (eye - a * h * K)
         K_sum, c_sum = K_sum + weight * K, c_sum + weight * c
-    T, g = eye - (h / 6.0) * K_sum, -(h / 6.0) * c_sum
-    Y = np.empty((M + 1,) + np.shape(terminal))
-    Y[M] = terminal
-    for j in range(M - 1, -1, -1):
+    return eye - (h / 6.0) * K_sum, -(h / 6.0) * c_sum
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rk4_linear(grid: TimeGrid, L, f, terminal, name: str) -> np.ndarray:
+    """Classical RK4 from ``terminal`` at T back to 0 for dy/dt = L y + f,
+    given the (3, M, p, p) operator and (3, M, p) forcing at every stage,
+    one step map per node.  Returns the (M+1, p) node sequence; raises
+    ``DivergenceError`` at the first non-finite node of the sweep."""
+    T, g = _rk4_step_maps(grid.h, L, f)
+    Y = np.empty((grid.steps + 1,) + np.shape(terminal))
+    Y[-1] = terminal
+    for j in range(grid.steps - 1, -1, -1):
         Y[j] = T[j] @ Y[j + 1] + g[j]
     bad = np.flatnonzero(~np.isfinite(Y).all(axis=1))
     if bad.size:  # the last one is the first the backward sweep meets
         raise DivergenceError(f"{name} diverged", node=int(bad[-1]),
                               t=grid.nodes[bad[-1]])
     return Y
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _riccati_lift(grid: TimeGrid, F, L, Aclt, N, terminal, name: str,
+                  psd: bool = False):
+    """Classical RK4 from ``terminal`` at T back to 0 for the standard-form
+    Riccati equation dY/dt = F - Y L - Acl' Y + Y N Y, given its (3, M, n, n)
+    terms at every stage, through the linear lift (Radon's lemma):
+    Y = V X^{-1} with d[X; V]/dt = [[L, -N], [F, -Acl']] [X; V].
+
+    The sweep restarts X at I on every node: Y_j = (T21 + T22 Y_{j+1})
+    (T11 + T12 Y_{j+1})^{-1} with the lift's step maps T.  The lift steps
+    through a pole of Y with finite values, so a step whose X is not
+    positive (det X <= 0) is a finite escape time.  With ``psd`` every node
+    is symmetrized and its minimum eigenvalue must stay above -TOL_PSD.
+    Returns the (M+1, n, n) node sequence and, with ``psd``, the (M+1,)
+    minimum eigenvalues.  Raises ``DivergenceError`` at the first node of
+    the sweep that escapes, is non-finite or fails the eigenvalue check.
+    """
+    M, n = grid.steps, np.shape(terminal)[-1]
+    H = np.block([[L, -N], [F, -Aclt]])
+    T = _rk4_step_maps(grid.h, H, np.zeros(H.shape[:-1]))[0]
+    Tx, Ty = T[..., :n], T[..., n:]
+    Y = np.full((M + 1, n, n), np.nan)
+    X = np.full((M, n, n), np.nan)
+    Y[M] = terminal
+    for j in range(M - 1, -1, -1):
+        Z = Tx[j] + Ty[j] @ Y[j + 1]
+        X[j] = Z[:n]
+        try:
+            Yj = np.linalg.solve(_T(Z[:n]), _T(Z[n:]))
+        except np.linalg.LinAlgError:  # X singular: det X = 0 below
+            break
+        Y[j] = 0.5 * (Yj + Yj.T) if psd else Yj.T
+    # nodes the sweep did not reach are NaN and lie below its first failure
+    det = np.linalg.det(X)
+    finite = np.isfinite(Y).all(axis=(1, 2))
+    bad = ~(det > 0.0) | ~finite[:M]
+    lam = None
+    if psd:
+        lam = np.full(M + 1, -np.inf)
+        lam[finite] = np.linalg.eigvalsh(Y[finite])[:, 0]
+        bad |= lam[:M] < -TOL_PSD
+    if bad.any():
+        j = int(np.flatnonzero(bad)[-1])
+        if det[j] <= 0.0 or not finite[j]:
+            raise DivergenceError(
+                f"{name} diverged", node=j, t=grid.nodes[j],
+                detail="finite escape time within the step"
+                if det[j] <= 0.0 else None)
+        raise _psd_error(name, j, grid.nodes[j], lam[j])
+    return Y, lam
 
 
 class _PEquation:
@@ -205,38 +242,101 @@ class _PEquation:
                                              *_gain_forms(c, P)), n)
         self.w0 = flat(-c.Q, c.R, np.zeros_like(c.B))
 
-    def __call__(self, P, s=slice(None), j=slice(None)):
-        """dP/dt, Sigma^{-1} and S at symmetric P, at stage s of interval j
-        or stacked over stages and intervals."""
+    def __call__(self, P, s=slice(None)):
+        """dP/dt, Sigma^{-1} and S at symmetric P, at stage s of every
+        interval or stacked over stages and intervals."""
         n, k = self.n, self.k
-        v = (self.W[j] @ _vech(P)[..., None])[..., 0] + self.w0[j]
+        v = (self.W @ _vech(P)[..., None])[..., 0] + self.w0
         shape = v.shape[:-1]
         S = v[..., n * n + k * k:].reshape(shape + (n, k))
         Sinv = _sigma_inv(v[..., n * n:n * n + k * k].reshape(shape + (k, k)),
-                          self.r_min, self.t[s, j])
+                          self.r_min, self.t[s])
         return v[..., :n * n].reshape(shape + (n, n)) + S @ Sinv @ _T(S), Sinv, S
 
 
-def solve_P_direct(model: LqMfgModel) -> np.ndarray:
+# the stage (right node, midpoint, left node) of each RK4 slope
+_SLOPE_STAGE = (0, 1, 1, 2)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def solve_P_direct(model: LqMfgModel, *, eq: _PEquation | None = None):
     """Integrate the quadratic equation for P backward from P(T) = G.
 
-    Classical RK4 on the grid step, symmetrizing after every step.  Returns
-    the (M+1, n, n) node sequence.  Raises ``SingularSigmaError`` if the
-    control weighting drops below r_min at any evaluation, and
-    ``DivergenceError`` if an iterate goes non-finite or loses positive
-    semidefiniteness beyond the tolerance.
+    Classical RK4 on the grid step, symmetrizing after every step.  ``eq``
+    is the model's ``_PEquation`` when the caller already built it.
+    Returns the (M+1, n, n) node sequence.  Raises ``SingularSigmaError`` if
+    the control weighting drops below r_min at any evaluation, and
+    ``DivergenceError`` if a node goes non-finite or loses positive
+    semidefiniteness beyond the tolerance, whichever the sweep meets first.
+
+    Each stage inverts Sigma without an eigendecomposition and records it;
+    the r_min floor and the PSD check run on the whole sweep afterwards.
+    The sweep stops at the first non-finite node or singular Sigma.
     """
-    eq = _PEquation(model)
-    return _rk4_backward(model.grid, _sym(model.G),
-                         lambda P, s, j: eq(P, s, j)[0], "P", psd=True)
+    eq = _PEquation(model) if eq is None else eq
+    grid, n, k, W, w0 = model.grid, eq.n, eq.k, eq.W, eq.w0
+    M, h = grid.steps, grid.h
+    iu, nn, kk = _vech_index(n)[0], n * n, n * n + k * k
+    P = np.full((M + 1, n, n), np.nan)
+    P[M] = _sym(model.G)
+    Sig = np.full((M, 4, k, k), np.nan)   # each interval's slopes' Sigma
+
+    def slope(y, j, i):
+        v = W[j] @ y[iu] + w0[j]
+        S = v[kk:].reshape(n, k)
+        sig = Sig[j, i] = v[nn:kk].reshape(k, k)
+        return v[:nn].reshape(n, n) + S @ np.linalg.inv(sig) @ S.T
+
+    low, singular = 0, None   # the last node reached; its singular slope
+    try:
+        for low in range(M - 1, -1, -1):
+            y = P[low + 1]
+            k1 = slope(y, low, 0)
+            k2 = slope(y - 0.5 * h * k1, low, 1)
+            k3 = slope(y - 0.5 * h * k2, low, 2)
+            k4 = slope(y - h * k3, low, 3)
+            y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            P[low] = 0.5 * (y + y.T)
+            if not np.isfinite(P[low]).all():
+                break
+    except np.linalg.LinAlgError:   # the last Sigma recorded is singular
+        singular = np.isfinite(Sig[low]).all(axis=(1, 2)).sum() - 1
+
+    # the first failure in sweep order: interval j's four slopes, then node
+    # j; nodes the sweep did not reach are NaN and lie below it
+    w = np.full((M, 4), np.inf)
+    finite = np.isfinite(Sig).all(axis=(2, 3))
+    w[finite] = np.linalg.eigvalsh(Sig[finite])[:, 0]
+    reached = np.isfinite(P).all(axis=(1, 2))
+    lam = np.full(M + 1, -np.inf)
+    lam[reached] = np.linalg.eigvalsh(P[reached])[:, 0]
+    bad = np.concatenate([w < eq.r_min, lam[:M, None] < -TOL_PSD], axis=1)
+    if singular is not None:
+        bad[low, singular] = True
+    if bad.any():
+        j = int(np.flatnonzero(bad.any(axis=1))[-1])
+        i = int(np.argmax(bad[j]))
+        if i < 4:
+            raise SingularSigmaError(eq.t[_SLOPE_STAGE[i], j], w[j, i],
+                                     eq.r_min)
+        if not reached[j]:
+            raise DivergenceError("P diverged", node=j, t=grid.nodes[j])
+        raise _psd_error("P", j, grid.nodes[j], lam[j])
+    return P
 
 
 def _p_stages(eq: _PEquation, P):
     """A supplied P at the RK4 stage points, read through its own equation,
-    with Sigma^{-1} and S there: three (3, M, ...) stacks."""
+    with Sigma^{-1} and S there: the interval coefficients and three
+    (3, M, ...) stacks, which every route of ``solve_riccati`` shares."""
     Ps = _hermite_stages(P, lambda ends: eq(ends, slice(None, None, 2))[0],
                          eq.h)
-    return (Ps,) + eq(Ps)[1:]
+    return (eq.c, Ps) + eq(Ps)[1:]
+
+
+def _stages_of(model, P, stages):
+    """``stages``, or P's stage stacks built from the model."""
+    return _p_stages(_PEquation(model), P) if stages is None else stages
 
 
 def _lyapunov_rhs(P, Ah, Ch, C0h):
@@ -275,13 +375,15 @@ class IterativeInfo:
 
 
 def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
-                      tol: float = DEFAULT_ITER_TOL):
+                      tol: float = DEFAULT_ITER_TOL, *,
+                      eq: _PEquation | None = None):
     """Monotone Lyapunov iteration for P.
 
     P_0 solves the plain Lyapunov equation with weight Q; each subsequent
     iterate re-linearizes around the previous one (gain Psi_i) and solves a
     Lyapunov equation with weight Q + Psi' R Psi.  The sequence decreases in
-    the PSD order down to the Riccati solution.
+    the PSD order down to the Riccati solution.  ``eq`` is the model's
+    ``_PEquation`` when the caller already built it.
 
     Returns (P, IterativeInfo).  Raises ``UsageError`` unless max_iters >= 1
     and tol > 0, ``MonotonicityError`` if an iterate fails to sit below its
@@ -291,7 +393,7 @@ def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
     if max_iters < 1 or not tol > 0:
         raise UsageError("solve_P_iterative needs max_iters >= 1 and tol > 0, "
                          f"got {max_iters} and {tol}")
-    eq = _PEquation(model)
+    eq = _PEquation(model) if eq is None else eq
     c = eq.c
     P_prev, stages = _solve_lyapunov(model.grid, model.G, c.A, c.C, c.C0, c.Q)
 
@@ -317,21 +419,18 @@ def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
     raise ConvergenceError(max_iters, residuals[-1], tol)
 
 
-def solve_Gamma_direct(model: LqMfgModel, P) -> np.ndarray:
+def solve_Gamma_direct(model: LqMfgModel, P, *, stages=None) -> np.ndarray:
     """Integrate the mean-field correction Gamma backward from Gamma(T) = 0.
 
     ``P`` is the node sequence from either P-solver, read at midpoints
-    through the P equation.  No symmetrization is applied: the equation is
+    through the P equation; ``stages`` is its ``_p_stages`` when the caller
+    already built them.  The equation is of standard Riccati form and goes
+    through its linear lift.  No symmetrization is applied: the equation is
     not symmetric in general, and neither is its solution.
     """
     P = np.asarray(P, float)
-    eq = _PEquation(model)
-    F, L, Aclt, N = _gamma_terms(eq.c, *_p_stages(eq, P))
-
-    def rhs(Gam, s, j):
-        return _gamma_rhs(Gam, F[s, j], L[s, j], Aclt[s, j], N[s, j])
-
-    return _rk4_backward(model.grid, np.zeros(P.shape[1:]), rhs, "Gamma")
+    terms = _gamma_terms(*_stages_of(model, P, stages))
+    return _riccati_lift(model.grid, *terms, np.zeros(P.shape[1:]), "Gamma")[0]
 
 
 def _gamma_terms(c, Ps, Sinv, S):
@@ -358,6 +457,7 @@ class PiTransformReport:
     delta: float
     Pi: np.ndarray                  # (M+1, n, n)
     condition_margins: np.ndarray   # (M+1,) min eigenvalue of the cross term
+    psd_margins: np.ndarray         # (M+1,) min eigenvalue of Pi
 
     @property
     def condition_ok(self) -> bool:
@@ -381,15 +481,17 @@ def _pi_terms(c, P, Sinv):
     return Ahat, Mterm, cross
 
 
-def solve_Gamma_via_Pi(model: LqMfgModel, P):
+def solve_Gamma_via_Pi(model: LqMfgModel, P, *, stages=None):
     """Gamma through the substitution Pi = P + Gamma.
 
     Requires alpha = delta*I for a scalar delta and beta = beta0 = 0 (the
     structure that makes the Pi equation symmetric); raises ``UsageError``
-    otherwise.  Integrates Pi backward from Pi(T) = G with symmetrization and
-    a PSD guard, and evaluates the cross-term condition
+    otherwise.  Integrates Pi backward from Pi(T) = G through its linear lift
+    with symmetrization and a PSD guard, whose minimum eigenvalue per node
+    the report keeps, and evaluates the cross-term condition
     -C'PD Sigma^{-1} D0'PC0 - C0'PD0 Sigma^{-1} D'PC >= 0 at every node,
     recording the margin per node (a violation is reported, not fatal).
+    ``stages`` is the ``_p_stages`` of P when the caller already built them.
 
     Returns (Gamma, PiTransformReport).
     """
@@ -408,31 +510,25 @@ def solve_Gamma_via_Pi(model: LqMfgModel, P):
     Sinv = _sigma_inv(cn.R + _gain_forms(cn, P)[0], model.r_min, grid.nodes)
     margins = np.linalg.eigvalsh(_sym(_pi_terms(cn, P, Sinv)[2]))[:, 0]
 
-    eq = _PEquation(model)
-    c = eq.c
-    Ps, Sinv, _ = _p_stages(eq, P)
+    c, Ps, Sinv, _ = _stages_of(model, P, stages)
     Ahat, Mterm, _ = _pi_terms(c, Ps, Sinv)
-    Ahatt = _T(Ahat)
-    N = c.B @ Sinv @ c.Bt
-
-    def rhs(Pi, s, j):
-        return -(Pi @ Ahat[s, j] + Ahatt[s, j] @ Pi + delta * Pi + Mterm[s, j]
-                 - Pi @ N[s, j] @ Pi)
-
-    Pi = _rk4_backward(grid, _sym(model.G), rhs, "Pi", psd=True)
-    report = PiTransformReport(delta=delta, Pi=Pi, condition_margins=margins)
+    # -dPi/dt = Pi L + L'Pi + Mterm - Pi N Pi, L = Ahat + (delta/2) I
+    L = Ahat + 0.5 * delta * np.eye(model.n)
+    Pi, psd_margins = _riccati_lift(grid, -Mterm, L, _T(L), c.B @ Sinv @ c.Bt,
+                                    _sym(model.G), "Pi", psd=True)
+    report = PiTransformReport(delta=delta, Pi=Pi, condition_margins=margins,
+                               psd_margins=psd_margins)
     return Pi - P, report
 
 
-def solve_Phi(model: LqMfgModel, P, Gamma) -> np.ndarray:
+def solve_Phi(model: LqMfgModel, P, Gamma, *, stages=None) -> np.ndarray:
     """Integrate the affine offset Phi backward from Phi(T) = 0.
 
     Linear in Phi once P and Gamma are known; each is read at interval
-    midpoints through its own equation.  Returns an (M+1, n) array.
+    midpoints through its own equation (``stages`` is the ``_p_stages`` of
+    P when the caller already built them).  Returns an (M+1, n) array.
     """
-    eq = _PEquation(model)
-    c = eq.c
-    Ps, Sinv, S = _p_stages(eq, P)
+    c, Ps, Sinv, S = _stages_of(model, np.asarray(P, float), stages)
     ends = _gamma_terms(c, Ps[::2], Sinv[::2], S[::2])
     Gs = _hermite_stages(Gamma, lambda G: _gamma_rhs(G, *ends), model.grid.h)
     W = (S + Gs @ c.B) @ Sinv
@@ -509,6 +605,8 @@ class SolveSummary:
     pi_error: str | None = None
     sigma_margin: float | None = None   # min_j lambda_min(Sigma_j) - r_min
     sigma_margin_node: int | None = None
+    p_psd_margin: float | None = None   # min_j lambda_min(P_j)
+    p_psd_margin_node: int | None = None
 
 
 def solve_riccati(model: LqMfgModel, p_method: str = "direct",
@@ -522,41 +620,46 @@ def solve_riccati(model: LqMfgModel, p_method: str = "direct",
     the maximum per-node Frobenius deviation between routes is recorded.  When
     gamma_method="both" and the Pi precondition fails, the direct result is
     kept and the precondition message is recorded instead of raising.
+    One ``_PEquation`` and one set of P stage stacks serve every route.
     """
     if p_method not in ("direct", "iterative", "both"):
         raise UsageError(f"unknown p_method '{p_method}'")
     if gamma_method not in ("direct", "pi_transform", "both"):
         raise UsageError(f"unknown gamma_method '{gamma_method}'")
 
+    eq = _PEquation(model)
     p_agreement = info = None
     if p_method == "direct":
-        P = solve_P_direct(model)
+        P = solve_P_direct(model, eq=eq)
     elif p_method == "iterative":
-        P, info = solve_P_iterative(model, max_iters=max_iters, tol=tol)
+        P, info = solve_P_iterative(model, max_iters=max_iters, tol=tol, eq=eq)
     else:
-        P = solve_P_direct(model)
-        P_it, info = solve_P_iterative(model, max_iters=max_iters, tol=tol)
+        P = solve_P_direct(model, eq=eq)
+        P_it, info = solve_P_iterative(model, max_iters=max_iters, tol=tol,
+                                       eq=eq)
         p_agreement = float(np.sqrt(((P - P_it) ** 2).sum(axis=(1, 2))).max())
 
+    stages = _p_stages(eq, P)
     gamma_agreement = pi_report = pi_error = None
     if gamma_method == "pi_transform":
-        Gamma, pi_report = solve_Gamma_via_Pi(model, P)
+        Gamma, pi_report = solve_Gamma_via_Pi(model, P, stages=stages)
     else:
-        Gamma = solve_Gamma_direct(model, P)
+        Gamma = solve_Gamma_direct(model, P, stages=stages)
     if gamma_method == "both":
         try:
-            Gamma_pi, pi_report = solve_Gamma_via_Pi(model, P)
+            Gamma_pi, pi_report = solve_Gamma_via_Pi(model, P, stages=stages)
         except UsageError as exc:
             pi_error = str(exc)
         else:
             gamma_agreement = float(
                 np.sqrt(((Gamma - Gamma_pi) ** 2).sum(axis=(1, 2))).max())
 
-    Phi = solve_Phi(model, P, Gamma)
+    Phi = solve_Phi(model, P, Gamma, stages=stages)
     Sigma = sigma_sequence(model, P)
     sol = RiccatiSolution(grid=model.grid, P=P, Gamma=Gamma, Phi=Phi, Sigma=Sigma)
     law = build_feedback(model, sol)
     margins = np.linalg.eigvalsh(Sigma)[:, 0] - model.r_min
+    p_eigs = np.linalg.eigvalsh(P)[:, 0]
     return SolveSummary(
         solution=sol, feedback=law, p_method=p_method, gamma_method=gamma_method,
         p_agreement=p_agreement, gamma_agreement=gamma_agreement,
@@ -564,4 +667,5 @@ def solve_riccati(model: LqMfgModel, p_method: str = "direct",
         iterative_residuals=None if info is None else info.residuals,
         pi_report=pi_report, pi_error=pi_error,
         sigma_margin=float(margins.min()),
-        sigma_margin_node=int(margins.argmin()))
+        sigma_margin_node=int(margins.argmin()),
+        p_psd_margin=float(p_eigs.min()), p_psd_margin_node=int(p_eigs.argmin()))

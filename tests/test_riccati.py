@@ -25,9 +25,10 @@ import pytest
 import lqmfg
 from lqmfg import (CoefficientSchedule, ConvergenceError, DivergenceError,
                    LqMfgModel, SingularSigmaError, TimeGrid, UsageError)
-from lqmfg.riccati import (build_feedback, sigma_sequence, solve_Gamma_direct,
-                           solve_Gamma_via_Pi, solve_P_direct,
-                           solve_P_iterative, solve_Phi, solve_riccati)
+from lqmfg.riccati import (_riccati_lift, build_feedback, sigma_sequence,
+                           solve_Gamma_direct, solve_Gamma_via_Pi,
+                           solve_P_direct, solve_P_iterative, solve_Phi,
+                           solve_riccati)
 from lqmfg.scenario import preset
 
 
@@ -117,6 +118,34 @@ def test_singular_weighting_on_stage_stacks_reports_latest_time():
         assert err.value.min_eig == pytest.approx(-1.0)
 
 
+def sigma_drop_model(R_low, D, Q, steps=100):
+    """R = 1 on the intervals after t = 0.6 and ``R_low`` on the others."""
+    grid = TimeGrid(1.0, steps)
+    R = np.where(grid.nodes <= 0.6 + 1e-12, R_low, 1.0)[:, None, None]
+    return LqMfgModel.from_constants(grid, A=0.0, B=1.0, D=D, Q=Q, R=R,
+                                     G=1.0, x0=[0.0])
+
+
+def test_singular_weighting_partway_reports_first_failure_of_the_sweep():
+    # Sigma = R + D'PD first falls below r_min at the right node of
+    # interval 60, t = 0.61, the first stage that reads R = -1; its minimum
+    # eigenvalue there is -1 + P/4 at that stage.
+    with pytest.raises(SingularSigmaError) as err:
+        solve_P_direct(sigma_drop_model(-1.0, D=0.5, Q=1.0))
+    assert err.value.t == pytest.approx(0.61)
+    assert err.value.min_eig == pytest.approx(-0.7351375386755754, rel=1e-12)
+
+
+def test_singular_weighting_wins_over_a_later_overflow():
+    # With Sigma = -0.5 after t = 0.61 the equation turns into
+    # dP/ds = Q + 2 P^2 backward in time, which overflows a few steps later;
+    # the Sigma failure comes first in the sweep and is the one reported.
+    with pytest.raises(SingularSigmaError) as err:
+        solve_P_direct(sigma_drop_model(-0.5, D=0.0, Q=100.0))
+    assert err.value.t == pytest.approx(0.61)
+    assert err.value.min_eig == -0.5
+
+
 def test_divergence_reports_node():
     # lambda*h far outside the RK4 stability region blows the iteration up
     model = LqMfgModel.from_constants(TimeGrid(1.0, 4), A=100.0, B=1.0,
@@ -127,6 +156,47 @@ def test_divergence_reports_node():
     assert err.value.t == 0.5
     assert str(err.value) == ("P lost positive semidefiniteness at node 2 "
                               "(t=0.5): min eigenvalue -1.506e+23")
+
+
+def test_pi_psd_guard_reports_first_failing_node():
+    # Pi(T) = G = -0.5 is not PSD; the terminal node is given, not checked,
+    # so the first node the sweep computes, 19 of 20, is the one reported.
+    model = LqMfgModel.from_constants(TimeGrid(1.0, 20), A=0.0, B=1.0,
+                                      alpha=0.5, Q=1.0, R=1.0, G=-0.5,
+                                      x0=[0.0])
+    with pytest.raises(DivergenceError) as err:
+        solve_Gamma_via_Pi(model, np.ones((21, 1, 1)))
+    assert str(err.value) == ("Pi lost positive semidefiniteness at node 19 "
+                              "(t=0.95): min eigenvalue -5.260e-01")
+
+
+def test_lift_reports_finite_escape_time():
+    # dY/dt = Y^2 with Y(1) = -2 is 1/(0.5 - t), with a pole at t = 0.5.
+    # Its lift X = 2t - 1, V = -2 stays finite across the pole, so a sweep
+    # that only renormalizes would return finite values beyond it (5.0 at
+    # t = 0.3); the step whose X is not positive is the divergence.  The
+    # pole sits on a node, so rounding puts it on that node or the next.
+    for M, node in ((100, 50), (1000, 499)):
+        zero, one = np.zeros((3, M, 1, 1)), np.ones((3, M, 1, 1))
+        with pytest.raises(DivergenceError) as err:
+            _riccati_lift(TimeGrid(1.0, M), zero, zero, zero, one,
+                          np.full((1, 1), -2.0), "Gamma")
+        assert err.value.node == node, M
+        assert "finite escape time" in str(err.value)
+
+
+def test_gamma_reports_the_node_of_its_pole():
+    # Along the supplied P = 0 (A = 0, B = R = 1, Q = 4) the Gamma equation
+    # is dGamma/dt = Gamma^2 + 4 with Gamma(1) = 0, so Gamma(t) =
+    # -2 tan(2 (1 - t)) has its pole at t = 1 - pi/4 = 0.2146, between
+    # nodes 21 and 22 of 100: node 21 is the first node past it.
+    model = LqMfgModel.from_constants(TimeGrid(1.0, 100), A=0.0, B=1.0,
+                                      Q=4.0, R=1.0, G=0.0, x0=[0.0])
+    with pytest.raises(DivergenceError) as err:
+        solve_Gamma_direct(model, np.zeros((101, 1, 1)))
+    assert err.value.node == 21 and err.value.t == pytest.approx(0.21)
+    assert str(err.value) == ("Gamma diverged at node 21 (t=0.21): finite "
+                              "escape time within the step")
 
 
 def test_linear_routes_report_divergence_node():

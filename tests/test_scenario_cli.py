@@ -189,6 +189,63 @@ def test_cli_solve_report_carries_margins(tmp_path):
                                                            rel=1e-12)
 
 
+def test_cli_solve_report_carries_psd_margins(tmp_path):
+    # n = 2 with alpha = delta I and beta = beta0 = 0, so both Gamma routes
+    # run and the report carries the minimum eigenvalue of P and of Pi.
+    d = preset("netsec-numeric").to_dict()
+    d["model"].update({
+        "n": 2, "k": 1, "steps": 40, "x0": [1.0, -0.5],
+        "G": [[1.0, 0.3], [0.3, 0.5]],
+        "A": [[-0.5, 0.4], [0.2, -0.3]], "B": [[1.0], [0.4]],
+        "alpha": [[0.3, 0.0], [0.0, 0.3]], "b": [[0.5], [-0.2]],
+        "C": [[0.2, 0.1], [0.0, 0.3]], "D": [[0.4], [0.2]],
+        "beta": 0.0, "sigma": [[0.5], [0.4]], "C0": 0.0,
+        "D0": [[0.3], [0.1]], "beta0": 0.0, "sigma0": [[0.3], [0.2]],
+        "Q": [[1.0, 0.2], [0.2, 0.8]], "R": [[1.0]]})
+    d["experiment"] = {"kind": "solve", "seed": 1}
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "m"}
+    assert main(["--config", write_config(tmp_path, d), "--quiet"]) == 0
+    cross = json.loads(
+        (tmp_path / "out" / "m_solve_report.json").read_text())["cross_check"]
+    data = np.genfromtxt(tmp_path / "out" / "m_riccati.csv", delimiter=",",
+                         names=True)
+
+    def matrices(name):
+        return np.stack([[data[f"{name}_{i}_{j}"] for j in (1, 2)]
+                         for i in (1, 2)]).transpose(2, 0, 1)
+
+    # riccati.csv holds the direct route's Gamma, which differs from the
+    # Pi route's Pi - P by at most gamma_agreement (Frobenius, per node),
+    # and so does the minimum eigenvalue of P + Gamma from that of Pi
+    P = matrices("P")
+    for margin, X, tol in ((cross["p_psd_margin"], P, 0.0),
+                           (cross["pi"]["psd_margin"], P + matrices("Gamma"),
+                            cross["gamma_agreement"])):
+        eigs = np.linalg.eigvalsh(X)[:, 0]
+        node = int(np.argmin(eigs))
+        assert margin["node"] == node
+        assert margin["t"] == data["t"][node]
+        assert margin["value"] == pytest.approx(eigs[node], rel=1e-12,
+                                                abs=tol)
+        assert margin["value"] > 0.0
+
+
+def test_cli_gamma_escape_exits_4_with_one_record(tmp_path, capsys):
+    # P stays bounded, but C (C + beta) = -2 drives Pi = P + Gamma negative
+    # and Gamma through a pole near t = 0.212: node 21 of 100 is the first
+    # node past it.  Only the direct Gamma route runs (beta != 0).
+    d = closed_form_dict(steps=100, A=0.0, alpha=0.0, C=1.0, beta=-3.0,
+                         Q=10.0, G=0.0)
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "pole"}
+    code = main(["--config", write_config(tmp_path, d), "--quiet"])
+    assert code == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "DivergenceError"
+    assert record["message"].startswith("Gamma diverged at node 21 (t=0.21)")
+
+
 def test_cli_quiet_suppresses_listing(tmp_path, capsys):
     code = main(["--preset", "netsec-closed-form", "--out", str(tmp_path),
                  "--steps", "50", "--quiet"])
