@@ -175,7 +175,8 @@ def test_lift_reports_finite_escape_time():
     # Its lift X = 2t - 1, V = -2 stays finite across the pole, so a sweep
     # that only renormalizes would return finite values beyond it (5.0 at
     # t = 0.3); the step whose X is not positive is the divergence.  The
-    # pole sits on a node, so rounding puts it on that node or the next.
+    # pole sits on a node, so rounding reports that node or the one after
+    # it in the sweep.
     for M, node in ((100, 50), (1000, 499)):
         zero, one = np.zeros((3, M, 1, 1)), np.ones((3, M, 1, 1))
         with pytest.raises(DivergenceError) as err:
