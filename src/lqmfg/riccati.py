@@ -25,7 +25,8 @@ linear equations, each Lyapunov iterate (in vech coordinates, so exactly
 symmetric) and Phi, go through ``_rk4_linear``.  Gamma and Pi are of
 standard Riccati form, dY/dt = F - Y L - Acl' Y + Y N Y, so they go through
 the step maps of their linear lift (``_riccati_lift``), with X restarted at
-I on every node; a step in which X turns singular is a finite escape time.
+I on every node; a step in which X turns singular or gets an eigenvalue
+with real part <= 0 is a finite escape time.
 P is the one equation stepped stage by stage: its weighting Sigma depends on
 P through D and D0.  Its stages come from per-interval affine maps of
 vech(P) built once (``_PEquation``); Sigma is inverted directly, and the
@@ -181,8 +182,10 @@ def _riccati_lift(grid: TimeGrid, F, L, Aclt, N, terminal, name: str,
 
     The sweep restarts X at I on every node: Y_j = (T21 + T22 Y_{j+1})
     (T11 + T12 Y_{j+1})^{-1} with the lift's step maps T.  The lift steps
-    through a pole of Y with finite values, so a step whose X is not
-    positive (det X <= 0) is a finite escape time.  With ``psd`` every node
+    through a pole of Y with finite values, so a step whose X is singular or
+    has an eigenvalue with real part <= 0 is a finite escape time (det X
+    would miss an even number of eigenvalues crossing zero at once, as in a
+    model made of identical copies).  With ``psd`` every node
     is symmetrized and its minimum eigenvalue must stay above -TOL_PSD.
     Returns the (M+1, n, n) node sequence and, with ``psd``, the (M+1,)
     minimum eigenvalues.  Raises ``DivergenceError`` at the first node of
@@ -194,19 +197,26 @@ def _riccati_lift(grid: TimeGrid, F, L, Aclt, N, terminal, name: str,
     Tx, Ty = T[..., :n], T[..., n:]
     Y = np.full((M + 1, n, n), np.nan)
     X = np.full((M, n, n), np.nan)
+    escape = np.zeros(M, dtype=bool)
     Y[M] = terminal
     for j in range(M - 1, -1, -1):
         Z = Tx[j] + Ty[j] @ Y[j + 1]
         X[j] = Z[:n]
         try:
             Yj = np.linalg.solve(_T(Z[:n]), _T(Z[n:]))
-        except np.linalg.LinAlgError:  # X singular: det X = 0 below
+        except np.linalg.LinAlgError:
+            escape[j] = True
             break
         Y[j] = 0.5 * (Yj + Yj.T) if psd else Yj.T
+    # X = I + O(h) on a step that no pole crosses; an eigenvalue with real
+    # part <= 0 lies at least 1 from 1, so only X with |X - I|_F >= 1 can
+    # have one
+    d = ((X - np.eye(n)) ** 2).sum(axis=(1, 2))
+    far = np.isfinite(d) & (d >= 1.0)
+    escape[far] |= (np.linalg.eigvals(X[far]).real <= 0.0).any(axis=-1)
     # nodes the sweep did not reach are NaN and lie below its first failure
-    det = np.linalg.det(X)
     finite = np.isfinite(Y).all(axis=(1, 2))
-    bad = ~(det > 0.0) | ~finite[:M]
+    bad = escape | ~finite[:M]
     lam = None
     if psd:
         lam = np.full(M + 1, -np.inf)
@@ -214,11 +224,11 @@ def _riccati_lift(grid: TimeGrid, F, L, Aclt, N, terminal, name: str,
         bad |= lam[:M] < -TOL_PSD
     if bad.any():
         j = int(np.flatnonzero(bad)[-1])
-        if det[j] <= 0.0 or not finite[j]:
+        if escape[j] or not finite[j]:
             raise DivergenceError(
                 f"{name} diverged", node=j, t=grid.nodes[j],
                 detail="finite escape time within the step"
-                if det[j] <= 0.0 else None)
+                if escape[j] else None)
         raise _psd_error(name, j, grid.nodes[j], lam[j])
     return Y, lam
 
@@ -287,20 +297,20 @@ def solve_P_direct(model: LqMfgModel, *, eq: _PEquation | None = None):
         sig = Sig[j, i] = v[nn:kk].reshape(k, k)
         return v[:nn].reshape(n, n) + S @ np.linalg.inv(sig) @ S.T
 
-    low, singular = 0, None   # the last node reached; its singular slope
-    try:
-        for low in range(M - 1, -1, -1):
-            y = P[low + 1]
-            k1 = slope(y, low, 0)
-            k2 = slope(y - 0.5 * h * k1, low, 1)
-            k3 = slope(y - 0.5 * h * k2, low, 2)
-            k4 = slope(y - h * k3, low, 3)
-            y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            P[low] = 0.5 * (y + y.T)
-            if not np.isfinite(P[low]).all():
-                break
-    except np.linalg.LinAlgError:   # the last Sigma recorded is singular
-        singular = np.isfinite(Sig[low]).all(axis=(1, 2)).sum() - 1
+    singular = None   # (interval, slope) of a Sigma that inv rejects
+    for j in range(M - 1, -1, -1):
+        y, ks = P[j + 1], []
+        try:
+            ks.append(slope(y, j, 0))
+            for i, a in ((1, 0.5), (2, 0.5), (3, 1.0)):
+                ks.append(slope(y - a * h * ks[-1], j, i))
+        except np.linalg.LinAlgError:
+            singular = j, len(ks)
+            break
+        y = y - (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+        P[j] = 0.5 * (y + y.T)
+        if not np.isfinite(P[j]).all():
+            break
 
     # the first failure in sweep order: interval j's four slopes, then node
     # j; nodes the sweep did not reach are NaN and lie below it
@@ -312,7 +322,7 @@ def solve_P_direct(model: LqMfgModel, *, eq: _PEquation | None = None):
     lam[reached] = np.linalg.eigvalsh(P[reached])[:, 0]
     bad = np.concatenate([w < eq.r_min, lam[:M, None] < -TOL_PSD], axis=1)
     if singular is not None:
-        bad[low, singular] = True
+        bad[singular] = True
     if bad.any():
         j = int(np.flatnonzero(bad.any(axis=1))[-1])
         i = int(np.argmax(bad[j]))

@@ -136,6 +136,17 @@ def test_singular_weighting_partway_reports_first_failure_of_the_sweep():
     assert err.value.min_eig == pytest.approx(-0.7351375386755754, rel=1e-12)
 
 
+def test_singular_weighting_inside_a_step_reports_its_stage():
+    # Sigma = P (R = 0, D = 1) and dP/dt = -Q = 1: the first slope of the
+    # last step sees Sigma = G = 0.25, the second the exactly singular
+    # G - (h/2) * 1 = 0, at the midpoint t = 0.75.
+    model = LqMfgModel.from_constants(TimeGrid(1.0, 2), A=0.0, B=0.0, D=1.0,
+                                      Q=-1.0, R=0.0, G=0.25, x0=[0.0])
+    with pytest.raises(SingularSigmaError) as err:
+        solve_P_direct(model)
+    assert err.value.t == 0.75 and err.value.min_eig == 0.0
+
+
 def test_singular_weighting_wins_over_a_later_overflow():
     # With Sigma = -0.5 after t = 0.61 the equation turns into
     # dP/ds = Q + 2 P^2 backward in time, which overflows a few steps later;
@@ -186,6 +197,19 @@ def test_lift_reports_finite_escape_time():
         assert "finite escape time" in str(err.value)
 
 
+def test_lift_reports_an_escape_of_repeated_eigenvalues():
+    # Two copies of dY/dt = Y^2, Y(1) = -2: X = (2t - 1) I crosses zero with
+    # both eigenvalues at once, so det X stays positive past the pole and
+    # only X's eigenvalues show the escape.
+    M = 100
+    zero, eye = np.zeros((3, M, 2, 2)), np.broadcast_to(np.eye(2), (3, M, 2, 2))
+    with pytest.raises(DivergenceError) as err:
+        _riccati_lift(TimeGrid(1.0, M), zero, zero, zero, eye,
+                      -2.0 * np.eye(2), "Gamma")
+    assert err.value.node == 50
+    assert "finite escape time" in str(err.value)
+
+
 def test_gamma_reports_the_node_of_its_pole():
     # Along the supplied P = 0 (A = 0, B = R = 1, Q = 4) the Gamma equation
     # is dGamma/dt = Gamma^2 + 4 with Gamma(1) = 0, so Gamma(t) =
@@ -196,6 +220,19 @@ def test_gamma_reports_the_node_of_its_pole():
     with pytest.raises(DivergenceError) as err:
         solve_Gamma_direct(model, np.zeros((101, 1, 1)))
     assert err.value.node == 21 and err.value.t == pytest.approx(0.21)
+    assert str(err.value) == ("Gamma diverged at node 21 (t=0.21): finite "
+                              "escape time within the step")
+
+
+def test_gamma_reports_the_pole_of_an_isotropic_model():
+    # The n = k = 2 isotropic copy of the model above: Gamma = g(t) I has the
+    # same pole, which det X = x^2 > 0 would hide.
+    eye = np.eye(2)
+    model = LqMfgModel.from_constants(TimeGrid(1.0, 100), A=0.0 * eye, B=eye,
+                                      Q=4.0 * eye, R=eye, G=0.0 * eye,
+                                      x0=[0.0, 0.0])
+    with pytest.raises(DivergenceError) as err:
+        solve_Gamma_direct(model, np.zeros((101, 2, 2)))
     assert str(err.value) == ("Gamma diverged at node 21 (t=0.21): finite "
                               "escape time within the step")
 
