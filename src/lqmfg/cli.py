@@ -109,8 +109,10 @@ def _diagnostic_dict(diag) -> dict:
 def _cross_check_dict(summary) -> dict:
     nodes = summary.solution.grid.nodes
 
-    def margin(value, node):
-        return {"value": float(value), "node": int(node),
+    def margin(per_node):
+        """The smallest of a per-node margin, with its node and time."""
+        node = int(np.argmin(per_node))
+        return {"value": float(per_node[node]), "node": node,
                 "t": float(nodes[node])}
 
     out = {"p_method": summary.p_method,
@@ -119,19 +121,16 @@ def _cross_check_dict(summary) -> dict:
            "gamma_agreement": summary.gamma_agreement,
            "iterative_iterations": summary.iterative_iterations,
            "iterative_residuals": summary.iterative_residuals,
-           "sigma_margin": margin(summary.sigma_margin,
-                                  summary.sigma_margin_node),
-           "p_psd_margin": margin(summary.p_psd_margin,
-                                  summary.p_psd_margin_node),
+           "sigma_margin": margin(summary.sigma_margins),
+           "p_psd_margin": margin(summary.p_psd_margins),
            "pi": None, "pi_error": summary.pi_error}
     if summary.pi_report is not None:
         rep = summary.pi_report
-        node = int(np.argmin(rep.psd_margins))
         out["pi"] = {"delta": float(rep.delta),
                      "condition_ok": bool(rep.condition_ok),
                      "min_margin": float(min(rep.condition_margins)),
                      "violated_nodes": [int(j) for j in rep.violated_nodes],
-                     "psd_margin": margin(rep.psd_margins[node], node)}
+                     "psd_margin": margin(rep.psd_margins)}
     return out
 
 
@@ -192,14 +191,12 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
 
     exp = config.experiment
     law = summary.feedback
-    beta_literal = solver.m00_beta_literal
 
     if exp.kind == "simulate":
         N = _require(exp.N, "N", exp.kind)
         workers = resolve_workers()
         Em = integrate_Em(model, law)
-        sample = simulate_population(model, law, Em, N, exp.seed,
-                                     beta_literal=beta_literal)
+        sample = simulate_population(model, law, Em, N, exp.seed)
         emit("meanfield.csv", write_meanfield_csv,
              model.grid, sample.m, sample.Em)
         width = max(3, len(str(N)))
@@ -226,8 +223,7 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         Ns = _require(exp.Ns, "Ns", exp.kind)
         runner = (rate_experiment_state if exp.kind == "rate_state"
                   else rate_experiment_cost)
-        rate = runner(model, law, Ns, exp.S, exp.seed,
-                      beta_literal=beta_literal)
+        rate = runner(model, law, Ns, exp.S, exp.seed)
         payload = rate_report_dict(rate)
         payload["format_version"] = FORMAT_VERSION
         emit(f"{exp.kind}.json", write_json, payload)
@@ -236,7 +232,7 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         N = _require(exp.N, "N", exp.kind)
         candidates = build_candidates(exp.candidates)
         dev = deviation_experiment(model, law, N, exp.S, candidates,
-                                   exp.seed, beta_literal=beta_literal)
+                                   exp.seed)
         payload = deviation_report_dict(dev)
         payload["format_version"] = FORMAT_VERSION
         emit("deviation.json", write_json, payload)

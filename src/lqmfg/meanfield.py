@@ -182,14 +182,13 @@ def integrate_Em(model: LqMfgModel, law: FeedbackLaw) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
-                common: NoisePath, beta_literal: bool = False) -> np.ndarray:
+                common: NoisePath) -> np.ndarray:
     """Euler-Maruyama for the conditional-mean SDE driven by stream 0.
 
     Drift {(A + alpha) m + B E[u] + b}; diffusion
-    {(C0 + beta0) m + D0 E[u] + sigma0} against dW0.  ``beta_literal``
-    switches the diffusion's state coefficient to (C0 + beta), reproducing a
-    printed variant of the equation that is inconsistent with the rest of the
-    system; the default keeps beta0.
+    {(C0 + beta0) m + D0 E[u] + sigma0} against dW0.  The state average
+    enters the common-noise channel through beta0, the coefficient that the
+    Riccati system reads there too.
     """
     _check_law(model, law)
     if common.stream != 0:
@@ -198,7 +197,7 @@ def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
     A, alpha = model.A.values, model.alpha.values
     B, b = model.B.values, model.b.values
     C0, D0, sigma0 = model.C0.values, model.D0.values, model.sigma0.values
-    state_diff = model.beta.values if beta_literal else model.beta0.values
+    beta0 = model.beta0.values
     dW = common.increments
     m = np.empty((M + 1, model.n))
     m[0] = model.x0
@@ -206,7 +205,7 @@ def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
     for j in range(M):
         Eu = _mean_control(law, Em, j)
         drift = (A[j] + alpha[j]) @ m[j] + B[j] @ Eu + b[j][:, 0]
-        diff = (C0[j] + state_diff[j]) @ m[j] + D0[j] @ Eu + sigma0[j][:, 0]
+        diff = (C0[j] + beta0[j]) @ m[j] + D0[j] @ Eu + sigma0[j][:, 0]
         m[j + 1] = m[j] + h * drift + dW[j] * diff
         if not np.isfinite(m[j + 1]).all():
             raise DivergenceError("m diverged", node=j + 1,
@@ -214,12 +213,12 @@ def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
     return m
 
 
-def integrate_mean_field(model: LqMfgModel, law: FeedbackLaw, seed: int,
-                         beta_literal: bool = False) -> MeanFieldPath:
+def integrate_mean_field(model: LqMfgModel, law: FeedbackLaw, seed: int
+                         ) -> MeanFieldPath:
     """Convenience wrapper bundling E[m] and one m realization."""
     Em = integrate_Em(model, law)
     common = NoisePath.generate(model.grid, seed, 0)
-    m = integrate_m(model, law, Em, common, beta_literal=beta_literal)
+    m = integrate_m(model, law, Em, common)
     return MeanFieldPath(grid=model.grid, m=m, Em=Em)
 
 

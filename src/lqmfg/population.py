@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DivergenceError, UsageError
 from .meanfield import derive_seed, fill_increments, integrate_Em
-from .model import LqMfgModel
+from .model import COEFFICIENTS, LqMfgModel
 from .riccati import FeedbackLaw
 
 # Noise draws per block of samples: 2 MB of float64 increments.
@@ -92,17 +92,22 @@ def default_candidate_family() -> tuple[DeviationCandidate, ...]:
     return candidate_family((0.0, 0.5, 0.8, 1.2, 1.5, 2.0), True, (0.5, -0.5))
 
 
+# The slots of the state equation, in table order: all but the cost weights.
+_STATE_SLOTS = tuple(name for name in COEFFICIENTS if name not in ("Q", "R"))
+
+
 class _SimPayload:
     """Everything a block needs, precomputed once and shipped to workers.
 
-    Holds per-node coefficient arrays for row-vector states (matrices
-    transposed) and the deterministic mean-control pieces.  The kernel reads
-    the ``_STEP_COEFFS`` of a node as plain floats for scalar models and as
-    these arrays for matrix models.
+    ``coeffs`` holds the per-node coefficients of a kernel step for
+    row-vector states (matrices transposed, columns as vectors), in the
+    order the kernel unpacks them: the feedback and cost weights, the state
+    equation's slots, then the filtered-state and mean-field steps.  The
+    kernel reads a node's coefficients as plain floats for scalar models and
+    as these arrays for matrix models.
     """
 
-    def __init__(self, model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
-                 beta_literal: bool = False):
+    def __init__(self, model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray):
         grid = model.grid
         self.h = float(grid.h)
         self.M = int(grid.steps)
@@ -116,63 +121,39 @@ class _SimPayload:
             raise UsageError("Em sequence does not match the grid and state "
                              "dimension")
 
-        def vals(name):
-            return getattr(model, name).values
+        def transposed(X):
+            return np.ascontiguousarray(X.transpose(0, 2, 1))
 
-        def transposed(name):
-            return np.ascontiguousarray(vals(name).transpose(0, 2, 1))
+        slots = [getattr(model, name).values for name in _STATE_SLOTS]
+        A, B, alpha, b, C, D, beta, sigma, C0, D0, beta0, sigma0 = slots
+        state = [X[:, :, 0].copy() if COEFFICIENTS[name] == "n1"
+                 else transposed(X) for name, X in zip(_STATE_SLOTS, slots)]
 
-        self.AT = transposed("A")
-        self.BT = transposed("B")
-        self.CT = transposed("C")
-        self.DT = transposed("D")
-        self.C0T = transposed("C0")
-        self.D0T = transposed("D0")
-        self.alT = transposed("alpha")
-        self.beT = transposed("beta")
-        self.be0T = transposed("beta0")
-        self.bb = vals("b")[:, :, 0].copy()
-        self.sgv = vals("sigma")[:, :, 0].copy()
-        self.sg0v = vals("sigma0")[:, :, 0].copy()
-
-        self.KzT = np.ascontiguousarray(law.K_z.transpose(0, 2, 1))
         # Deterministic control pieces: K_m Em + c_u, and the mean control.
-        self.kmc = np.einsum("jkn,jn->jk", law.K_m, self.Em) + law.c_u
-        Euv = np.einsum("jkn,jn->jk", law.K_z, self.Em) + self.kmc
+        kmc = np.einsum("jkn,jn->jk", law.K_m, self.Em) + law.c_u
+        Euv = np.einsum("jkn,jn->jk", law.K_z, self.Em) + kmc
 
         # Filtered-state step: zhat' = P1 zhat + p0, diffusion Q1 zhat + q0.
-        A, B = vals("A"), vals("B")
-        C, D = vals("C"), vals("D")
         P1 = A + np.einsum("jnk,jkm->jnm", B, law.K_z)
         Q1 = C + np.einsum("jnk,jkm->jnm", D, law.K_z)
-        self.P1T = np.ascontiguousarray(P1.transpose(0, 2, 1))
-        self.Q1T = np.ascontiguousarray(Q1.transpose(0, 2, 1))
-        self.p0 = (np.einsum("jnm,jm->jn", vals("alpha"), self.Em)
-                   + np.einsum("jnk,jk->jn", B, self.kmc) + self.bb)
-        self.q0 = (np.einsum("jnm,jm->jn", vals("beta"), self.Em)
-                   + np.einsum("jnk,jk->jn", D, self.kmc) + self.sgv)
+        p0 = (np.einsum("jnm,jm->jn", alpha, self.Em)
+              + np.einsum("jnk,jk->jn", B, kmc) + b[:, :, 0])
+        q0 = (np.einsum("jnm,jm->jn", beta, self.Em)
+              + np.einsum("jnk,jk->jn", D, kmc) + sigma[:, :, 0])
 
-        # Mean-field step: m' = ApAl m + BEu, diffusion Md0 m + D0Eu.
-        ApAl = A + vals("alpha")
-        Md0 = vals("C0") + (vals("beta") if beta_literal
-                            else vals("beta0"))
-        self.ApAlT = np.ascontiguousarray(ApAl.transpose(0, 2, 1))
-        self.Md0T = np.ascontiguousarray(Md0.transpose(0, 2, 1))
-        self.BEu = np.einsum("jnk,jk->jn", B, Euv) + self.bb
-        self.D0Eu = np.einsum("jnk,jk->jn", vals("D0"), Euv) + self.sg0v
+        # Mean-field step: m' = (A + alpha) m + BEu, diffusion
+        # (C0 + beta0) m + D0Eu.
+        BEu = np.einsum("jnk,jk->jn", B, Euv) + b[:, :, 0]
+        D0Eu = np.einsum("jnk,jk->jn", D0, Euv) + sigma0[:, :, 0]
 
         w = np.full(self.M + 1, self.h)
         w[0] = w[-1] = 0.5 * self.h
-        self.Qw = w[:, None, None] * vals("Q")
-        self.Rw = w[:, None, None] * vals("R")
-
-
-# Per-node coefficients of a kernel step, in the order the kernel unpacks
-# them.
-_STEP_COEFFS = ("KzT", "kmc", "Qw", "Rw",
-                "AT", "BT", "alT", "bb", "CT", "DT", "beT", "sgv",
-                "C0T", "D0T", "be0T", "sg0v",
-                "P1T", "p0", "Q1T", "q0", "ApAlT", "BEu", "Md0T", "D0Eu")
+        w = w[:, None, None]
+        self.coeffs = [transposed(law.K_z), kmc, w * model.Q.values,
+                       w * model.R.values, *state,
+                       transposed(P1), p0, transposed(Q1), q0,
+                       transposed(A + alpha), BEu, transposed(C0 + beta0),
+                       D0Eu]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -250,7 +231,7 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     """
     M, h, n = pl.M, pl.h, pl.n
     B, N = dWi.shape[:2]
-    coeffs = [getattr(pl, name) for name in _STEP_COEFFS]
+    coeffs = pl.coeffs
     if n == pl.k == 1:
         op, vec = operator.mul, ()
         coeffs = [c.reshape(M + 1).tolist() for c in coeffs]
@@ -349,8 +330,7 @@ def _run_block(pl: _SimPayload, N: int, seeds, cands=()) -> _BlockStats:
 
 
 def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
-                        seed: int, beta_literal: bool = False
-                        ) -> PopulationSample:
+                        seed: int) -> PopulationSample:
     """Joint simulation of N agents with recorded trajectories.
 
     Stream 0 drives the common noise and the mean-field path m; agent i uses
@@ -361,7 +341,7 @@ def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
     N = int(N)
     if N < 1:
         raise UsageError("population size must be at least 1")
-    pl = _SimPayload(model, law, Em, beta_literal)
+    pl = _SimPayload(model, law, Em)
     _, sample = _block_kernel(pl, *_block_noise(pl, N, (int(seed),)),
                               record=True)
     return sample
@@ -499,8 +479,7 @@ def _check_ladder(Ns):
 
 
 def rate_experiments(model: LqMfgModel, law: FeedbackLaw, Ns, S: int,
-                     seed: int, workers=None, beta_literal: bool = False
-                     ) -> dict[str, RateFitReport]:
+                     seed: int, workers=None) -> dict[str, RateFitReport]:
     """One ladder pass producing both decay reports.
 
     Returns {"state": ..., "cost": ...}.  The state report carries two
@@ -514,7 +493,7 @@ def rate_experiments(model: LqMfgModel, law: FeedbackLaw, Ns, S: int,
         raise UsageError("need at least 2 samples per ladder point")
     workers = resolve_workers(workers)
     Em = integrate_Em(model, law)
-    payload = _SimPayload(model, law, Em, beta_literal)
+    payload = _SimPayload(model, law, Em)
     rungs = {N: _sample_tasks(N, S, payload.M, seed) for N in Ns}
     stats = map_tasks(_run_block, payload,
                       [t for N in Ns for t in rungs[N]], workers)
@@ -553,18 +532,16 @@ def rate_experiments(model: LqMfgModel, law: FeedbackLaw, Ns, S: int,
     }
 
 
-def rate_experiment_state(model, law, Ns, S, seed, workers=None,
-                          beta_literal=False) -> RateFitReport:
+def rate_experiment_state(model, law, Ns, S, seed, workers=None
+                          ) -> RateFitReport:
     """Decay of E[sup_t |x^(N) - m|^2] over the ladder; expected slope -1."""
-    return rate_experiments(model, law, Ns, S, seed, workers,
-                            beta_literal)["state"]
+    return rate_experiments(model, law, Ns, S, seed, workers)["state"]
 
 
-def rate_experiment_cost(model, law, Ns, S, seed, workers=None,
-                         beta_literal=False) -> RateFitReport:
+def rate_experiment_cost(model, law, Ns, S, seed, workers=None
+                         ) -> RateFitReport:
     """Decay of the per-agent |centralized - limiting| cost gap; slope -1/2."""
-    return rate_experiments(model, law, Ns, S, seed, workers,
-                            beta_literal)["cost"]
+    return rate_experiments(model, law, Ns, S, seed, workers)["cost"]
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +594,8 @@ def _candidate_results(J: np.ndarray, cols, candidates):
 
 
 def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
-                         candidates, seed: int, workers=None,
-                         beta_literal: bool = False) -> DeviationReport:
+                         candidates, seed: int, workers=None
+                         ) -> DeviationReport:
     """Common-random-number deviation test.
 
     Every candidate replays the same sample streams as the baseline, so cost
@@ -637,7 +614,7 @@ def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
         raise UsageError("need at least 2 samples")
     workers = resolve_workers(workers)
     Em = integrate_Em(model, law)
-    payload = _SimPayload(model, law, Em, beta_literal)
+    payload = _SimPayload(model, law, Em)
     rows, cols = _candidate_rows(candidates)
     tasks = [((N, s), N, (derive_seed(seed, N, s),), rows) for s in range(S)]
     stats = map_tasks(_run_block, payload, tasks, workers)
@@ -686,8 +663,7 @@ class LimitCostReport:
 
 
 def limit_problem_experiment(model: LqMfgModel, law: FeedbackLaw, S: int,
-                             seed: int, candidates=(),
-                             beta_literal: bool = False) -> LimitCostReport:
+                             seed: int, candidates=()) -> LimitCostReport:
     """Costs of the policy (and optional deviations) in the limiting problem.
 
     Sample s is the population kernel at N = 1 on streams 0 (common) and 1
@@ -700,7 +676,7 @@ def limit_problem_experiment(model: LqMfgModel, law: FeedbackLaw, S: int,
         raise UsageError("need at least 2 samples")
     candidates = tuple(candidates)
     Em = integrate_Em(model, law)
-    payload = _SimPayload(model, law, Em, beta_literal)
+    payload = _SimPayload(model, law, Em)
     rows, cols = _candidate_rows(candidates)
     tasks = _sample_tasks(1, S, payload.M, seed, rows)
     stats = map_tasks(_run_block, payload, tasks, resolve_workers())

@@ -64,6 +64,12 @@ def _sym(X):
     return 0.5 * (X + _T(X))
 
 
+def _max_frobenius(X, Y) -> float:
+    """The largest per-node Frobenius norm of X - Y over (M+1, n, n)
+    sequences."""
+    return float(np.sqrt(((X - Y) ** 2).sum(axis=(1, 2))).max())
+
+
 @functools.lru_cache(maxsize=None)
 def _vech_index(n):
     """vech's (rows, columns) and each n x n matrix entry's vech position."""
@@ -420,7 +426,7 @@ def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
         worst = int(np.argmin(min_eigs))
         if min_eigs[worst] < -TOL_PSD:
             raise MonotonicityError(i + 1, worst, min_eigs[worst])
-        res = float(np.sqrt((diff ** 2).sum(axis=(1, 2))).max())
+        res = _max_frobenius(P_prev, P_next)
         residuals.append(res)
         P_prev = P_next
         if res < tol:
@@ -613,10 +619,8 @@ class SolveSummary:
     iterative_residuals: tuple[float, ...] | None = None
     pi_report: PiTransformReport | None = None
     pi_error: str | None = None
-    sigma_margin: float | None = None   # min_j lambda_min(Sigma_j) - r_min
-    sigma_margin_node: int | None = None
-    p_psd_margin: float | None = None   # min_j lambda_min(P_j)
-    p_psd_margin_node: int | None = None
+    sigma_margins: np.ndarray | None = None  # (M+1,) lambda_min(Sigma) - r_min
+    p_psd_margins: np.ndarray | None = None  # (M+1,) lambda_min(P)
 
 
 def solve_riccati(model: LqMfgModel, p_method: str = "direct",
@@ -647,7 +651,7 @@ def solve_riccati(model: LqMfgModel, p_method: str = "direct",
         P = solve_P_direct(model, eq=eq)
         P_it, info = solve_P_iterative(model, max_iters=max_iters, tol=tol,
                                        eq=eq)
-        p_agreement = float(np.sqrt(((P - P_it) ** 2).sum(axis=(1, 2))).max())
+        p_agreement = _max_frobenius(P, P_it)
 
     stages = _p_stages(eq, P)
     gamma_agreement = pi_report = pi_error = None
@@ -661,21 +665,17 @@ def solve_riccati(model: LqMfgModel, p_method: str = "direct",
         except UsageError as exc:
             pi_error = str(exc)
         else:
-            gamma_agreement = float(
-                np.sqrt(((Gamma - Gamma_pi) ** 2).sum(axis=(1, 2))).max())
+            gamma_agreement = _max_frobenius(Gamma, Gamma_pi)
 
     Phi = solve_Phi(model, P, Gamma, stages=stages)
     Sigma = sigma_sequence(model, P)
     sol = RiccatiSolution(grid=model.grid, P=P, Gamma=Gamma, Phi=Phi, Sigma=Sigma)
     law = build_feedback(model, sol)
-    margins = np.linalg.eigvalsh(Sigma)[:, 0] - model.r_min
-    p_eigs = np.linalg.eigvalsh(P)[:, 0]
     return SolveSummary(
         solution=sol, feedback=law, p_method=p_method, gamma_method=gamma_method,
         p_agreement=p_agreement, gamma_agreement=gamma_agreement,
         iterative_iterations=None if info is None else info.iterations,
         iterative_residuals=None if info is None else info.residuals,
         pi_report=pi_report, pi_error=pi_error,
-        sigma_margin=float(margins.min()),
-        sigma_margin_node=int(margins.argmin()),
-        p_psd_margin=float(p_eigs.min()), p_psd_margin_node=int(p_eigs.argmin()))
+        sigma_margins=np.linalg.eigvalsh(Sigma)[:, 0] - model.r_min,
+        p_psd_margins=np.linalg.eigvalsh(P)[:, 0])

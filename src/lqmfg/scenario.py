@@ -6,8 +6,8 @@ A scenario bundles four blocks:
   entries (scalar, matrix, ``{"const": [[...]]}`` or
   ``{"schedule": [[[...]], ...]}`` with one matrix per grid node), terminal
   weight G and the R lower bound r_min;
-* ``solver`` — optional steps override, P and Gamma route selection,
-  iteration limits, and the m-equation diffusion variant flag;
+* ``solver`` — optional steps override, P and Gamma route selection and
+  iteration limits;
 * ``experiment`` — what to run (solve, simulate, rate_state, rate_cost,
   deviation) and its parameters;
 * ``output`` — destination directory and file-name prefix.
@@ -212,7 +212,6 @@ class SolverBlock:
     steps: int | None = None
     p_method: str = "direct"
     gamma_method: str = "direct"
-    m00_beta_literal: bool = False
     max_iters: int = 100
     tol: float = 1e-10
 
@@ -220,9 +219,8 @@ class SolverBlock:
     def from_dict(cls, d) -> "SolverBlock":
         if d is None:
             return cls()
-        _require_keys(d, ("steps", "p_method", "gamma_method",
-                          "m00_beta_literal", "max_iters", "tol"),
-                      "solver block")
+        _require_keys(d, ("steps", "p_method", "gamma_method", "max_iters",
+                          "tol"), "solver block")
         p_method = _str(d.get("p_method", "direct"), "solver.p_method")
         if p_method not in P_METHODS:
             raise UsageError(f"solver.p_method must be one of {P_METHODS}, "
@@ -244,8 +242,6 @@ class SolverBlock:
         if not (tol > 0):
             raise UsageError("solver.tol must be positive")
         return cls(steps=steps, p_method=p_method, gamma_method=gamma_method,
-                   m00_beta_literal=_bool(d.get("m00_beta_literal", False),
-                                          "solver.m00_beta_literal"),
                    max_iters=max_iters, tol=tol)
 
     def to_dict(self):

@@ -26,7 +26,8 @@ from scipy.integrate import solve_ivp
 import lqmfg
 from lqmfg import (LqMfgModel, NoisePath, TimeGrid, UsageError, derive_seed,
                    gaussian_increments, integrate_Em, integrate_m,
-                   integrate_mean_field, integrate_z_hat)
+                   integrate_mean_field, integrate_z_hat,
+                   simulate_population)
 from lqmfg.meanfield import fill_increments
 from lqmfg.riccati import solve_riccati
 from lqmfg.scenario import preset
@@ -202,19 +203,21 @@ def test_m_requires_stream_zero():
         integrate_m(model, law, Em, agent)
 
 
-def test_beta_literal_switches_state_coefficient():
-    # beta != 0, beta0 = 0: default diffusion is zero (m deterministic),
-    # the literal variant drives m with beta * m and must fluctuate.
+def test_m_reads_beta0_not_beta():
+    # beta != 0 while beta0 = C0 = D0 = sigma0 = 0: m's common-noise
+    # diffusion (C0 + beta0) m + D0 E[u] + sigma0 vanishes, so both the
+    # single-path integrator and the population kernel must reproduce Em; a
+    # diffusion that read beta would drive m with 0.5 m dW0 instead.
     model = LqMfgModel.from_constants(TimeGrid(1.0, 100), A=0.3, B=1.0,
                                       alpha=0.2, beta=0.5, Q=1.0, R=1.0,
                                       G=0.5, x0=[1.0])
     law = solve_riccati(model).feedback
     Em = integrate_Em(model, law)
     common = NoisePath.generate(model.grid, seed=11, stream=0)
-    m_default = integrate_m(model, law, Em, common)
-    m_literal = integrate_m(model, law, Em, common, beta_literal=True)
-    assert np.max(np.abs(m_default - Em)) < 1e-12
-    assert np.max(np.abs(m_literal - Em)) > 1e-3
+    m = integrate_m(model, law, Em, common)
+    assert np.max(np.abs(m - Em)) < 1e-12
+    sample = simulate_population(model, law, Em, N=3, seed=11)
+    assert np.max(np.abs(sample.m - Em)) < 1e-12
 
 
 def test_strong_order_one_under_refinement():

@@ -445,7 +445,7 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     ("model", "x0", ["a"]),
     (None, "format_version", "x"),
     ("model", "steps", 1.5),
-    ("solver", "m00_beta_literal", "false"),
+    ("experiment", "candidates", {"include_zero": "false"}),
     ("output", "directory", None),
     ("model", "x0", [float("nan")]),
 ])
@@ -464,6 +464,20 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
     record = json.loads(lines[0])
     assert record["error"] == "UsageError" and record["exit_code"] == 2
     assert key in record["message"]
+
+
+def test_cli_removed_solver_key_exits_2(tmp_path, capsys):
+    # a removed key that scenarios and manifests written earlier still carry
+    d = closed_form_dict()
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "old"}
+    d["solver"]["m00_beta_literal"] = False
+    code = main(["--config", write_config(tmp_path, d), "--quiet"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError" and record["exit_code"] == 2
+    assert "m00_beta_literal" in record["message"]
 
 
 def n3_k2_dict(steps, n=3, k=2):
