@@ -298,7 +298,7 @@ def _worst_min_eig(sched):
     return float(eigs[j]), j
 
 
-def validate(model: LqMfgModel, tol_sym: float = TOL_SYM, tol_psd: float = TOL_PSD) -> ValidationReport:
+def validate(model: LqMfgModel) -> ValidationReport:
     """Check the standing assumptions on the cost weights.
 
     Structural consistency (shapes, grids, finiteness) is enforced at
@@ -311,16 +311,16 @@ def validate(model: LqMfgModel, tol_sym: float = TOL_SYM, tol_psd: float = TOL_P
     checks = []
 
     a, j = _worst_asymmetry(model.Q)
-    checks.append(ValidationCheck("Q symmetric", a <= tol_sym, j, a, tol_sym))
+    checks.append(ValidationCheck("Q symmetric", a <= TOL_SYM, j, a, TOL_SYM))
     a, j = _worst_asymmetry(model.R)
-    checks.append(ValidationCheck("R symmetric", a <= tol_sym, j, a, tol_sym))
+    checks.append(ValidationCheck("R symmetric", a <= TOL_SYM, j, a, TOL_SYM))
     ag = float(np.abs(model.G - model.G.T).max())
-    checks.append(ValidationCheck("G symmetric", ag <= tol_sym, None, ag, tol_sym))
+    checks.append(ValidationCheck("G symmetric", ag <= TOL_SYM, None, ag, TOL_SYM))
 
     e, j = _worst_min_eig(model.Q)
-    checks.append(ValidationCheck("Q positive semidefinite", e >= -tol_psd, j, e, -tol_psd))
+    checks.append(ValidationCheck("Q positive semidefinite", e >= -TOL_PSD, j, e, -TOL_PSD))
     eg = float(np.linalg.eigvalsh(0.5 * (model.G + model.G.T))[0])
-    checks.append(ValidationCheck("G positive semidefinite", eg >= -tol_psd, None, eg, -tol_psd))
+    checks.append(ValidationCheck("G positive semidefinite", eg >= -TOL_PSD, None, eg, -TOL_PSD))
 
     e, j = _worst_min_eig(model.R)
     checks.append(ValidationCheck(

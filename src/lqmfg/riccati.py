@@ -6,10 +6,10 @@ Three routes are implemented:
   with classical RK4.  The equation is non-standard: the control enters both
   diffusion channels, so the weighting is Sigma = R + D'PD + D0'PD0 rather
   than R alone.
-* ``solve_P_iterative`` runs the monotone fixed-point scheme (Kleinman's
-  iteration): a linear Lyapunov equation per iterate, with gains recomputed
-  from the previous iterate.  The iterates decrease in the PSD order, which
-  is checked.
+* ``solve_P_iterative`` runs Kleinman's monotone iteration: each iterate
+  solves the linear equation that the P equation becomes when linearized at
+  the previous iterate's gain (the first at gain zero, a plain Lyapunov
+  equation).  The iterates decrease in the PSD order, which is checked.
 * ``solve_Gamma_via_Pi`` substitutes Pi = P + Gamma, which turns the
   non-symmetric Gamma equation into a symmetric Riccati equation whenever
   alpha is a scalar multiple of the identity and beta = beta0 = 0.
@@ -21,7 +21,7 @@ Coefficient schedules are piecewise-constant per grid interval (left node);
 the RK4 stages of interval j sit at its right node, midpoint and left node.
 Every interval's RK4 step of a linear equation is composed at once into an
 affine map (``_rk4_step_maps``), and the sweep is one map per node.  The
-linear equations, each Lyapunov iterate (in vech coordinates, so exactly
+linear equations, each Kleinman iterate (in vech coordinates, so exactly
 symmetric) and Phi, go through ``_rk4_linear``.  Gamma and Pi are of
 standard Riccati form, dY/dt = F - Y L - Acl' Y + Y N Y, so they go through
 the step maps of their linear lift (``_riccati_lift``), with X restarted at
@@ -31,13 +31,14 @@ P is the one equation stepped stage by stage: its weighting Sigma depends on
 P through D and D0.  Its stages come from per-interval affine maps of
 vech(P) built once (``_PEquation``); Sigma is inverted directly, and the
 r_min floor and the PSD check run on the whole sweep afterwards, reporting
-the failure that the sweep met first.  ``solve_riccati`` builds one
-``_PEquation`` and one set of P stage stacks for all its routes.  Operators
-are built from each equation's one right-hand side, one basis matrix at a
-time.  A known sequence (P for Gamma/Phi/Pi, Gamma for Phi, each Lyapunov
-iterate for the next) is read at midpoints through its own equation, by
-each interval's cubic Hermite interpolant, so every route stays fourth
-order when coefficients vary.
+the failure that the sweep met first.  ``_PEquation`` is the one statement
+of the P equation: its maps are built from the right-hand side one basis
+matrix at a time, and a Kleinman iterate's operator is their linearization
+at the iterate's stage gains.  ``solve_riccati`` builds one ``_PEquation``
+and one set of P stage stacks for all its routes.  A known sequence (P for
+Gamma/Phi/Pi, Gamma for Phi, each Kleinman iterate for the next) is read at
+midpoints through its own equation, by each interval's cubic Hermite
+interpolant, so every route stays fourth order when coefficients vary.
 """
 
 from __future__ import annotations
@@ -81,14 +82,6 @@ def _vech_index(n):
 
 def _vech(X):
     return X[(...,) + _vech_index(X.shape[-1])[0]]
-
-
-def _vech_matrix(linear, n):
-    """A linear map of symmetric n x n matrices as matrices on vech: column i
-    (last axis) is ``linear(E_i)``, vech(E_i) the i-th unit vector."""
-    pos = _vech_index(n)[1]
-    return np.stack([linear((pos == i).astype(float))
-                     for i in range(pos.max() + 1)], axis=-1)
 
 
 class _Coeffs:
@@ -243,31 +236,62 @@ class _PEquation:
     """The P equation on each interval as affine maps of vech(P), built once:
     ``W[j] @ vech(P) + w0[j]`` stacks, flattened, its Lyapunov part
     -(PA + A'P + C'PC + C0'PC0 + Q), Sigma and S with interval j's
-    coefficients, and dP/dt = Lyapunov part + S Sigma^{-1} S'."""
+    coefficients (cut apart by ``split``), and dP/dt = Lyapunov part +
+    S Sigma^{-1} S'; every P route reads the equation from these maps."""
 
     def __init__(self, model: LqMfgModel):
         g, M, n, k = model.grid, model.grid.steps, model.n, model.k
         c = self.c = _Coeffs(model, M)
-        self.n, self.k, self.h, self.r_min = n, k, g.h, model.r_min
+        self.grid, self.G, self.r_min = g, _sym(model.G), model.r_min
+        self.n, self.k, self.h = n, k, g.h
         self.t = np.stack([g.nodes[1:], g.nodes[:-1] + 0.5 * g.h, g.nodes[:-1]])
 
         def flat(*parts):
             return np.concatenate([X.reshape(M, -1) for X in parts], axis=-1)
 
-        self.W = _vech_matrix(lambda P: flat(_lyapunov_rhs(P, c.A, c.C, c.C0),
-                                             *_gain_forms(c, P)), n)
+        def lyapunov(P):
+            PA = P @ c.A
+            return -(PA + _T(PA) + c.Ct @ (P @ c.C) + c.C0t @ (P @ c.C0))
+
+        # column i (last axis) is the linear part at E_i, vech(E_i) = e_i
+        pos = self.pos = _vech_index(n)[1]
+        basis = [(pos == i).astype(float) for i in range(pos.max() + 1)]
+        self.W = np.stack([flat(lyapunov(E), *_gain_forms(c, E))
+                           for E in basis], axis=-1)
         self.w0 = flat(-c.Q, c.R, np.zeros_like(c.B))
+
+    def split(self, v):
+        """Affine-map values (..., n*n + k*k + n*k) as the Lyapunov part,
+        Sigma and S."""
+        n, k, shape = self.n, self.k, v.shape[:-1]
+        nn, kk = n * n, n * n + k * k
+        return (v[..., :nn].reshape(shape + (n, n)),
+                v[..., nn:kk].reshape(shape + (k, k)),
+                v[..., kk:].reshape(shape + (n, k)))
 
     def __call__(self, P, s=slice(None)):
         """dP/dt, Sigma^{-1} and S at symmetric P, at stage s of every
         interval or stacked over stages and intervals."""
-        n, k = self.n, self.k
-        v = (self.W @ _vech(P)[..., None])[..., 0] + self.w0
-        shape = v.shape[:-1]
-        S = v[..., n * n + k * k:].reshape(shape + (n, k))
-        Sinv = _sigma_inv(v[..., n * n:n * n + k * k].reshape(shape + (k, k)),
-                          self.r_min, self.t[s])
-        return v[..., :n * n].reshape(shape + (n, n)) + S @ Sinv @ _T(S), Sinv, S
+        L, Sig, S = self.split((self.W @ _vech(P)[..., None])[..., 0] + self.w0)
+        Sinv = _sigma_inv(Sig, self.r_min, self.t[s])
+        return L + S @ Sinv @ _T(S), Sinv, S
+
+    def kleinman(self, Psi):
+        """The Kleinman iterate at stage gains Psi (3, M, k, n): the P
+        equation linearized there, dP/dt = Lyapunov part + S Psi + Psi'S' -
+        Psi' Sigma Psi, from P(T) = G, with its vech operator from the columns
+        of W and its forcing from w0, one stage at a time.  Returns the exactly
+        symmetric node sequence and its (3, M, n, n) stage values."""
+        def linearized(Lp, Sig, S, Y):
+            return _vech(Lp + S @ Y + _T(S @ Y) - _T(Y) @ Sig @ Y)
+
+        cols, w0 = self.split(_T(self.W)), self.split(self.w0)
+        L = np.stack([_T(linearized(*cols, Y[:, None])) for Y in Psi])
+        f = np.stack([linearized(*w0, Y) for Y in Psi])
+        P = _rk4_linear(self.grid, L, f, _vech(self.G), "Lyapunov iterate")
+        stages = _hermite_stages(
+            P, lambda ends: (L[::2] @ ends[..., None])[..., 0] + f[::2], self.h)
+        return P[..., self.pos], stages[..., self.pos]
 
 
 # the stage (right node, midpoint, left node) of each RK4 slope
@@ -290,18 +314,16 @@ def solve_P_direct(model: LqMfgModel, *, eq: _PEquation | None = None):
     The sweep stops at the first non-finite node or singular Sigma.
     """
     eq = _PEquation(model) if eq is None else eq
-    grid, n, k, W, w0 = model.grid, eq.n, eq.k, eq.W, eq.w0
-    M, h = grid.steps, grid.h
-    iu, nn, kk = _vech_index(n)[0], n * n, n * n + k * k
+    grid, n, k, W, w0, split = model.grid, eq.n, eq.k, eq.W, eq.w0, eq.split
+    M, h, iu = grid.steps, grid.h, _vech_index(n)[0]
     P = np.full((M + 1, n, n), np.nan)
-    P[M] = _sym(model.G)
+    P[M] = eq.G
     Sig = np.full((M, 4, k, k), np.nan)   # each interval's slopes' Sigma
 
     def slope(y, j, i):
-        v = W[j] @ y[iu] + w0[j]
-        S = v[kk:].reshape(n, k)
-        sig = Sig[j, i] = v[nn:kk].reshape(k, k)
-        return v[:nn].reshape(n, n) + S @ np.linalg.inv(sig) @ S.T
+        L, sig, S = split(W[j] @ y[iu] + w0[j])
+        Sig[j, i] = sig
+        return L + S @ np.linalg.inv(sig) @ S.T
 
     singular = None   # (interval, slope) of a Sigma that inv rejects
     for j in range(M - 1, -1, -1):
@@ -355,31 +377,6 @@ def _stages_of(model, P, stages):
     return _p_stages(_PEquation(model), P) if stages is None else stages
 
 
-def _lyapunov_rhs(P, Ah, Ch, C0h):
-    """dP/dt of the Lyapunov equation with zero forcing, at symmetric P."""
-    PA = P @ Ah
-    return -(PA + _T(PA) + _T(Ch) @ (P @ Ch) + _T(C0h) @ (P @ C0h))
-
-
-def _solve_lyapunov(grid: TimeGrid, G, Ah, Ch, C0h, Qh):
-    """Backward RK4 for the linear Lyapunov equation
-
-        -dP/dt = P Ah + Ah'P + Ch'P Ch + C0h'P C0h + Qh,   P(T) = G,
-
-    in vech coordinates, from (3, M, n, n) stage stacks or (M, n, n) values
-    used at every stage.  Returns the exactly symmetric node sequence and
-    its (3, M, n, n) stage values, read through this equation."""
-    n = np.shape(G)[-1]
-    L = _vech_matrix(lambda E: _vech(_lyapunov_rhs(E, Ah, Ch, C0h)), n)
-    L = np.broadcast_to(L, (3,) + L.shape[-3:])
-    f = np.broadcast_to(_vech(-Qh), L.shape[:-1])
-    Y = _rk4_linear(grid, L, f, _vech(_sym(G)), "Lyapunov iterate")
-    stages = _hermite_stages(
-        Y, lambda ends: (L[::2] @ ends[..., None])[..., 0] + f[::2], grid.h)
-    pos = _vech_index(n)[1]
-    return Y[..., pos], stages[..., pos]
-
-
 @dataclasses.dataclass(frozen=True)
 class IterativeInfo:
     iterations: int
@@ -393,13 +390,13 @@ class IterativeInfo:
 def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
                       tol: float = DEFAULT_ITER_TOL, *,
                       eq: _PEquation | None = None):
-    """Monotone Lyapunov iteration for P.
+    """Monotone Kleinman iteration for P.
 
-    P_0 solves the plain Lyapunov equation with weight Q; each subsequent
-    iterate re-linearizes around the previous one (gain Psi_i) and solves a
-    Lyapunov equation with weight Q + Psi' R Psi.  The sequence decreases in
-    the PSD order down to the Riccati solution.  ``eq`` is the model's
-    ``_PEquation`` when the caller already built it.
+    P_0 is the Kleinman iterate at gain Psi = 0, the plain Lyapunov equation
+    with weight Q; each subsequent iterate linearizes the P equation at the
+    previous one's gain Psi = Sigma^{-1} S' (``_PEquation.kleinman``).  The
+    sequence decreases in the PSD order down to the Riccati solution.
+    ``eq`` is the model's ``_PEquation`` when the caller already built it.
 
     Returns (P, IterativeInfo).  Raises ``UsageError`` unless max_iters >= 1
     and tol > 0, ``MonotonicityError`` if an iterate fails to sit below its
@@ -410,17 +407,12 @@ def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
         raise UsageError("solve_P_iterative needs max_iters >= 1 and tol > 0, "
                          f"got {max_iters} and {tol}")
     eq = _PEquation(model) if eq is None else eq
-    c = eq.c
-    P_prev, stages = _solve_lyapunov(model.grid, model.G, c.A, c.C, c.C0, c.Q)
+    P_prev, stages = eq.kleinman(np.zeros((3, model.grid.steps, eq.k, eq.n)))
 
     residuals = []
     for i in range(max_iters):
-        # linearized at the previous iterate's stages, gain Psi = Sigma^-1 S'
-        _, Sinv, S = eq(stages)
-        Psi = Sinv @ _T(S)
-        P_next, stages = _solve_lyapunov(
-            model.grid, model.G, c.A - c.B @ Psi, c.C - c.D @ Psi,
-            c.C0 - c.D0 @ Psi, c.Q + _T(Psi) @ c.R @ Psi)
+        _, Sinv, S = eq(stages)   # the previous iterate's stage gains
+        P_next, stages = eq.kleinman(Sinv @ _T(S))
         diff = P_prev - P_next
         min_eigs = np.linalg.eigvalsh(diff)[:, 0]
         worst = int(np.argmin(min_eigs))
@@ -586,14 +578,14 @@ class FeedbackLaw:
 def build_feedback(model: LqMfgModel, sol: RiccatiSolution) -> FeedbackLaw:
     """Gains from the solved system, per node.
 
-    K_z = -Sigma^{-1}(B'P + D'PC + D0'PC0),
+    K_z = -Sigma^{-1} S' with S = PB + C'PD + C0'PD0,
     K_m = -Sigma^{-1}(B'Gamma + D'P beta + D0'P beta0),
     c_u = -Sigma^{-1}(B'Phi + D'P sigma + D0'P sigma0).
     """
     c = _Coeffs(model)
     P = sol.P
     Sinv = _sigma_inv(sol.Sigma, model.r_min, model.grid.nodes)
-    K_z = -(Sinv @ (c.Bt @ P + c.Dt @ P @ c.C + c.D0t @ P @ c.C0))
+    K_z = -(Sinv @ _T(_gain_forms(c, P)[1]))
     K_m = -(Sinv @ (c.Bt @ sol.Gamma + c.Dt @ P @ c.beta
                     + c.D0t @ P @ c.beta0))
     c_u = -(Sinv @ (c.Bt @ sol.Phi[..., None] + c.Dt @ P @ c.sigma

@@ -67,6 +67,13 @@ def _real(value, context) -> float:
     raise UsageError(f"{context} must be a real number, got {value!r}")
 
 
+def _finite(value, context) -> float:
+    x = _real(value, context)
+    if not np.isfinite(x):
+        raise UsageError(f"{context} must be finite, got {x}")
+    return x
+
+
 def _bool(value, context) -> bool:
     if isinstance(value, bool):
         return value
@@ -163,8 +170,8 @@ class ModelBlock:
         n, k = _int(d["n"], "model.n"), _int(d["k"], "model.k")
         if n < 1 or k < 1:
             raise UsageError("model dimensions n and k must be positive")
-        horizon = _real(d["T"], "model.T")
-        if not (horizon > 0 and np.isfinite(horizon)):
+        horizon = _finite(d["T"], "model.T")
+        if not horizon > 0:
             raise UsageError(f"model horizon T must be positive, got {horizon}")
         steps = _int(d["steps"], "model.steps")
         if steps < 1:
@@ -174,9 +181,9 @@ class ModelBlock:
                                            steps)
                   for name, shape in coefficient_shapes(n, k).items()}
         G = _float_matrix(d.get("G", 0.0), (n, n), "model.G")
-        r_min = _real(d.get("r_min", DEFAULT_R_MIN), "model.r_min")
-        if not (r_min > 0):
-            raise UsageError(f"r_min must be positive, got {r_min}")
+        r_min = _finite(d.get("r_min", DEFAULT_R_MIN), "model.r_min")
+        if not r_min > 0:
+            raise UsageError(f"model.r_min must be positive, got {r_min}")
         return cls(n=n, k=k, horizon=horizon, steps=steps,
                    x0=tuple(row[0] for row in x0), coefficients=coeffs,
                    G=G, r_min=r_min)
@@ -262,10 +269,11 @@ class CandidateFamilyBlock:
         scales = _list(d.get("gain_scales", ()), f"{ctx}.gain_scales")
         offsets = _list(d.get("offsets", ()), f"{ctx}.offsets")
         return cls(
-            gain_scales=tuple(_real(v, f"{ctx}.gain_scales") for v in scales),
+            gain_scales=tuple(_finite(v, f"{ctx}.gain_scales")
+                              for v in scales),
             include_zero=_bool(d.get("include_zero", True),
                                f"{ctx}.include_zero"),
-            offsets=tuple(_real(v, f"{ctx}.offsets") for v in offsets))
+            offsets=tuple(_finite(v, f"{ctx}.offsets") for v in offsets))
 
     def to_dict(self):
         return {"gain_scales": list(self.gain_scales),

@@ -25,10 +25,11 @@ import pytest
 import lqmfg
 from lqmfg import (CoefficientSchedule, ConvergenceError, DivergenceError,
                    LqMfgModel, SingularSigmaError, TimeGrid, UsageError)
-from lqmfg.riccati import (_riccati_lift, build_feedback, sigma_sequence,
-                           solve_Gamma_direct, solve_Gamma_via_Pi,
-                           solve_P_direct, solve_P_iterative, solve_Phi,
-                           solve_riccati)
+from lqmfg.model import coefficient_shapes
+from lqmfg.riccati import (_PEquation, _riccati_lift, build_feedback,
+                           sigma_sequence, solve_Gamma_direct,
+                           solve_Gamma_via_Pi, solve_P_direct,
+                           solve_P_iterative, solve_Phi, solve_riccati)
 from lqmfg.scenario import preset
 
 
@@ -267,14 +268,12 @@ def test_iterative_agrees_with_direct():
 
 
 def test_iterative_starts_above_solution():
-    # first Lyapunov iterate (uncontrolled) must dominate the solution
+    # the first Kleinman iterate (gain zero: uncontrolled) must dominate the
+    # solution
     model = closed_form_model(50)
     P_it, _ = solve_P_iterative(model)
-    from lqmfg.riccati import _solve_lyapunov
-    M = model.grid.steps
-    P0, _ = _solve_lyapunov(model.grid, model.G,
-                            *(getattr(model, name).values[:M]
-                              for name in ("A", "C", "C0", "Q")))
+    P0, _ = _PEquation(model).kleinman(
+        np.zeros((3, model.grid.steps, model.k, model.n)))
     gap = P0 - P_it
     assert np.linalg.eigvalsh(0.5 * (gap + np.transpose(gap, (0, 2, 1)))).min() \
         > -1e-10
@@ -595,25 +594,40 @@ def stagewise_rk4(grid, terminal, rhs):
     return Y
 
 
+def random_schedule_model(n, k, steps, rng):
+    """Every coefficient an independent random schedule, Q and R symmetric
+    positive definite at every node."""
+    grid = TimeGrid(1.0, steps)
+    scheds = {}
+    for name, shape in coefficient_shapes(n, k).items():
+        X = rng.uniform(-1.0, 1.0, (steps + 1,) + shape)
+        if name in ("Q", "R"):
+            X = X @ np.swapaxes(X, -1, -2) + np.eye(shape[0])
+        scheds[name] = CoefficientSchedule(grid, X)
+    return LqMfgModel(grid=grid, G=np.eye(n) + 0.1 * np.ones((n, n)),
+                      x0=np.zeros(n), **scheds)
+
+
 def test_backward_solvers_match_stagewise_rk4():
-    # The Lyapunov iterate is stepped by composed per-interval affine maps in
-    # vech coordinates, and P through per-interval maps of vech(P); both must
-    # reproduce the plain stage-by-stage RK4 recursion up to rounding.
-    from lqmfg.riccati import _solve_lyapunov
+    # A Kleinman iterate is the P equation linearized at stage gains Psi, in
+    # vech coordinates through composed per-interval affine maps, and P is
+    # stepped through per-interval maps of vech(P); both must reproduce the
+    # plain stage-by-stage RK4 recursion of the equation written out here.
     rng = np.random.default_rng(23)
-    for n in (1, 2, 3):
-        grid = TimeGrid(1.0, 40)
-        Ah, Ch, C0h = rng.uniform(-1.0, 1.0, (3, 3, 40, n, n))
-        Qh = rng.uniform(-1.0, 1.0, (3, 40, n, n))
-        Qh = Qh + np.swapaxes(Qh, -1, -2)
-        G = np.eye(n) + 0.1 * np.ones((n, n))
+    for n, k in ((1, 1), (2, 2), (3, 2)):
+        model = random_schedule_model(n, k, 40, rng)
+        Psi = rng.uniform(-1.0, 1.0, (3, 40, k, n))
+        c = {name: getattr(model, name).values for name in _COEFFS}
 
-        def lyapunov(P, s, j):
-            A, C, C0 = Ah[s, j], Ch[s, j], C0h[s, j]
-            return -(P @ A + A.T @ P + C.T @ P @ C + C0.T @ P @ C0 + Qh[s, j])
+        def closed_loop(P, s, j):
+            Y = Psi[s, j]
+            A, C, C0 = (c[x][j] - c[u][j] @ Y
+                        for x, u in (("A", "B"), ("C", "D"), ("C0", "D0")))
+            return -(P @ A + A.T @ P + C.T @ P @ C + C0.T @ P @ C0
+                     + c["Q"][j] + Y.T @ c["R"][j] @ Y)
 
-        P_ref = stagewise_rk4(grid, G, lyapunov)
-        P, _ = _solve_lyapunov(grid, G, Ah, Ch, C0h, Qh)
+        P_ref = stagewise_rk4(model.grid, model.G, closed_loop)
+        P, _ = _PEquation(model).kleinman(Psi)
         assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref)), n
 
     model = time_varying_model(40, "sine")

@@ -448,6 +448,9 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     ("experiment", "candidates", {"include_zero": "false"}),
     ("output", "directory", None),
     ("model", "x0", [float("nan")]),
+    ("model", "r_min", float("inf")),
+    ("experiment", "candidates", {"gain_scales": [float("inf")]}),
+    ("experiment", "candidates", {"offsets": [float("inf")]}),
 ])
 def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
                                      key, value):
