@@ -40,9 +40,9 @@ import scipy
 
 from . import __version__
 from .errors import LqmfgError, UsageError, ValidationError
-from .io import (deviation_report_dict, rate_report_dict, write_agent_csv,
-                 write_json, write_meanfield_csv, write_rate_csv,
-                 write_riccati_csv)
+from .io import (cells, deviation_report_dict, rate_report_dict,
+                 write_agent_csv, write_json, write_meanfield_csv,
+                 write_rate_csv, write_riccati_csv)
 from .meanfield import integrate_Em
 from .model import validate, wellposedness_diagnostic
 from .population import (deviation_experiment, map_tasks,
@@ -141,10 +141,12 @@ def _require(value, name: str, kind: str):
 
 
 def _write_agents(payload, start: int, stop: int) -> None:
-    """Write the CSVs of agents ``start`` to ``stop - 1``, one at a time."""
+    """Write the CSVs of agents ``start`` to ``stop - 1``, one at a time,
+    formatting the shared node column once."""
     paths, grid, z_hat, u = payload
+    times = cells(grid.nodes)
     for i in range(start, stop):
-        write_agent_csv(paths[i], grid, z_hat[i], u[i])
+        write_agent_csv(paths[i], grid, z_hat[i], u[i], times)
 
 
 def _agent_ranges(N: int, workers: int) -> list:

@@ -57,10 +57,24 @@ def _vector_headers(name: str, rows: int) -> list[str]:
     return [f"{name}_{i + 1}" for i in range(rows)]
 
 
-def _csv(headers, columns) -> str:
+def _csv(headers, columns, first=None) -> str:
+    """CSV text: ``headers``, then one line per row of ``columns``.
+
+    ``first``, if given, is a first column already formatted by ``cells``,
+    written before ``columns``.
+    """
     rows = np.column_stack(columns).astype(float, copy=False).tolist()
-    lines = [",".join(headers)] + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    if first is None:
+        body = [",".join(map(repr, row)) for row in rows]
+    else:
+        body = [cell + "," + ",".join(map(repr, row))
+                for cell, row in zip(first, rows)]
+    return "\n".join([",".join(headers)] + body) + "\n"
+
+
+def cells(values) -> list[str]:
+    """The CSV cells of ``values``, as ``_csv`` formats them."""
+    return list(map(repr, np.asarray(values, float).tolist()))
 
 
 def _matrix_columns(values) -> list:
@@ -99,13 +113,19 @@ def write_meanfield_csv(path, grid, m, Em) -> None:
     atomic_write_text(path, _csv(headers, columns))
 
 
-def write_agent_csv(path, grid, z_hat, u) -> None:
+def write_agent_csv(path, grid, z_hat, u, times=None) -> None:
+    """One row per grid node: t, zhat, u.
+
+    ``times`` is ``cells(grid.nodes)``; a caller writing many agents on one
+    grid formats it once and passes it to each call.
+    """
     n = z_hat.shape[1]
     k = u.shape[1]
     headers = (["t"] + _vector_headers("zhat", n) + _vector_headers("u", k))
-    columns = ([grid.nodes] + [z_hat[:, i] for i in range(n)]
-               + [u[:, i] for i in range(k)])
-    atomic_write_text(path, _csv(headers, columns))
+    columns = [z_hat[:, i] for i in range(n)] + [u[:, i] for i in range(k)]
+    if times is None:
+        times = cells(grid.nodes)
+    atomic_write_text(path, _csv(headers, columns, times))
 
 
 def rate_report_dict(report) -> dict:

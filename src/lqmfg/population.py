@@ -22,12 +22,22 @@ equilibrium policy, the others deviation candidates of agent 0).  A ladder
 block holds up to 2**18 // (N M) samples, so its increments take at most
 2 MB (or one sample's worth); a deviation block is one sample with every
 candidate as a row, the limiting problem is the kernel at N = 1, and a
-recorded population is a block of one sample and one row.  The kernel
-applies the coefficients in one of two forms, chosen from the model shape:
-scalar models (n = k = 1) step (C, B, N) arrays and multiply by per-node
-floats, matrix models step (C, B, N, n) arrays and multiply by per-node
-matrices with matmul.  Blocks are the tasks of the process pool, and every
-block's statistics equal those of its samples run one at a time.
+recorded population is a block of one sample and one row.  Blocks are the
+tasks of the process pool, and every block's statistics equal those of its
+samples run one at a time, and a row's those of its candidate run alone.
+
+Only x couples the agents (through its sorted average), so the kernel steps
+only x node by node.  m is built once per block; zhat, the controls, the
+per-agent step factors, zbar and every statistic are built a chunk of steps
+at a time in whole-array calls, and the rows share all of them but x and
+agent 0's control and zbar.  The chunk length depends on M and N only, so
+the bits do not depend on how samples are grouped into blocks.  A chunk's
+arrays take turns in three buffers allocated once per block; one of them
+holds at most 3 * 2**12 numbers in the largest block, so a ladder block's
+kernel needs less than 1 MB besides its noise.  Coefficients come in one of two
+forms, chosen from the model shape: scalar models (n = k = 1) keep no state
+axis and multiply, matrix models apply each agent's factor matrix by
+matmul.  A noise term whose coefficient is zero at every node is dropped.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
-import operator
 import os
 
 import numpy as np
@@ -48,6 +57,11 @@ from .riccati import FeedbackLaw
 
 # Noise draws per block of samples: 2 MB of float64 increments.
 _BLOCK_ELEMENTS = 2 ** 18
+# Kernel chunks: at most this many steps, and at most this many numbers in
+# one chunk buffer of the largest block (three are live, besides the step
+# factors that carry per-agent noise).
+_CHUNK_STEPS = 8
+_CHUNK_ELEMENTS = 3 * 2 ** 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,17 +113,19 @@ _STATE_SLOTS = tuple(name for name in COEFFICIENTS if name not in ("Q", "R"))
 class _SimPayload:
     """Everything a block needs, precomputed once and shipped to workers.
 
-    ``coeffs`` holds the per-node coefficients of a kernel step for
-    row-vector states (matrices transposed, columns as vectors), in the
-    order the kernel unpacks them: the feedback and cost weights, the state
-    equation's slots, then the filtered-state and mean-field steps.  The
-    kernel reads a node's coefficients as plain floats for scalar models and
-    as these arrays for matrix models.
+    ``coeffs`` holds per-node coefficients for row-vector states (matrices
+    transposed, columns as vectors).  The feedback ``kz``, ``kmc`` and the
+    trapezoid-weighted costs ``qw``, ``rw`` are single arrays.  Every other
+    entry is a triple (t0, t1, t2) whose factor for one step is
+    t0 + dW_i t1 + dW_0 t2 (None marks an absent term): ``Fz`` and ``ez``
+    step zhat, ``F``, ``K``, ``H`` and ``c`` multiply the state, the
+    control and the coupling average and force the state, ``Fm`` and ``em``
+    step m.
     """
 
     def __init__(self, model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray):
         grid = model.grid
-        self.h = float(grid.h)
+        h = self.h = float(grid.h)
         self.M = int(grid.steps)
         self.n = model.n
         self.k = model.k
@@ -128,6 +144,7 @@ class _SimPayload:
         A, B, alpha, b, C, D, beta, sigma, C0, D0, beta0, sigma0 = slots
         state = [X[:, :, 0].copy() if COEFFICIENTS[name] == "n1"
                  else transposed(X) for name, X in zip(_STATE_SLOTS, slots)]
+        eye = np.eye(self.n)
 
         # Deterministic control pieces: K_m Em + c_u, and the mean control.
         kmc = np.einsum("jkn,jn->jk", law.K_m, self.Em) + law.c_u
@@ -146,14 +163,30 @@ class _SimPayload:
         BEu = np.einsum("jnk,jk->jn", B, Euv) + b[:, :, 0]
         D0Eu = np.einsum("jnk,jk->jn", D0, Euv) + sigma0[:, :, 0]
 
-        w = np.full(self.M + 1, self.h)
-        w[0] = w[-1] = 0.5 * self.h
+        w = np.full(self.M + 1, h)
+        w[0] = w[-1] = 0.5 * h
         w = w[:, None, None]
-        self.coeffs = [transposed(law.K_z), kmc, w * model.Q.values,
-                       w * model.R.values, *state,
-                       transposed(P1), p0, transposed(Q1), q0,
-                       transposed(A + alpha), BEu, transposed(C0 + beta0),
-                       D0Eu]
+        def terms(t0, t1, t2):
+            # a noise term that is zero at every node is dropped, so its
+            # factor needs no per-agent array
+            return (t0,) + tuple(None if t is None or not t.any() else t
+                                 for t in (t1, t2))
+
+        # the state equation's slots by channel (dt, dW_i, dW_0), each
+        # ordered (state, control, coupling average, constant)
+        drift = [h * X for X in state[:4]]
+        drift[0] = eye + drift[0]
+        F, K, H, c = (terms(*t) for t in zip(drift, state[4:8], state[8:]))
+        self.coeffs = {
+            "kz": transposed(law.K_z), "kmc": kmc,
+            "qw": w * model.Q.values, "rw": w * model.R.values,
+            "Fz": terms(eye + h * transposed(P1), transposed(Q1), None),
+            "ez": terms(h * p0, q0, None),
+            "F": F, "K": K, "H": H, "c": c,
+            "Fm": terms(eye + h * transposed(A + alpha), None,
+                        transposed(C0 + beta0)),
+            "em": terms(h * BEu, None, D0Eu),
+        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,13 +232,32 @@ def _block_noise(pl: _SimPayload, N: int, seeds):
     return buf[:, 1:], buf[:, :1]
 
 
+def _chunk_steps(M: int, N: int) -> int:
+    """Steps per kernel chunk for samples of N agents on M steps.
+
+    At most _CHUNK_STEPS, and few enough that one chunk buffer of the
+    largest block of such samples holds at most _CHUNK_ELEMENTS numbers.  It
+    depends on M and N only, never on the block's sample or row count, so a
+    sample's statistics do not depend on the block that carries it.
+    """
+    width = max(1, _BLOCK_ELEMENTS // (N * M)) * N
+    return max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // width - 1))
+
+
 def _row_arrays(cands, ndim):
     """Gain, offset and zero flag of the candidate rows, shaped to broadcast
-    against agent 0's (C - 1, B, ...) slice of ``ndim`` dimensions."""
+    along the first of ``ndim`` trailing axes."""
     shape = (len(cands),) + (1,) * (ndim - 1)
     return (np.array([c.gain_scale for c in cands], float).reshape(shape),
             np.array([c.offset for c in cands], float).reshape(shape),
             np.array([c.zero_control for c in cands], bool).reshape(shape))
+
+
+def _first_bad(a) -> int:
+    """Index along the first axis of the first slot holding a non-finite
+    value, or len(a)."""
+    ok = np.isfinite(a).reshape(len(a), -1).all(axis=1)
+    return len(a) if ok.all() else int(np.argmin(ok))
 
 
 def _finish(pl, Jc, Jl, gap, sup_x, sup_z):
@@ -224,101 +276,247 @@ def _finish(pl, Jc, Jl, gap, sup_x, sup_z):
 def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     """Step a block of samples; ``record`` needs B = C = 1.
 
-    Scalar models (n = k = 1) step (C, B, N) arrays and apply the per-node
-    coefficients as floats by multiplication; matrix models step
-    (C, B, N, n) arrays and apply the transposed coefficient matrices by
-    matmul, so their quadratic forms reduce over the trailing axis.
+    Only x couples the agents, through its sorted average, so only x is
+    stepped node by node.  m is built once for the block.  Per chunk of
+    steps the kernel builds zhat, u and the step factors (F of the state, H
+    of the coupling average, E of the control and constant forcing) in
+    whole-array calls, then zbar, which shares them with x, then x, and
+    last the chunk's costs and gaps.  zhat, m and the other agents' u and
+    zbar are shared by the rows: u and zbar carry one extra agent column per
+    candidate row, agent 0 under that row's control.
+
+    Scalar models (n = k = 1) keep no state axis and apply the factors by
+    multiplication; matrix models give every state a trailing axis and
+    apply each agent's factor matrix (transposed, for row vectors) by one
+    batched matmul, so their quadratic forms reduce over that axis.
     """
-    M, h, n = pl.M, pl.h, pl.n
+    M, n = pl.M, pl.n
     B, N = dWi.shape[:2]
-    coeffs = pl.coeffs
+    R = len(cands)
+    C, W = R + 1, N + R
+    L = _chunk_steps(M, N)
+    co = pl.coeffs
+    x0, G = pl.x0, pl.G
+    # op applies a factor to a state, quad(y, wt, out) is y' wt y per agent
+    # (in ``out`` for scalar models) and norm2(e) is |e|^2 (in place for
+    # scalar models)
     if n == pl.k == 1:
-        op, vec = operator.mul, ()
-        coeffs = [c.reshape(M + 1).tolist() for c in coeffs]
-        x0, G = float(pl.x0[0]), float(pl.G[0, 0])
+        vec = kv = mat = ()
+        co = {key: (v.reshape(M + 1) if isinstance(v, np.ndarray) else
+                    tuple(t if t is None else t.reshape(M + 1) for t in v))
+              for key, v in co.items()}
+        x0, G = float(x0[0]), float(G[0, 0])
+        op = np.multiply
 
-        def reduce(v):
-            return v
+        def quad(y, wt, out):
+            np.multiply(y, y, out=out)
+            out *= wt
+            return out
+
+        def norm2(e):
+            e *= e
+            return e
     else:
-        op, vec = operator.matmul, (n,)
-        x0, G = pl.x0, pl.G
-        # a step's increments then broadcast along the state axis
-        dWi, dW0 = dWi[:, :, None], dW0[:, :, None]
+        vec, kv, mat = (n,), (pl.k,), (n, n)
 
-        def reduce(v):
-            return v.sum(axis=-1)
+        def op(y, f, out=None):
+            if out is not None:
+                out = out[..., None, :]
+            return np.matmul(y[..., None, :], f, out=out)[..., 0, :]
 
-    if cands:
-        gain, offset, zero = _row_arrays(cands, 2 + len(vec))
+        def quad(y, wt, out):
+            return (op(y, wt) * y).sum(axis=-1)
 
-    x = np.broadcast_to(x0, (1 + len(cands), B, N) + vec).copy()
-    zh = x.copy()
-    zb = x.copy()
-    m = np.broadcast_to(x0, (B, 1) + vec).copy()
-    Jc = np.zeros(x.shape[:3])
-    Jl = np.zeros(x.shape[:3])
-    gap = np.zeros(x.shape[:3])
-    sup_x = np.zeros(x.shape[:2] + (1,))
-    sup_z = sup_x.copy()
+        def norm2(e):
+            return (e * e).sum(axis=-1)
+
+    def node(a, j0, j1, axes=2):
+        """Coefficients of nodes j0..j1-1, broadcasting against arrays with
+        ``axes`` agent axes after the node axis."""
+        a = a[j0:j1]
+        return a.reshape(a.shape[:1] + (1,) * axes + a.shape[1:])
+
+    def factor(key, j0, j1, dwi, dw0, out=None):
+        """t0 + dwi t1 + dw0 t2 for the steps j0..j1-1, in ``out[:j1 - j0]``
+        if given, else in a new array that broadcasts against it."""
+        t0, t1, t2 = co[key]
+        lift = (1,) * (t0.ndim - 1)
+        f = node(t0, j0, j1)
+        if t2 is not None:
+            f = f + dw0.reshape(dw0.shape + lift) * node(t2, j0, j1)
+        if out is not None:
+            out = out[:j1 - j0]
+        if t1 is None:
+            if out is None:
+                return f
+            out[...] = f
+            return out
+        np.multiply(dwi.reshape(dwi.shape + lift), node(t1, j0, j1), out=out)
+        out += f
+        return out
+
+    def rows(v, out, copy=False):
+        """(k, B, W, ...) -> (k, C, B, N, ...): row r >= 1 reads agent 0
+        from column N + r - 1.  Without candidate rows this is a view of v,
+        unless ``copy``; else it is written to ``out``."""
+        if not (R or copy):
+            return v[:, None]
+        out = out[:len(v)]
+        out[:] = v[:, None, :, :N]
+        if R:
+            out[:, 1:, :, 0] = v[:, :, N:].swapaxes(1, 2)
+        return out
+
+    # m, once for the block
+    d0 = dW0.transpose(2, 0, 1)                      # (M, B, 1)
+    m = np.empty((M + 1, B, 1) + vec)
+    m[0] = x0
+    for j0 in range(0, M, L):
+        j1 = min(M, j0 + L)
+        fm = factor("Fm", j0, j1, None, d0[j0:j1])
+        em = factor("em", j0, j1, None, d0[j0:j1])
+        for i, j in enumerate(range(j0, j1)):
+            op(m[j], fm[i], out=m[j + 1])
+            m[j + 1] += em[i]
+    bad = _first_bad(m)
+
+    if R:
+        gain, offset, zero = _row_arrays(cands, 1 + len(kv))
+    # Chunk memory: three arenas that each chunk's arrays take in turn
+    # (noted at each use), the factors with per-agent noise terms, and the
+    # forcing of x when rows differ in it.
+    size = (L + 1) * B * max(C * N, W) * max(n, pl.k)
+    a, b, c = (np.empty(size) for _ in range(3))
+    fbuf = {key: np.empty((L, B, N if key == "Fz" else W)
+                          + (kv + vec if key == "K" else mat))
+            for key in ("Fz", "F", "H", "K") if co[key][1] is not None}
+    Ex = np.empty((L, C, B, N) + vec) if R else None
+    xm = np.empty((L + 1, C, B, 1) + vec)
+
+    def view(arena, *shape):
+        return arena[:math.prod(shape)].reshape(shape)
+
+    # each chunk starts from the last node of the one before
+    zh_last = np.full((B, N) + vec, x0)
+    zb_last = np.full((B, W) + vec, x0)
+    x_last = np.full((C, B, N) + vec, x0)
+    Jc = np.zeros((C, B, N))        # the state costs
+    Jl = np.zeros((B, W))
+    RU = np.zeros((B, W))           # the control cost, shared by both
+    gap = np.zeros((C, B, N))
+    sup_x = np.zeros((C, B, 1))
+    sup_z = np.zeros((C, B, 1))
     if record:
-        rec_x = np.empty((N, M + 1, n))
-        rec_zh = np.empty((N, M + 1, n))
-        rec_zb = np.empty((N, M + 1, n))
-        rec_u = np.empty((N, M + 1, pl.k))
-        rec_xbar = np.empty((M + 1, n))
-        rec_m = np.empty((M + 1, n))
+        rec = [np.empty((N, M + 1) + s) for s in (vec, vec, vec, kv)]
+        rec_xbar = np.empty((M + 1,) + vec)
 
-    for j, (kz, kmc, qw, rw, a, bm, al, bb, c, d, be, sg, c0, d0, be0, sg0,
-            p1, p0, q1, q0, apal, beu, md0, d0eu) in enumerate(zip(*coeffs)):
-        u = op(zh, kz) + kmc
-        if cands:
-            u[1:, :, 0] = np.where(
-                zero, 0.0, gain * op(zh[1:, :, 0], kz) + kmc + offset)
-        xm = np.sort(x, axis=2).sum(axis=2, keepdims=True) / N
-        zm = np.sort(zb, axis=2).sum(axis=2, keepdims=True) / N
-        dx = x - xm
-        dz = zb - m
-        ru = reduce(op(u, rw) * u)
-        Jc += reduce(op(dx, qw) * dx) + ru
-        Jl += reduce(op(dz, qw) * dz) + ru
-        e = x - zb
-        np.maximum(gap, reduce(e * e), out=gap)
-        e = xm - m
-        np.maximum(sup_x, reduce(e * e), out=sup_x)
-        e = zm - m
-        np.maximum(sup_z, reduce(e * e), out=sup_z)
+    for j0 in range(0, M, L):
+        j1 = min(M, j0 + L)
+        steps = j1 - j0
+        last = j1 == M
+        k = steps + last          # the nodes whose statistics this chunk adds
+        # the chunk's noise, time-major (arena a)
+        dw = view(a, steps, B, W)
+        dw[..., :N] = dWi[..., j0:j1].transpose(2, 0, 1)
+        dw[..., N:] = dw[..., :1]
+        d0c = d0[j0:j1]
+
+        # zhat (arena c), then every agent's control (arena b)
+        Fz = factor("Fz", j0, j1, dw[..., :N], None, fbuf.get("Fz"))
+        ez = factor("ez", j0, j1, dw[..., :N], None,
+                    view(b, steps, B, N, *vec))
+        zh = view(c, steps + 1, B, N, *vec)
+        zh[0] = zh_last
+        for i in range(steps):
+            op(zh[i], Fz[i], out=zh[i + 1])
+            zh[i + 1] += ez[i]
+        zh_last[...] = zh[steps]
+        zh_bad = steps + 1 if np.isfinite(zh_last).all() else _first_bad(zh)
+        u = view(b, steps + 1, B, W, *kv)
+        kz, kmc = node(co["kz"], j0, j1 + 1), node(co["kmc"], j0, j1 + 1)
+        op(zh, kz, out=u[:, :, :N])
+        u[:, :, :N] += kmc
+        if R:
+            u[:, :, N:] = np.where(
+                zero, 0.0, gain * op(zh[:, :, :1], kz) + kmc + offset)
         if record:
-            rec_x[:, j] = x[0, 0].reshape(N, n)
-            rec_zh[:, j] = zh[0, 0].reshape(N, n)
-            rec_zb[:, j] = zb[0, 0].reshape(N, n)
-            rec_u[:, j] = u[0, 0].reshape(N, pl.k)
-            rec_xbar[j] = xm[0, 0].reshape(n)
-            rec_m[j] = m[0].reshape(n)
-        if j == M:
-            break
+            for out, src in ((rec[1], zh[:k, 0]), (rec[3], u[:k, 0, :N])):
+                out[:, j0:j0 + k] = src.swapaxes(0, 1)
+        for t in quad(u[:k], node(co["rw"], j0, j0 + k), view(c, k, B, W)):
+            RU += t
 
-        dWi_j = dWi[..., j]
-        dW0_j = dW0[..., j]
-        x = (x + h * (op(x, a) + op(u, bm) + (op(xm, al) + bb))
-             + dWi_j * (op(x, c) + op(u, d) + (op(xm, be) + sg))
-             + dW0_j * (op(x, c0) + op(u, d0) + (op(xm, be0) + sg0)))
-        zb = (zb + h * (op(zb, a) + op(u, bm) + (op(m, al) + bb))
-              + dWi_j * (op(zb, c) + op(u, d) + (op(m, be) + sg))
-              + dW0_j * (op(zb, c0) + op(u, d0) + (op(m, be0) + sg0)))
-        zh = zh + h * (op(zh, p1) + p0) + dWi_j * (op(zh, q1) + q0)
-        m = m + h * (op(m, apal) + beu) + dW0_j * (op(m, md0) + d0eu)
-        if not np.isfinite(m).all() or \
-                ((j & 63) == 63 and not np.isfinite(x).all()):
-            raise DivergenceError("population state diverged", node=j + 1,
-                                  t=pl.grid.nodes[j + 1])
+        # the step factors that zbar and x share: E (arena c), then zbar
+        # (arena b) from its forcing (arena a)
+        F = factor("F", j0, j1, dw, d0c, fbuf.get("F"))
+        H = factor("H", j0, j1, dw, d0c, fbuf.get("H"))
+        E = factor("c", j0, j1, dw, d0c, view(c, steps, B, W, *vec))
+        K = factor("K", j0, j1, dw, d0c, fbuf.get("K"))
+        E += op(u[:steps], K, out=None if kv else u[:steps])
+        mc = m[j0:j1 + 1]
+        Gz = np.add(E, op(mc[:steps], H), out=view(a, steps, B, W, *vec))
+        zb = view(b, steps + 1, B, W, *vec)
+        zb[0] = zb_last
+        for i in range(steps):
+            op(zb[i], F[i], out=zb[i + 1])
+            zb[i + 1] += Gz[i]
+        zb_last[...] = zb[steps]
 
-    Jc += reduce(op(x, G) * x)
-    Jl += reduce(op(zb, G) * zb)
+        # x (arena a), node by node: its sorted average couples the agents
+        Exc = rows(E, Ex)
+        Fx, Hx = F[:, :, :N], H[:, :, :N]
+        x = view(a, steps + 1, C, B, N, *vec)
+        x[0] = x_last
+        for i in range(k):
+            np.sort(x[i], axis=2).sum(axis=2, keepdims=True, out=xm[i])
+            xm[i] /= N
+            if i < steps:
+                op(x[i], Fx[i], out=x[i + 1])
+                x[i + 1] += Exc[i]
+                x[i + 1] += op(xm[i], Hx[i])
+        x_last[...] = x[steps]
+
+        if bad <= j1 or zh_bad <= steps or not (
+                np.isfinite(zb_last).all() and np.isfinite(x_last).all()):
+            at = min(bad, j0 + min(zh_bad, _first_bad(zb), _first_bad(x)))
+            raise DivergenceError("population state diverged", node=at,
+                                  t=pl.grid.nodes[at])
+
+        # the chunk's trapezoid costs, added node by node, and its gaps
+        # (arena c)
+        mk = mc[:k]
+        qw = node(co["qw"], j0, j0 + k)
+        dz = np.subtract(zb[:k], mk, out=view(c, k, B, W, *vec))
+        for t in quad(dz, qw, dz):
+            Jl += t
+        dx = np.subtract(x[:k], xm[:k], out=view(c, k, C, B, N, *vec))
+        for t in quad(dx, node(co["qw"], j0, j0 + k, 3), dx):
+            Jc += t
+        e = view(c, k, C, B, N, *vec)
+        np.subtract(x[:k], rows(zb[:k], e), out=e)
+        np.maximum(gap, norm2(e).max(axis=0), out=gap)
+        zr = rows(zb[:k], view(c, k, C, B, N, *vec), copy=True)
+        zr.sort(axis=3)
+        e = zr.sum(axis=3, keepdims=True) / N - mk[:, None]
+        np.maximum(sup_z, norm2(e).max(axis=0), out=sup_z)
+        e = xm[:k] - mk[:, None]
+        np.maximum(sup_x, norm2(e).max(axis=0), out=sup_x)
+        if record:
+            for out, src in ((rec[0], x[:k, 0, 0]), (rec[2], zb[:k, 0, :N])):
+                out[:, j0:j0 + k] = src.swapaxes(0, 1)
+            rec_xbar[j0:j0 + k] = xm[:k, 0, 0, 0]
+
+    Jc += quad(x_last, G, np.empty((C, B, N)))
+    Jl += quad(zb_last, G, np.empty((B, W)))
+    Jl += RU
+    Jc += rows(RU[None], np.empty((1, C, B, N)))[0]
+    Jl = rows(Jl[None], np.empty((1, C, B, N)))[0]
     stats = _finish(pl, Jc, Jl, gap, sup_x, sup_z)
     if not record:
         return stats
+    rec_x, rec_zh, rec_zb, rec_u = (r.reshape(N, M + 1, -1) for r in rec)
     sample = PopulationSample(N=N, x=rec_x, z_hat=rec_zh, z_bar=rec_zb,
-                              u=rec_u, state_average=rec_xbar, m=rec_m,
+                              u=rec_u, state_average=rec_xbar.reshape(M + 1, n),
+                              m=m[:, 0, 0].reshape(M + 1, n),
                               Em=pl.Em.copy(), J_central=Jc[0, 0],
                               J_limit=Jl[0, 0])
     return stats, sample

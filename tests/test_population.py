@@ -1,6 +1,7 @@
 """Finite-population simulator, rate fits, and deviation experiments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from lqmfg import (DeviationCandidate, DivergenceError, LqMfgModel, NoisePath,
                    integrate_z_hat, limit_problem_experiment,
                    lq_value_prediction, rate_experiment_state,
                    rate_experiments, resolve_workers, simulate_population)
-from lqmfg.population import (_block_kernel, _block_noise, _check_ladder,
-                              _fit_loglog, _run_block, _SimPayload)
+from lqmfg.population import (_BLOCK_ELEMENTS, _block_kernel, _block_noise,
+                              _check_ladder, _chunk_steps, _fit_loglog,
+                              _run_block, _sample_tasks, _SimPayload)
 from lqmfg.riccati import FeedbackLaw, solve_riccati
 from lqmfg.scenario import preset
 
@@ -180,21 +182,26 @@ def test_splitting_a_rung_into_blocks_keeps_bits():
 @pytest.mark.parametrize("form", KERNEL_MODELS)
 def test_block_kernel_matches_single_path_integrators(form):
     # the recorded block (one sample) against the independent
-    # meanfield.integrate_* oracles and state_oracle on the same streams
-    model, law, Em = KERNEL_MODELS[form](80)
-    seed = derive_seed(3, 4, 0)
-    sample = simulate_population(model, law, Em, N=4, seed=seed)
-    common = NoisePath.generate(model.grid, seed, 0)
-    m = integrate_m(model, law, Em, common)
-    own = [NoisePath.generate(model.grid, seed, i + 1) for i in range(4)]
-    paths = [integrate_z_hat(model, law, Em, path) for path in own]
-    u = np.array([path.u for path in paths])
-    for got, want in ((sample.m, m),
-                      (sample.z_hat, [path.z_hat for path in paths]),
-                      (sample.u, u),
-                      (sample.z_bar, state_oracle(model, u, own, common, m)),
-                      (sample.x, state_oracle(model, u, own, common))):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # meanfield.integrate_* oracles and state_oracle on the same streams, on
+    # a grid whose last kernel chunk is a short one
+    steps = 110
+    model, law, Em = KERNEL_MODELS[form](steps)
+    for N in (4, 1):
+        assert steps % _chunk_steps(steps, N) != 0
+        seed = derive_seed(3, N, 0)
+        sample = simulate_population(model, law, Em, N=N, seed=seed)
+        common = NoisePath.generate(model.grid, seed, 0)
+        m = integrate_m(model, law, Em, common)
+        own = [NoisePath.generate(model.grid, seed, i + 1) for i in range(N)]
+        paths = [integrate_z_hat(model, law, Em, path) for path in own]
+        u = np.array([path.u for path in paths])
+        for got, want in (
+                (sample.m, m),
+                (sample.z_hat, [path.z_hat for path in paths]),
+                (sample.u, u),
+                (sample.z_bar, state_oracle(model, u, own, common, m)),
+                (sample.x, state_oracle(model, u, own, common))):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_population_rejects_bad_arguments():
@@ -208,12 +215,23 @@ def test_population_rejects_bad_arguments():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("form", KERNEL_MODELS)
 def test_exploding_feedback_is_diagnosed(form):
+    # the kernel names the first node where a state is non-finite; with a
+    # huge gain zhat overflows first, at the node the oracles name too
     model, law, Em = KERNEL_MODELS[form](100)
-    huge = FeedbackLaw(grid=law.grid, K_z=np.full_like(law.K_z, 1e155),
-                       K_m=np.zeros_like(law.K_m),
-                       c_u=np.zeros_like(law.c_u))
-    with pytest.raises(DivergenceError):
-        simulate_population(model, huge, Em, N=3, seed=2)
+    for gain in (1e155, 1e30):
+        huge = FeedbackLaw(grid=law.grid, K_z=np.full_like(law.K_z, gain),
+                           K_m=np.zeros_like(law.K_m),
+                           c_u=np.zeros_like(law.c_u))
+        integrate_m(model, huge, Em, NoisePath.generate(model.grid, 2, 0))
+        nodes = []
+        for i in range(3):
+            with pytest.raises(DivergenceError) as oracle:
+                integrate_z_hat(model, huge, Em,
+                                NoisePath.generate(model.grid, 2, i + 1))
+            nodes.append(oracle.value.node)
+        with pytest.raises(DivergenceError) as err:
+            simulate_population(model, huge, Em, N=3, seed=2)
+        assert err.value.node == min(nodes) < model.grid.steps
 
 
 # ---------------------------------------------------------------- rate fit
@@ -261,6 +279,25 @@ def test_rate_experiment_rejects_tiny_sample_count():
     model, law, Em = closed_form(20)
     with pytest.raises(UsageError):
         rate_experiments(model, law, (2, 4, 8, 16), S=1, seed=3)
+
+
+def test_ladder_block_memory_stays_within_its_noise_and_one_megabyte():
+    # full-size blocks (2**18 increments) at the ladder benchmark's grid: the
+    # kernel's chunk buffers must add at most 1 MB to the block's noise
+    M = 125
+    pl = payload(M)
+    for N in (25, 100, 800):
+        (task,) = _sample_tasks(N, _BLOCK_ELEMENTS // (N * M), M, 1)
+        _, _, seeds, _ = task
+        assert len(seeds) > 1
+        noise = len(seeds) * (N + 1) * M * 8
+        tracemalloc.start()
+        try:
+            _run_block(pl, N, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= noise + 2 ** 20, (N, peak - noise)
 
 
 def test_parallel_workers_bitwise_match_serial():
@@ -404,6 +441,22 @@ def test_self_candidate_replays_baseline_bit_for_bit(N, dim):
     for field in STAT_FIELDS:
         rows = getattr(stats, field)[0]
         np.testing.assert_array_equal(rows[1], rows[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["scalar", "embedded"])
+def test_candidate_rows_equal_their_one_row_blocks(dim):
+    # a row's bits do not depend on the other rows of its block, in the
+    # scalar form and the matrix form (the n = k = 2 embedding)
+    pl = netsec_numeric(60, dim)
+    family = default_candidate_family()
+    for N in (1, 5):
+        noise = _block_noise(pl, N, [derive_seed(9, N, s) for s in range(2)])
+        block = _block_kernel(pl, *noise, family)
+        for row, cand in enumerate(family, start=1):
+            alone = _block_kernel(pl, *noise, (cand,))
+            for field in STAT_FIELDS:
+                got, want = getattr(block, field), getattr(alone, field)
+                np.testing.assert_array_equal(got[:, [0, row]], want)
 
 
 def test_deviation_report_reproducible_and_gain_sign():

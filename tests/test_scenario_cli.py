@@ -625,6 +625,24 @@ def test_csv_cells_are_shortest_round_trip_reprs():
     assert _csv(["t", "x", "y", "i"], columns) == reference
 
 
+def test_agent_csv_with_preformatted_nodes_keeps_the_bytes(tmp_path):
+    # the simulate kind formats the node column once per worker range and
+    # hands it to every agent's writer; the file is the plain table's
+    from lqmfg.io import _csv, cells, write_agent_csv
+    from lqmfg.model import TimeGrid
+    grid = TimeGrid(0.7, 9)
+    rng = np.random.default_rng(3)
+    z_hat = rng.standard_normal((10, 2)) * 10.0 ** rng.integers(-300, 300,
+                                                                 (10, 2))
+    u = rng.standard_normal((10, 1))
+    z_hat[3, 0], u[5, 0] = -0.0, 5e-324
+    reference = _csv(["t", "zhat_1", "zhat_2", "u_1"],
+                     [grid.nodes, z_hat[:, 0], z_hat[:, 1], u[:, 0]])
+    for times in (None, cells(grid.nodes)):
+        write_agent_csv(tmp_path / "agent.csv", grid, z_hat, u, times)
+        assert (tmp_path / "agent.csv").read_bytes() == reference.encode()
+
+
 # ------------------------------------------------------ mutated scenarios
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 50)
