@@ -113,18 +113,16 @@ def write_meanfield_csv(path, grid, m, Em) -> None:
     atomic_write_text(path, _csv(headers, columns))
 
 
-def write_agent_csv(path, grid, z_hat, u, times=None) -> None:
+def write_agent_csv(path, grid, z_hat, u, times) -> None:
     """One row per grid node: t, zhat, u.
 
-    ``times`` is ``cells(grid.nodes)``; a caller writing many agents on one
-    grid formats it once and passes it to each call.
+    ``times`` is ``cells(grid.nodes)``, formatted once by a caller writing
+    many agents on one grid and passed to each call.
     """
     n = z_hat.shape[1]
     k = u.shape[1]
     headers = (["t"] + _vector_headers("zhat", n) + _vector_headers("u", k))
     columns = [z_hat[:, i] for i in range(n)] + [u[:, i] for i in range(k)]
-    if times is None:
-        times = cells(grid.nodes)
     atomic_write_text(path, _csv(headers, columns, times))
 
 

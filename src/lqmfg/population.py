@@ -18,12 +18,15 @@ together with their streams.
 
 Samples run in blocks: one kernel steps B samples of one population size
 at once, where the C rows of a sample share its noise (row 0 the
-equilibrium policy, the others deviation candidates of agent 0).  A ladder
-block holds up to 2**18 // (N M) samples, so its increments take at most
-2 MB (or one sample's worth); a deviation block is one sample with every
-candidate as a row, the limiting problem is the kernel at N = 1, and a
+equilibrium policy, the others deviation candidates of agent 0).  The
+ladder, deviation and limiting-problem experiments cut their samples into
+the same blocks (``_sample_tasks``): a block holds up to 2**18 // (N M)
+samples, so its increments take at most 2 MB (or one sample's worth), and
+every sample of a deviation or limiting-problem block carries each
+candidate as a row.  The limiting problem is the kernel at N = 1, and a
 recorded population is a block of one sample and one row.  Blocks are the
-tasks of the process pool, and every block's statistics equal those of its
+tasks of the process pool, which one driver (``_sample_stats``) maps for
+all three experiments.  Every block's statistics equal those of its
 samples run one at a time, and a row's those of its candidate run alone.
 
 Only x couples the agents (through its sorted average), so the kernel steps
@@ -611,12 +614,26 @@ def _sample_tasks(N: int, S: int, M: int, seed: int, cands=()):
             for s0 in range(0, S, B)]
 
 
-def _gather(stats: dict, tasks) -> _BlockStats:
-    """The block stats of ``tasks``, taken from ``stats``, stacked along the
-    sample axis."""
-    blocks = [stats.pop(t[0]) for t in tasks]
-    return _BlockStats(*(np.concatenate([getattr(b, f.name) for b in blocks])
-                         for f in dataclasses.fields(_BlockStats)))
+def _sample_stats(model: LqMfgModel, law: FeedbackLaw, Ns, S: int,
+                  seed: int, rows=(), workers=None) -> dict[int, _BlockStats]:
+    """``{N: stats}`` of the S samples of each population size in ``Ns``,
+    every sample with the candidate rows ``rows``, stacked along the sample
+    axis.  The blocks of every size are the tasks of one pool map."""
+    S = int(S)
+    if S < 2:
+        raise UsageError("need at least 2 samples")
+    workers = resolve_workers(workers)
+    payload = _SimPayload(model, law, integrate_Em(model, law))
+    tasks = {N: _sample_tasks(N, S, payload.M, seed, rows) for N in Ns}
+    stats = map_tasks(_run_block, payload,
+                      [t for N in Ns for t in tasks[N]], workers)
+    stacked = {}
+    for N in Ns:    # popped, so a size's blocks are freed once stacked
+        blocks = [stats.pop(t[0]) for t in tasks[N]]
+        stacked[N] = _BlockStats(*(
+            np.concatenate([getattr(b, f.name) for b in blocks])
+            for f in dataclasses.fields(_BlockStats)))
+    return stacked
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +657,7 @@ class RateFitReport:
 
 
 def _mean_se(vals):
+    vals = np.asarray(vals, float).tolist()
     S = len(vals)
     mean = math.fsum(vals) / S
     var = math.fsum((v - mean) ** 2 for v in vals) / (S - 1)
@@ -686,48 +704,27 @@ def rate_experiments(model: LqMfgModel, law: FeedbackLaw, Ns, S: int,
     average to m (the conditional law of large numbers).
     """
     Ns = _check_ladder(Ns)
-    S = int(S)
-    if S < 2:
-        raise UsageError("need at least 2 samples per ladder point")
-    workers = resolve_workers(workers)
-    Em = integrate_Em(model, law)
-    payload = _SimPayload(model, law, Em)
-    rungs = {N: _sample_tasks(N, S, payload.M, seed) for N in Ns}
-    stats = map_tasks(_run_block, payload,
-                      [t for N in Ns for t in rungs[N]], workers)
+    stats = _sample_stats(model, law, Ns, S, seed, workers=workers)
 
-    xbar_vals, xbar_ses = [], []
-    agent_vals, agent_ses = [], []
-    zavg_vals, zavg_ses = [], []
-    cost_vals, cost_ses = [], []
-    for N in Ns:
-        per = _gather(stats, rungs[N])
-        mean, se = _mean_se(per.xbar_gap[:, 0].tolist())
-        xbar_vals.append(mean)
-        xbar_ses.append(se)
-        # Worst agent by sample-mean of its gap to the limiting state.
-        gaps = per.agent_gaps[:, 0]                      # (S, N)
-        worst = int(np.argmax(gaps.mean(axis=0)))
-        mean, se = _mean_se(gaps[:, worst].tolist())
-        agent_vals.append(mean)
-        agent_ses.append(se)
-        mean, se = _mean_se(per.zbar_gap[:, 0].tolist())
-        zavg_vals.append(mean)
-        zavg_ses.append(se)
-        gap = np.abs(per.J_central[:, 0] - per.J_limit[:, 0])
-        mean, se = _mean_se([math.fsum(row.tolist()) / N for row in gap])
-        cost_vals.append(mean)
-        cost_ses.append(se)
+    def fit(name, per_sample, companions=()):
+        """Fit of the sample mean of ``per_sample(stats)`` over the ladder."""
+        means, ses = zip(*(_mean_se(per_sample(stats[N])) for N in Ns))
+        return _make_report(name, Ns, means, ses, int(S), seed, companions)
 
-    companions = (
-        _make_report("agent_limit_gap", Ns, agent_vals, agent_ses, S, seed),
-        _make_report("limit_average_gap", Ns, zavg_vals, zavg_ses, S, seed),
-    )
-    return {
-        "state": _make_report("state_average_gap", Ns, xbar_vals, xbar_ses,
-                              S, seed, companions),
-        "cost": _make_report("cost_gap", Ns, cost_vals, cost_ses, S, seed),
-    }
+    def worst_agent(st):
+        # the agent whose gap to its limiting state has the largest mean
+        gaps = st.agent_gaps[:, 0]                       # (S, N)
+        return gaps[:, int(np.argmax(gaps.mean(axis=0)))]
+
+    def cost_gap(st):
+        gap = np.abs(st.J_central[:, 0] - st.J_limit[:, 0])
+        return [math.fsum(row.tolist()) / len(row) for row in gap]
+
+    companions = (fit("agent_limit_gap", worst_agent),
+                  fit("limit_average_gap", lambda st: st.zbar_gap[:, 0]))
+    return {"state": fit("state_average_gap", lambda st: st.xbar_gap[:, 0],
+                         companions),
+            "cost": fit("cost_gap", cost_gap)}
 
 
 def rate_experiment_state(model, law, Ns, S, seed, workers=None
@@ -778,17 +775,21 @@ def _candidate_rows(candidates):
     return rows, [0 if c.is_self else next(row) for c in candidates]
 
 
-def _candidate_results(J: np.ndarray, cols, candidates):
-    """Baseline mean and SE and paired candidate results from (S, C) costs."""
-    base_mean, base_se = _mean_se(J[:, 0].tolist())
+def _candidate_fields(J: np.ndarray, cols, candidates) -> dict:
+    """The fields a candidate report shares, from (S, C) costs in which
+    candidate i reads column cols[i]: sample count, baseline mean and SE,
+    paired candidate results and their largest gain (NaN without any)."""
+    base_mean, base_se = _mean_se(J[:, 0])
     results = []
     for col, cand in zip(cols, candidates):
-        mean, se = _mean_se(J[:, col].tolist())
-        gain, gain_se = _mean_se((J[:, 0] - J[:, col]).tolist())
+        mean, se = _mean_se(J[:, col])
+        gain, gain_se = _mean_se(J[:, 0] - J[:, col])
         results.append(CandidateResult(name=cand.name, mean_cost=mean,
                                        cost_stderr=se, gain=gain,
                                        gain_stderr=gain_se))
-    return base_mean, base_se, tuple(results)
+    return {"S": len(J), "baseline_mean_cost": base_mean,
+            "baseline_stderr": base_se, "results": tuple(results),
+            "max_gain": max((r.gain for r in results), default=float("nan"))}
 
 
 def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
@@ -807,20 +808,11 @@ def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
     N = int(N)
     if N < 1:
         raise UsageError("population size must be at least 1")
-    S = int(S)
-    if S < 2:
-        raise UsageError("need at least 2 samples")
-    workers = resolve_workers(workers)
-    Em = integrate_Em(model, law)
-    payload = _SimPayload(model, law, Em)
     rows, cols = _candidate_rows(candidates)
-    tasks = [((N, s), N, (derive_seed(seed, N, s),), rows) for s in range(S)]
-    stats = map_tasks(_run_block, payload, tasks, workers)
-    J = _gather(stats, tasks).J_central[:, :, 0]       # agent 0, (S, C)
-    base_mean, base_se, results = _candidate_results(J, cols, candidates)
-    return DeviationReport(N=N, S=S, seed=seed, baseline_mean_cost=base_mean,
-                           baseline_stderr=base_se, results=results,
-                           max_gain=max(r.gain for r in results))
+    stats = _sample_stats(model, law, (N,), S, seed, rows, workers)
+    J = stats[N].J_central[:, :, 0]                    # agent 0, (S, C)
+    return DeviationReport(N=N, seed=seed,
+                           **_candidate_fields(J, cols, candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -869,18 +861,8 @@ def limit_problem_experiment(model: LqMfgModel, law: FeedbackLaw, S: int,
     population coupling.  Candidates are rows of the same samples, so they
     share streams with the baseline (common random numbers).
     """
-    S = int(S)
-    if S < 2:
-        raise UsageError("need at least 2 samples")
     candidates = tuple(candidates)
-    Em = integrate_Em(model, law)
-    payload = _SimPayload(model, law, Em)
     rows, cols = _candidate_rows(candidates)
-    tasks = _sample_tasks(1, S, payload.M, seed, rows)
-    stats = map_tasks(_run_block, payload, tasks, resolve_workers())
-    J = _gather(stats, tasks).J_limit[:, :, 0]          # (S, C)
-    base_mean, base_se, results = _candidate_results(J, cols, candidates)
-    max_gain = max((r.gain for r in results), default=float("nan"))
-    return LimitCostReport(S=S, seed=seed, baseline_mean_cost=base_mean,
-                           baseline_stderr=base_se, results=results,
-                           max_gain=max_gain)
+    J = _sample_stats(model, law, (1,), S, seed, rows)[1].J_limit[:, :, 0]
+    return LimitCostReport(seed=seed,
+                           **_candidate_fields(J, cols, candidates))

@@ -399,13 +399,13 @@ def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
     ``eq`` is the model's ``_PEquation`` when the caller already built it.
 
     Returns (P, IterativeInfo).  Raises ``UsageError`` unless max_iters >= 1
-    and tol > 0, ``MonotonicityError`` if an iterate fails to sit below its
-    predecessor beyond tolerance, ``ConvergenceError`` if max_iters is
-    exhausted.
+    and tol is positive and finite, ``MonotonicityError`` if an iterate
+    fails to sit below its predecessor beyond tolerance, ``ConvergenceError``
+    if max_iters is exhausted.
     """
-    if max_iters < 1 or not tol > 0:
-        raise UsageError("solve_P_iterative needs max_iters >= 1 and tol > 0, "
-                         f"got {max_iters} and {tol}")
+    if max_iters < 1 or not 0 < tol < np.inf:
+        raise UsageError("solve_P_iterative needs max_iters >= 1 and a "
+                         f"finite tol > 0, got {max_iters} and {tol}")
     eq = _PEquation(model) if eq is None else eq
     P_prev, stages = eq.kleinman(np.zeros((3, model.grid.steps, eq.k, eq.n)))
 

@@ -245,7 +245,7 @@ class SolverBlock:
         max_iters = _int(d.get("max_iters", 100), "solver.max_iters")
         if max_iters < 1:
             raise UsageError("solver.max_iters must be positive")
-        tol = _real(d.get("tol", 1e-10), "solver.tol")
+        tol = _finite(d.get("tol", 1e-10), "solver.tol")
         if not (tol > 0):
             raise UsageError("solver.tol must be positive")
         return cls(steps=steps, p_method=p_method, gamma_method=gamma_method,

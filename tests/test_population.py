@@ -166,17 +166,20 @@ def test_diagonal_embedding_doubles_every_statistic():
 
 
 def test_splitting_a_rung_into_blocks_keeps_bits():
+    # with and without the default candidate rows: the ladder, deviation
+    # and limiting-problem experiments all group samples into blocks
     pl = payload(60)
     N, S = 5, 6
     seeds = [derive_seed(8, N, s) for s in range(S)]
-    whole = _run_block(pl, N, seeds)
-    for size in (1, 3):
-        parts = [_run_block(pl, N, seeds[i:i + size])
-                 for i in range(0, S, size)]
-        for field in STAT_FIELDS:
-            np.testing.assert_array_equal(
-                np.concatenate([getattr(p, field) for p in parts]),
-                getattr(whole, field))
+    for rows in ((), default_candidate_family()[1:]):
+        whole = _run_block(pl, N, seeds, rows)
+        for size in (1, 3):
+            parts = [_run_block(pl, N, seeds[i:i + size], rows)
+                     for i in range(0, S, size)]
+            for field in STAT_FIELDS:
+                np.testing.assert_array_equal(
+                    np.concatenate([getattr(p, field) for p in parts]),
+                    getattr(whole, field))
 
 
 @pytest.mark.parametrize("form", KERNEL_MODELS)
@@ -405,29 +408,37 @@ def test_self_candidate_gain_is_exactly_zero():
 
 
 def test_deviation_runs_no_self_replays(monkeypatch):
-    # "self" candidates reuse the baseline's stats: a task is one sample
-    # whose rows are the baseline and the other candidates, S x (1 +
-    # non-self candidates) rows in all
+    # "self" candidates reuse the baseline's stats: the queued tasks hold
+    # each of the S samples once, with the baseline and the other
+    # candidates as its rows, S x (1 + non-self candidates) rows in all;
+    # the same for the limiting problem
     import lqmfg.population as population
     model, law, Em = closed_form(40)
     family = default_candidate_family()
-    queued = []
-    real = population.map_tasks
-
-    def counting(run, payload, tasks, workers):
-        queued.extend(tasks)
-        return real(run, payload, tasks, workers)
-
-    monkeypatch.setattr(population, "map_tasks", counting)
-    S = 3
-    report = deviation_experiment(model, law, N=4, S=S, candidates=family,
-                                  seed=21, workers=1)
     non_self = sum(not cand.is_self for cand in family)
-    assert len(queued) == S
-    assert sum(len(seeds) * (1 + len(rows))
-               for _, _, seeds, rows in queued) == S * (1 + non_self)
-    assert report.results[0].name == "self"
-    assert report.results[0].gain == 0.0
+    real = population.map_tasks
+    S = 3
+    for experiment in (lambda: deviation_experiment(model, law, N=4, S=S,
+                                                    candidates=family,
+                                                    seed=21, workers=1),
+                       lambda: limit_problem_experiment(model, law, S=S,
+                                                        seed=21,
+                                                        candidates=family)):
+        queued = []
+
+        def counting(run, payload, tasks, workers):
+            queued.extend(tasks)
+            return real(run, payload, tasks, workers)
+
+        monkeypatch.setattr(population, "map_tasks", counting)
+        report = experiment()
+        N = queued[0][1]
+        assert [seed for _, _, seeds, _ in queued for seed in seeds] == [
+            derive_seed(21, N, s) for s in range(S)]
+        assert sum(len(seeds) * (1 + len(rows))
+                   for _, _, seeds, rows in queued) == S * (1 + non_self)
+        assert report.results[0].name == "self"
+        assert report.results[0].gain == 0.0
 
 
 @pytest.mark.parametrize("N, dim", [(1, 1), (6, 1), (1, 2), (6, 2)],

@@ -282,7 +282,7 @@ def test_iterative_starts_above_solution():
 def test_iterative_rejects_bad_settings():
     model = preset("netsec-closed-form").model.build(20)
     for max_iters, tol in ((0, 1e-10), (-3, 1e-10), (5, 0.0), (5, -1.0),
-                           (5, float("nan"))):
+                           (5, float("nan")), (5, float("inf"))):
         with pytest.raises(UsageError):
             solve_P_iterative(model, max_iters=max_iters, tol=tol)
         with pytest.raises(UsageError):

@@ -451,6 +451,7 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     ("model", "r_min", float("inf")),
     ("experiment", "candidates", {"gain_scales": [float("inf")]}),
     ("experiment", "candidates", {"offsets": [float("inf")]}),
+    ("solver", "tol", float("inf")),
 ])
 def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
                                      key, value):
@@ -638,9 +639,8 @@ def test_agent_csv_with_preformatted_nodes_keeps_the_bytes(tmp_path):
     z_hat[3, 0], u[5, 0] = -0.0, 5e-324
     reference = _csv(["t", "zhat_1", "zhat_2", "u_1"],
                      [grid.nodes, z_hat[:, 0], z_hat[:, 1], u[:, 0]])
-    for times in (None, cells(grid.nodes)):
-        write_agent_csv(tmp_path / "agent.csv", grid, z_hat, u, times)
-        assert (tmp_path / "agent.csv").read_bytes() == reference.encode()
+    write_agent_csv(tmp_path / "agent.csv", grid, z_hat, u, cells(grid.nodes))
+    assert (tmp_path / "agent.csv").read_bytes() == reference.encode()
 
 
 # ------------------------------------------------------ mutated scenarios

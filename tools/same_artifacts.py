@@ -1,0 +1,97 @@
+"""Check that two source trees write the same artifacts, byte for byte.
+
+    python tools/same_artifacts.py PARENT_ROOT CHANGE_ROOT
+
+Runs a fixed set of scenarios through ``python -m lqmfg.cli ... --quiet``
+from each tree's ``src`` (with ``MFG_THREADS=2``) and compares
+every artifact except the manifest, whose configuration echo and wall time
+may differ.  The scenarios are the benchmark workloads' (read from this
+repository's ``perfbench/workloads.py``: ``solve`` at seed 501, ``ladder``
+at seeds 917 and 3, ``simulate`` at seed 917), both presets, and two
+deviation sweeps on the netsec-numeric model.  Prints every file that
+differs or exists in one tree only; exits 1 if there is one, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+sys.dont_write_bytecode = True      # leave perfbench/ as it is
+
+import workloads  # noqa: E402
+
+
+def _deviation(N: int, S: int, steps: int) -> dict:
+    return {"format_version": 1,
+            "model": dict(workloads.NETSEC_NUMERIC, steps=steps),
+            "solver": {"p_method": "direct", "gamma_method": "direct"},
+            "experiment": {"kind": "deviation", "seed": 917, "N": N, "S": S},
+            "output": {"directory": "out", "prefix": "deviation"}}
+
+
+def scenarios() -> dict:
+    """``{name: scenario dict, or the name of a preset}``."""
+    runs = {f"{w}-{seed}": workloads.scenario(w, seed)
+            for w, seed in (("solve", 501), ("ladder", 917), ("ladder", 3),
+                            ("simulate", 917))}
+    runs["deviation-6"] = _deviation(6, 9, 200)
+    runs["deviation-120"] = _deviation(120, 6, 300)
+    for name in ("netsec-closed-form", "netsec-numeric"):
+        runs[name] = name
+    return runs
+
+
+def run_tree(root: str, runs: dict, work: str) -> dict:
+    """Run every scenario from ``root``'s src; ``{relative path: bytes}`` of
+    the artifacts, manifests left out."""
+    src = os.path.join(os.path.abspath(root), "src")
+    env = dict(os.environ, MFG_THREADS="2", PYTHONPATH=src)
+    os.makedirs(work)
+    files = {}
+    for name, spec in runs.items():
+        out = os.path.join(work, name)
+        if isinstance(spec, str):
+            args = ["--preset", spec]
+        else:
+            args = ["--config", os.path.join(work, f"{name}.json")]
+            with open(args[1], "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+        cmd = [sys.executable, "-m", "lqmfg.cli", *args, "--out", out,
+               "--quiet"]
+        done = subprocess.run(cmd, cwd=src, env=env, capture_output=True,
+                              text=True)
+        if done.returncode != 0:
+            sys.exit(f"{root}: {name} exited {done.returncode}\n"
+                     f"{done.stderr}")
+        for entry in sorted(os.listdir(out)):
+            if not entry.endswith("manifest.json"):
+                with open(os.path.join(out, entry), "rb") as fh:
+                    files[f"{name}/{entry}"] = fh.read()
+    return files
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    runs = scenarios()
+    with tempfile.TemporaryDirectory() as work:
+        parent, change = (run_tree(root, runs, os.path.join(work, tag))
+                          for tag, root in zip(("parent", "change"), argv))
+        differ = sorted(name for name in parent.keys() | change.keys()
+                        if parent.get(name) != change.get(name))
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(parent.keys() | change.keys())} artifacts compared, "
+          f"{len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
