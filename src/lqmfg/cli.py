@@ -36,13 +36,12 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import LqmfgError, UsageError, ValidationError
-from .io import (cells, deviation_report_dict, rate_report_dict,
-                 write_agent_csv, write_json, write_meanfield_csv,
-                 write_rate_csv, write_riccati_csv)
+from .io import (deviation_report_dict, rate_report_dict, write_agent_csv,
+                 write_json, write_meanfield_csv, write_rate_csv,
+                 write_riccati_csv)
 from .meanfield import integrate_Em
 from .model import validate, wellposedness_diagnostic
 from .population import (deviation_experiment, map_tasks,
@@ -141,12 +140,10 @@ def _require(value, name: str, kind: str):
 
 
 def _write_agents(payload, start: int, stop: int) -> None:
-    """Write the CSVs of agents ``start`` to ``stop - 1``, one at a time,
-    formatting the shared node column once."""
+    """Write the CSVs of agents ``start`` to ``stop - 1``, one at a time."""
     paths, grid, z_hat, u = payload
-    times = cells(grid.nodes)
     for i in range(start, stop):
-        write_agent_csv(paths[i], grid, z_hat[i], u[i], times)
+        write_agent_csv(paths[i], grid, z_hat[i], u[i])
 
 
 def _agent_ranges(N: int, workers: int) -> list:
@@ -249,7 +246,6 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         "seed": exp.seed,
         "versions": {"package": __version__,
                      "numpy": np.__version__,
-                     "scipy": scipy.__version__,
                      "python": platform.python_version()},
         "wall_time_s": time.perf_counter() - started,
         "artifacts": [os.path.basename(p) for p in artifacts],

@@ -2,12 +2,16 @@
 
 Every writer goes through a temp-file-plus-rename so a crash mid-run never
 leaves a truncated artifact behind. Floats are written with shortest
-round-trip formatting, so rerunning with the same seed reproduces files
-byte for byte.
+round-trip formatting (``%r``, which is ``repr``), so rerunning with the
+same seed reproduces files byte for byte. Each table is filled from one
+``%`` line template; a table led by a time grid's nodes takes a template
+with the node column already formatted, cached per grid and width, so the
+many agent tables of one population format their shared column once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -57,30 +61,33 @@ def _vector_headers(name: str, rows: int) -> list[str]:
     return [f"{name}_{i + 1}" for i in range(rows)]
 
 
-def _csv(headers, columns, first=None) -> str:
-    """CSV text: ``headers``, then one line per row of ``columns``.
+def _csv(headers, blocks, grid=None) -> str:
+    """CSV text: ``headers``, then one line per row of ``blocks``.
 
-    ``first``, if given, is a first column already formatted by ``cells``,
-    written before ``columns``.
+    ``blocks`` are arrays of one row per line, set side by side; a block's
+    trailing axes are flattened row-major, which is the header order of a
+    matrix.  With ``grid``, each line starts with that grid's node time.
     """
-    rows = np.column_stack(columns).astype(float, copy=False).tolist()
-    if first is None:
-        body = [",".join(map(repr, row)) for row in rows]
+    values = np.hstack([np.reshape(b, (len(b), -1)) for b in blocks]
+                       ).astype(float, copy=False)
+    rows, width = values.shape
+    if grid is None:
+        template = _line(width) * rows
     else:
-        body = [cell + "," + ",".join(map(repr, row))
-                for cell, row in zip(first, rows)]
-    return "\n".join([",".join(headers)] + body) + "\n"
+        template = _node_lines(grid, width)
+    return ",".join(headers) + "\n" + template % tuple(values.ravel().tolist())
 
 
-def cells(values) -> list[str]:
-    """The CSV cells of ``values``, as ``_csv`` formats them."""
-    return list(map(repr, np.asarray(values, float).tolist()))
+def _line(width: int) -> str:
+    return ",".join(["%r"] * width) + "\n"
 
 
-def _matrix_columns(values) -> list:
-    # (M+1, r, c) -> r*c flat columns in row-major header order
-    count, rows, cols = values.shape
-    return [values[:, i, j] for i in range(rows) for j in range(cols)]
+@functools.lru_cache(maxsize=8)
+def _node_lines(grid, width: int) -> str:
+    """The line template of a ``width``-wide table led by ``grid``'s nodes:
+    the node column formatted once per grid and width, not once per table."""
+    line = _line(width)
+    return "".join(f"{t!r},{line}" for t in grid.nodes.tolist())
 
 
 def write_riccati_csv(path, solution, feedback) -> None:
@@ -94,36 +101,23 @@ def write_riccati_csv(path, solution, feedback) -> None:
                + _matrix_headers("K_z", k, n)
                + _matrix_headers("K_m", k, n)
                + _vector_headers("c_u", k))
-    columns = ([solution.grid.nodes]
-               + _matrix_columns(solution.P)
-               + _matrix_columns(solution.Gamma)
-               + [solution.Phi[:, i] for i in range(n)]
-               + _matrix_columns(solution.Sigma)
-               + _matrix_columns(feedback.K_z)
-               + _matrix_columns(feedback.K_m)
-               + [feedback.c_u[:, i] for i in range(k)])
-    atomic_write_text(path, _csv(headers, columns))
+    blocks = [solution.P, solution.Gamma, solution.Phi, solution.Sigma,
+              feedback.K_z, feedback.K_m, feedback.c_u]
+    atomic_write_text(path, _csv(headers, blocks, solution.grid))
 
 
 def write_meanfield_csv(path, grid, m, Em) -> None:
     n = m.shape[1]
     headers = ["t"] + _vector_headers("m", n) + _vector_headers("Em", n)
-    columns = ([grid.nodes] + [m[:, i] for i in range(n)]
-               + [Em[:, i] for i in range(n)])
-    atomic_write_text(path, _csv(headers, columns))
+    atomic_write_text(path, _csv(headers, [m, Em], grid))
 
 
-def write_agent_csv(path, grid, z_hat, u, times) -> None:
-    """One row per grid node: t, zhat, u.
-
-    ``times`` is ``cells(grid.nodes)``, formatted once by a caller writing
-    many agents on one grid and passed to each call.
-    """
+def write_agent_csv(path, grid, z_hat, u) -> None:
+    """One row per grid node: t, zhat, u."""
     n = z_hat.shape[1]
     k = u.shape[1]
     headers = (["t"] + _vector_headers("zhat", n) + _vector_headers("u", k))
-    columns = [z_hat[:, i] for i in range(n)] + [u[:, i] for i in range(k)]
-    atomic_write_text(path, _csv(headers, columns, times))
+    atomic_write_text(path, _csv(headers, [z_hat, u], grid))
 
 
 def rate_report_dict(report) -> dict:

@@ -62,11 +62,10 @@ def _philox():
     global _PHILOX
     if _PHILOX is None:
         bits = np.random.Philox()
-        zeros = np.zeros(4, np.uint64)
+        # plain ints: the state setter converts them faster than numpy's
         state = {"bit_generator": "Philox",
-                 "state": {"counter": zeros,
-                           "key": np.zeros(2, np.uint64)},
-                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0,
+                 "state": {"counter": [0] * 4, "key": [0, 0]},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
                  "uinteger": 0}
         _PHILOX = bits, np.random.Generator(bits), state
     return _PHILOX

@@ -33,11 +33,11 @@ Only x couples the agents (through its sorted average), so the kernel steps
 only x node by node.  m is built once per block; zhat, the controls, the
 per-agent step factors, zbar and every statistic are built a chunk of steps
 at a time in whole-array calls, and the rows share all of them but x and
-agent 0's control and zbar.  The chunk length depends on M and N only, so
-the bits do not depend on how samples are grouped into blocks.  A chunk's
-arrays take turns in three buffers allocated once per block; one of them
-holds at most 3 * 2**12 numbers in the largest block, so a ladder block's
-kernel needs less than 1 MB besides its noise.  Coefficients come in one of two
+agent 0's control and zbar.  A chunk's arrays take turns in three buffers
+allocated once per block.  The chunk length counts the block's samples and
+rows, and a block holds few enough samples that one of these buffers takes
+at most 3 * 2**12 numbers, so a block's kernel needs less than 1 MB besides
+its noise; the length never reaches the bits.  Coefficients come in one of two
 forms, chosen from the model shape: scalar models (n = k = 1) keep no state
 axis and multiply, matrix models apply each agent's factor matrix by
 matmul.  A noise term whose coefficient is zero at every node is dropped.
@@ -60,9 +60,12 @@ from .riccati import FeedbackLaw
 
 # Noise draws per block of samples: 2 MB of float64 increments.
 _BLOCK_ELEMENTS = 2 ** 18
-# Kernel chunks: at most this many steps, and at most this many numbers in
-# one chunk buffer of the largest block (three are live, besides the step
-# factors that carry per-agent noise).
+# Kernel chunks: from _CHUNK_MIN to _CHUNK_STEPS steps, and at most
+# _CHUNK_ELEMENTS numbers in one chunk buffer of a block (three are live,
+# besides the step factors that carry per-agent noise).  Below 3 steps a
+# chunk's fixed cost of whole-array calls dominates: a 10-row deviation
+# sample at N = 100 took 1.4-3 times as long at 1 or 2 steps as at 3.
+_CHUNK_MIN = 3
 _CHUNK_STEPS = 8
 _CHUNK_ELEMENTS = 3 * 2 ** 12
 
@@ -235,16 +238,16 @@ def _block_noise(pl: _SimPayload, N: int, seeds):
     return buf[:, 1:], buf[:, :1]
 
 
-def _chunk_steps(M: int, N: int) -> int:
-    """Steps per kernel chunk for samples of N agents on M steps.
+def _chunk_steps(N: int, B: int, C: int) -> int:
+    """Steps per kernel chunk for a block of B samples of N agents, each
+    with C rows.
 
-    At most _CHUNK_STEPS, and few enough that one chunk buffer of the
-    largest block of such samples holds at most _CHUNK_ELEMENTS numbers.  It
-    depends on M and N only, never on the block's sample or row count, so a
-    sample's statistics do not depend on the block that carries it.
+    From _CHUNK_MIN to _CHUNK_STEPS, and within those as many as one chunk
+    buffer of _CHUNK_ELEMENTS numbers holds.  The length never reaches the
+    bits: a step's arithmetic is the same in every chunk.
     """
-    width = max(1, _BLOCK_ELEMENTS // (N * M)) * N
-    return max(1, min(_CHUNK_STEPS, _CHUNK_ELEMENTS // width - 1))
+    return max(_CHUNK_MIN,
+               min(_CHUNK_STEPS, _CHUNK_ELEMENTS // (B * C * N) - 1))
 
 
 def _row_arrays(cands, ndim):
@@ -297,7 +300,7 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     B, N = dWi.shape[:2]
     R = len(cands)
     C, W = R + 1, N + R
-    L = _chunk_steps(M, N)
+    L = _chunk_steps(N, B, C)
     co = pl.coeffs
     x0, G = pl.x0, pl.G
     # op applies a factor to a state, quad(y, wt, out) is y' wt y per agent
@@ -606,9 +609,13 @@ def map_tasks(run, payload, tasks, workers: int) -> dict:
 def _sample_tasks(N: int, S: int, M: int, seed: int, cands=()):
     """Blocks of the S samples of size N as tasks keyed (N, first sample).
 
-    A block holds at most max(one sample, _BLOCK_ELEMENTS) increments.
+    A block holds at most max(one sample, _BLOCK_ELEMENTS) increments, and
+    few enough samples, with their candidate rows, that a chunk of
+    _CHUNK_MIN steps fits _CHUNK_ELEMENTS.
     """
-    B = max(1, min(S, _BLOCK_ELEMENTS // (N * M)))
+    C = len(cands) + 1
+    B = max(1, min(S, _BLOCK_ELEMENTS // (N * M),
+                   _CHUNK_ELEMENTS // ((_CHUNK_MIN + 1) * C * N)))
     return [((N, s0), N, tuple(derive_seed(seed, N, s)
                                for s in range(s0, min(S, s0 + B))), cands)
             for s0 in range(0, S, B)]

@@ -165,21 +165,32 @@ def test_diagonal_embedding_doubles_every_statistic():
                                        rtol=1e-12, atol=1e-12)
 
 
-def test_splitting_a_rung_into_blocks_keeps_bits():
+def test_splitting_a_rung_into_blocks_keeps_bits(monkeypatch):
     # with and without the default candidate rows: the ladder, deviation
-    # and limiting-problem experiments all group samples into blocks
-    pl = payload(60)
+    # and limiting-problem experiments all group samples into blocks, and
+    # the chunk length follows the block's samples and rows, so no chunk
+    # length may change a bit either (scalar and matrix forms)
+    import lqmfg.population as population
     N, S = 5, 6
     seeds = [derive_seed(8, N, s) for s in range(S)]
-    for rows in ((), default_candidate_family()[1:]):
-        whole = _run_block(pl, N, seeds, rows)
-        for size in (1, 3):
-            parts = [_run_block(pl, N, seeds[i:i + size], rows)
-                     for i in range(0, S, size)]
-            for field in STAT_FIELDS:
-                np.testing.assert_array_equal(
-                    np.concatenate([getattr(p, field) for p in parts]),
-                    getattr(whole, field))
+    for pl in (payload(60), netsec_numeric(60, 2)):
+        for rows in ((), default_candidate_family()[1:]):
+            whole = _run_block(pl, N, seeds, rows)
+            for size in (1, 3):
+                parts = [_run_block(pl, N, seeds[i:i + size], rows)
+                         for i in range(0, S, size)]
+                for field in STAT_FIELDS:
+                    np.testing.assert_array_equal(
+                        np.concatenate([getattr(p, field) for p in parts]),
+                        getattr(whole, field))
+            for L in (1, 4, 60):
+                monkeypatch.setattr(population, "_chunk_steps",
+                                    lambda *_, L=L: L)
+                chunked = _run_block(pl, N, seeds, rows)
+                monkeypatch.undo()
+                for field in STAT_FIELDS:
+                    np.testing.assert_array_equal(getattr(chunked, field),
+                                                  getattr(whole, field))
 
 
 @pytest.mark.parametrize("form", KERNEL_MODELS)
@@ -190,7 +201,7 @@ def test_block_kernel_matches_single_path_integrators(form):
     steps = 110
     model, law, Em = KERNEL_MODELS[form](steps)
     for N in (4, 1):
-        assert steps % _chunk_steps(steps, N) != 0
+        assert steps % _chunk_steps(N, 1, 1) != 0
         seed = derive_seed(3, N, 0)
         sample = simulate_population(model, law, Em, N=N, seed=seed)
         common = NoisePath.generate(model.grid, seed, 0)
@@ -285,18 +296,23 @@ def test_rate_experiment_rejects_tiny_sample_count():
 
 
 def test_ladder_block_memory_stays_within_its_noise_and_one_megabyte():
-    # full-size blocks (2**18 increments) at the ladder benchmark's grid: the
-    # kernel's chunk buffers must add at most 1 MB to the block's noise
+    # the first block of 2**18 increments' worth of samples at the ladder
+    # benchmark's grid, as a ladder block (full-size) and as a deviation
+    # block with the default family's rows: the kernel's chunk buffers must
+    # add at most 1 MB to the block's noise
     M = 125
-    pl = payload(M)
-    for N in (25, 100, 800):
-        (task,) = _sample_tasks(N, _BLOCK_ELEMENTS // (N * M), M, 1)
+    NoisePath.generate(TimeGrid(1.0, 1), 1, 0)   # imports numpy.random
+    ladder = (payload(M), ())
+    deviation = (netsec_numeric(M, 1), default_candidate_family()[1:])
+    for (pl, rows), N in ([(ladder, N) for N in (25, 100, 800)]
+                          + [(deviation, N) for N in (25, 100, 400)]):
+        task = _sample_tasks(N, _BLOCK_ELEMENTS // (N * M), M, 1, rows)[0]
         _, _, seeds, _ = task
-        assert len(seeds) > 1
+        assert rows or len(seeds) > 1
         noise = len(seeds) * (N + 1) * M * 8
         tracemalloc.start()
         try:
-            _run_block(pl, N, seeds)
+            _run_block(pl, N, seeds, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

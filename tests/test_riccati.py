@@ -652,3 +652,11 @@ def test_import_leaves_scipy_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # no runtime module uses scipy, so the front end does not pay its import
+    code = "import sys, lqmfg.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -617,19 +617,29 @@ def test_cli_simulate_artifacts_do_not_depend_on_the_worker_count(
 
 def test_csv_cells_are_shortest_round_trip_reprs():
     from lqmfg.io import _csv
+    from lqmfg.model import TimeGrid
     special = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1, -2.5e-7]
     columns = [np.arange(len(special), dtype=float), np.array(special),
                np.array(special[::-1]), np.arange(len(special))]
-    reference = "\n".join(
-        ["t,x,y,i"] + [",".join(repr(float(col[j])) for col in columns)
-                       for j in range(len(special))]) + "\n"
-    assert _csv(["t", "x", "y", "i"], columns) == reference
+
+    def reference(cols):
+        return "\n".join(
+            ["t,x,y,i"] + [",".join(repr(float(col[j])) for col in cols)
+                           for j in range(len(special))]) + "\n"
+
+    assert _csv(["t", "x", "y", "i"], columns) == reference(columns)
+    # a grid-led table takes its node column from a template cached per
+    # grid: grids of equal steps and different horizons must not share it
+    for horizon in (0.7, 1.3, 0.7):
+        grid = TimeGrid(horizon, len(special) - 1)
+        assert (_csv(["t", "x", "y", "i"], columns[1:], grid)
+                == reference([grid.nodes] + columns[1:]))
 
 
 def test_agent_csv_with_preformatted_nodes_keeps_the_bytes(tmp_path):
-    # the simulate kind formats the node column once per worker range and
-    # hands it to every agent's writer; the file is the plain table's
-    from lqmfg.io import _csv, cells, write_agent_csv
+    # an agent table's node column comes preformatted from the grid's cached
+    # line template; the file is the plain table's with the nodes as a column
+    from lqmfg.io import _csv, write_agent_csv
     from lqmfg.model import TimeGrid
     grid = TimeGrid(0.7, 9)
     rng = np.random.default_rng(3)
@@ -639,8 +649,9 @@ def test_agent_csv_with_preformatted_nodes_keeps_the_bytes(tmp_path):
     z_hat[3, 0], u[5, 0] = -0.0, 5e-324
     reference = _csv(["t", "zhat_1", "zhat_2", "u_1"],
                      [grid.nodes, z_hat[:, 0], z_hat[:, 1], u[:, 0]])
-    write_agent_csv(tmp_path / "agent.csv", grid, z_hat, u, cells(grid.nodes))
-    assert (tmp_path / "agent.csv").read_bytes() == reference.encode()
+    for _ in range(2):
+        write_agent_csv(tmp_path / "agent.csv", grid, z_hat, u)
+        assert (tmp_path / "agent.csv").read_bytes() == reference.encode()
 
 
 # ------------------------------------------------------ mutated scenarios
