@@ -10,11 +10,17 @@ repository's ``perfbench/workloads.py``: ``solve`` at seed 501, ``ladder``
 at seeds 917 and 3, ``simulate`` at seed 917), both presets, and two
 deviation sweeps on the netsec-numeric model.  Prints every file that
 differs or exists in one tree only; exits 1 if there is one, else 0.
+
+For a differing CSV or JSON artifact whose text and layout agree, it also
+prints how far its numbers moved: how many moved, and the largest
+|difference| over the largest |value| of either file's numbers, or that only
+the sign of a zero changed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +82,68 @@ def run_tree(root: str, runs: dict, work: str) -> dict:
     return files
 
 
+def _numbers(name: str, data: bytes):
+    """(layout, numbers) of a CSV or JSON artifact: the numbers in reading
+    order, and everything else with each number's place marked; None for
+    another kind of file or one that does not parse."""
+    numbers = []
+
+    def walk(v):
+        if isinstance(v, dict):
+            return {key: walk(x) for key, x in v.items()}
+        if isinstance(v, list):
+            return [walk(x) for x in v]
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            numbers.append(float(v))
+            return None
+        return v
+
+    def cell(text):
+        try:
+            numbers.append(float(text))
+        except ValueError:
+            return text
+        return None
+
+    try:
+        text = data.decode("utf-8")
+        if name.endswith(".json"):
+            return walk(json.loads(text)), numbers
+        if name.endswith(".csv"):
+            return [[cell(c) for c in line.split(",")]
+                    for line in text.splitlines()], numbers
+    except ValueError:
+        pass
+    return None
+
+
+def _same(x: float, y: float) -> bool:
+    """x and y are the same number, the sign of a zero included."""
+    return (x == y and math.copysign(1.0, x) == math.copysign(1.0, y)) or (
+        math.isnan(x) and math.isnan(y))
+
+
+def movement(name: str, old: bytes, new: bytes) -> str:
+    """How far the numbers of one differing artifact moved, in words."""
+    a, b = _numbers(name, old), _numbers(name, new)
+    if a is None or b is None or a[0] != b[0]:
+        return "text or layout differs"
+    pairs = [(x, y) for x, y in zip(a[1], b[1]) if not _same(x, y)]
+    if not pairs:
+        return "same numbers, different text"
+    zeros = sum(x == y for x, y in pairs)
+    if zeros == len(pairs):
+        return f"only the sign of a zero changed, in {zeros} places"
+    said = f"{len(pairs)} of {len(a[1])} numbers moved"
+    if zeros:
+        said += f", {zeros} of them only in the sign of a zero"
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pairs):
+        return f"{said}, some to or from a non-finite value"
+    scale = max(abs(v) for v in a[1] + b[1] if math.isfinite(v))
+    diff = max(abs(x - y) for x, y in pairs)
+    return f"{said}, max |diff| / max |value| = {diff / scale:.2e}"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -87,7 +155,11 @@ def main(argv=None) -> int:
         differ = sorted(name for name in parent.keys() | change.keys()
                         if parent.get(name) != change.get(name))
     for name in differ:
-        print(f"differs: {name}")
+        if name in parent and name in change:
+            print(f"differs: {name}: "
+                  f"{movement(name, parent[name], change[name])}")
+        else:
+            print(f"differs: {name}: in one tree only")
     print(f"{len(parent.keys() | change.keys())} artifacts compared, "
           f"{len(differ)} differ")
     return 1 if differ else 0
