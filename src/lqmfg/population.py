@@ -34,9 +34,10 @@ only x node by node.  m is built once per block; zhat, the controls, the
 per-agent step factors, zbar and every statistic are built a chunk of steps
 at a time in whole-array calls, and the rows share all of them but x and
 agent 0's control and zbar.  A chunk's arrays take turns in three buffers
-allocated once per block.  The chunk length counts the block's samples and
-rows, and a block holds few enough samples that one of these buffers takes
-at most 3 * 2**12 numbers, so a block's kernel needs less than 1 MB besides
+allocated once per block.  The chunk length counts the block's samples,
+rows and agents, each agent at the max(n, k)**2 numbers of its step factor,
+and a block holds few enough samples that one of these buffers takes at
+most 3 * 2**12 numbers, so a block's kernel needs less than 1 MB besides
 its noise; the length never reaches the bits.  Coefficients come in one of two
 forms, chosen from the model shape: scalar models (n = k = 1) keep no state
 axis and multiply, matrix models apply each agent's factor matrix by
@@ -135,6 +136,9 @@ class _SimPayload:
         self.M = int(grid.steps)
         self.n = model.n
         self.k = model.k
+        # numbers in one agent's step factor (n x n, or k x n for the
+        # control), which the kernel's chunk budget counts per agent
+        self.agent_size = max(self.n, self.k) ** 2
         self.grid = grid
         self.x0 = np.asarray(model.x0, float)
         self.G = np.asarray(model.G, float)
@@ -238,16 +242,16 @@ def _block_noise(pl: _SimPayload, N: int, seeds):
     return buf[:, 1:], buf[:, :1]
 
 
-def _chunk_steps(N: int, B: int, C: int) -> int:
+def _chunk_steps(N: int, B: int, C: int, d: int) -> int:
     """Steps per kernel chunk for a block of B samples of N agents, each
-    with C rows.
+    with C rows, where one agent's step factor holds d numbers.
 
     From _CHUNK_MIN to _CHUNK_STEPS, and within those as many as one chunk
     buffer of _CHUNK_ELEMENTS numbers holds.  The length never reaches the
     bits: a step's arithmetic is the same in every chunk.
     """
     return max(_CHUNK_MIN,
-               min(_CHUNK_STEPS, _CHUNK_ELEMENTS // (B * C * N) - 1))
+               min(_CHUNK_STEPS, _CHUNK_ELEMENTS // (B * C * N * d) - 1))
 
 
 def _row_arrays(cands, ndim):
@@ -300,7 +304,7 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     B, N = dWi.shape[:2]
     R = len(cands)
     C, W = R + 1, N + R
-    L = _chunk_steps(N, B, C)
+    L = _chunk_steps(N, B, C, pl.agent_size)
     co = pl.coeffs
     x0, G = pl.x0, pl.G
     # op applies a factor to a state, quad(y, wt, out) is y' wt y per agent
@@ -606,16 +610,17 @@ def map_tasks(run, payload, tasks, workers: int) -> dict:
         return dict(ex.map(_worker_call, tasks, chunksize=chunk))
 
 
-def _sample_tasks(N: int, S: int, M: int, seed: int, cands=()):
+def _sample_tasks(pl: _SimPayload, N: int, S: int, seed: int, cands=()):
     """Blocks of the S samples of size N as tasks keyed (N, first sample).
 
     A block holds at most max(one sample, _BLOCK_ELEMENTS) increments, and
-    few enough samples, with their candidate rows, that a chunk of
-    _CHUNK_MIN steps fits _CHUNK_ELEMENTS.
+    few enough samples, with their candidate rows and the payload's agent
+    size, that a chunk of _CHUNK_MIN steps fits _CHUNK_ELEMENTS.
     """
     C = len(cands) + 1
-    B = max(1, min(S, _BLOCK_ELEMENTS // (N * M),
-                   _CHUNK_ELEMENTS // ((_CHUNK_MIN + 1) * C * N)))
+    B = max(1, min(S, _BLOCK_ELEMENTS // (N * pl.M),
+                   _CHUNK_ELEMENTS // ((_CHUNK_MIN + 1) * C * N
+                                       * pl.agent_size)))
     return [((N, s0), N, tuple(derive_seed(seed, N, s)
                                for s in range(s0, min(S, s0 + B))), cands)
             for s0 in range(0, S, B)]
@@ -631,7 +636,7 @@ def _sample_stats(model: LqMfgModel, law: FeedbackLaw, Ns, S: int,
         raise UsageError("need at least 2 samples")
     workers = resolve_workers(workers)
     payload = _SimPayload(model, law, integrate_Em(model, law))
-    tasks = {N: _sample_tasks(N, S, payload.M, seed, rows) for N in Ns}
+    tasks = {N: _sample_tasks(payload, N, S, seed, rows) for N in Ns}
     stats = map_tasks(_run_block, payload,
                       [t for N in Ns for t in tasks[N]], workers)
     stacked = {}

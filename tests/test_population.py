@@ -201,7 +201,8 @@ def test_block_kernel_matches_single_path_integrators(form):
     steps = 110
     model, law, Em = KERNEL_MODELS[form](steps)
     for N in (4, 1):
-        assert steps % _chunk_steps(N, 1, 1) != 0
+        assert steps % _chunk_steps(N, 1, 1, _SimPayload(model, law, Em)
+                                    .agent_size) != 0
         seed = derive_seed(3, N, 0)
         sample = simulate_population(model, law, Em, N=N, seed=seed)
         common = NoisePath.generate(model.grid, seed, 0)
@@ -298,15 +299,20 @@ def test_rate_experiment_rejects_tiny_sample_count():
 def test_ladder_block_memory_stays_within_its_noise_and_one_megabyte():
     # the first block of 2**18 increments' worth of samples at the ladder
     # benchmark's grid, as a ladder block (full-size) and as a deviation
-    # block with the default family's rows: the kernel's chunk buffers must
-    # add at most 1 MB to the block's noise
+    # block with the default family's rows, in the scalar form and on the
+    # n = k = 3 embedding, whose step factors are 3 x 3 per agent: the
+    # kernel's chunk buffers must add at most 1 MB to the block's noise
     M = 125
     NoisePath.generate(TimeGrid(1.0, 1), 1, 0)   # imports numpy.random
     ladder = (payload(M), ())
-    deviation = (netsec_numeric(M, 1), default_candidate_family()[1:])
+    family = default_candidate_family()[1:]
+    deviation = (netsec_numeric(M, 1), family)
+    embedded = netsec_numeric(M, 3)
     for (pl, rows), N in ([(ladder, N) for N in (25, 100, 800)]
-                          + [(deviation, N) for N in (25, 100, 400)]):
-        task = _sample_tasks(N, _BLOCK_ELEMENTS // (N * M), M, 1, rows)[0]
+                          + [(deviation, N) for N in (25, 100, 400)]
+                          + [((embedded, ()), N) for N in (25, 100)]
+                          + [((embedded, family), N) for N in (25, 100)]):
+        task = _sample_tasks(pl, N, _BLOCK_ELEMENTS // (N * M), 1, rows)[0]
         _, _, seeds, _ = task
         assert rows or len(seeds) > 1
         noise = len(seeds) * (N + 1) * M * 8
