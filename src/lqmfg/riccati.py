@@ -16,6 +16,8 @@ Three routes are implemented:
 
 ``solve_Gamma_direct`` and ``solve_Phi`` complete the system, and
 ``build_feedback`` produces the decentralized gains (K_z, K_m, c_u).
+Every equation reads P through the two noise channels as X'PY + X0'PY0
+(``_noise``); only the Pi route's cross-term condition reads them apart.
 
 Coefficient schedules are piecewise-constant per grid interval (left node);
 the RK4 stages of interval j sit at its right node, midpoint and left node.
@@ -112,11 +114,18 @@ def _hermite_stages(values, slope, h) -> np.ndarray:
     return np.stack([ends[0], mid, ends[1]])
 
 
+def _noise(c, P, X, Y):
+    """X'PY + X0'PY0 for X, Y among "C", "D", "beta" and "sigma": P read
+    through the agent's own noise channel (X, Y) and the common one (X0,
+    Y0), as every backward equation reads it."""
+    own = getattr(c, X + "t") @ (P @ getattr(c, Y))
+    return own + getattr(c, X + "0t") @ (P @ getattr(c, Y + "0"))
+
+
 def _gain_forms(c, P):
     """D'PD + D0'PD0 and S = PB + C'PD + C0'PD0: the weighting is Sigma =
     R + D'PD + D0'PD0 and the feedback gain on the state -Sigma^{-1} S'."""
-    PD, PD0 = P @ c.D, P @ c.D0
-    return c.Dt @ PD + c.D0t @ PD0, P @ c.B + c.Ct @ PD + c.C0t @ PD0
+    return _noise(c, P, "D", "D"), P @ c.B + _noise(c, P, "C", "D")
 
 
 def _sigma_inv(Sig, r_min, t):
@@ -251,7 +260,7 @@ class _PEquation:
 
         def lyapunov(P):
             PA = P @ c.A
-            return -(PA + _T(PA) + c.Ct @ (P @ c.C) + c.C0t @ (P @ c.C0))
+            return -(PA + _T(PA) + _noise(c, P, "C", "C"))
 
         # column i (last axis) is the linear part at E_i, vech(E_i) = e_i
         pos = self.pos = _vech_index(n)[1]
@@ -444,13 +453,12 @@ def solve_Gamma_direct(model: LqMfgModel, P, *, stages=None) -> np.ndarray:
 def _gamma_terms(c, Ps, Sinv, S):
     """(F, L, Acl', N) of -dGamma/dt = Gamma L + Acl' Gamma - Gamma N Gamma
     - F along stacked P values, with Sigma^{-1} and S there."""
-    Th = c.Dt @ Ps @ c.beta + c.D0t @ Ps @ c.beta0
+    Th = _noise(c, Ps, "D", "beta")
     BSinv = c.B @ Sinv
     Acl = c.A - BSinv @ _T(S)
     L = Acl - BSinv @ Th + c.alpha
     N = BSinv @ c.Bt
-    F = (c.Q - c.Ct @ Ps @ c.beta - c.C0t @ Ps @ c.beta0 + S @ Sinv @ Th
-         - Ps @ c.alpha)
+    F = c.Q - _noise(c, Ps, "C", "beta") + S @ Sinv @ Th - Ps @ c.alpha
     return F, L, _T(Acl), N
 
 
@@ -474,19 +482,6 @@ class PiTransformReport:
     @property
     def violated_nodes(self) -> np.ndarray:
         return np.nonzero(self.condition_margins < -TOL_PSD)[0]
-
-
-def _pi_terms(c, P, Sinv):
-    """A_hat = A - B Sigma^{-1}(D'PC + D0'PC0), the Pi equation's constant
-    term M, and the cross term of M whose PSD-ness backs the substitution."""
-    DtP, D0tP = c.Dt @ P, c.D0t @ P
-    SigDtP, SigD0tP = Sinv @ DtP, Sinv @ D0tP
-    Ahat = c.A - c.B @ Sinv @ (DtP @ c.C + D0tP @ c.C0)
-    PD, PD0 = P @ c.D, P @ c.D0
-    cross = -c.Ct @ PD @ (SigD0tP @ c.C0) - c.C0t @ PD0 @ (SigDtP @ c.C)
-    Mterm = (c.Ct @ (P - PD @ SigDtP) @ c.C
-             + c.C0t @ (P - PD0 @ SigD0tP) @ c.C0 + cross)
-    return Ahat, Mterm, cross
 
 
 def solve_Gamma_via_Pi(model: LqMfgModel, P, *, stages=None):
@@ -514,14 +509,20 @@ def solve_Gamma_via_Pi(model: LqMfgModel, P, *, stages=None):
        np.abs(model.beta0.values).max() > PRECONDITION_ATOL:
         raise UsageError("Pi substitution requires beta = beta0 = 0")
 
-    cn = _Coeffs(model)
-    Sinv = _sigma_inv(cn.R + _gain_forms(cn, P)[0], model.r_min, grid.nodes)
-    margins = np.linalg.eigvalsh(_sym(_pi_terms(cn, P, Sinv)[2]))[:, 0]
+    # the cross term, the one place that reads P through each channel apart
+    c = _Coeffs(model)
+    Sinv = _sigma_inv(c.R + _gain_forms(c, P)[0], model.r_min, grid.nodes)
+    cross = (-c.Ct @ (P @ c.D) @ (Sinv @ (c.D0t @ P) @ c.C0)
+             - c.C0t @ (P @ c.D0) @ (Sinv @ (c.Dt @ P) @ c.C))
+    margins = np.linalg.eigvalsh(_sym(cross))[:, 0]
 
+    # -dPi/dt = Pi L + L'Pi + M - Pi B Sigma^{-1} B' Pi with
+    # L = A - B Sigma^{-1} DPC + (delta/2) I, M = C'PC + C0'PC0
+    # - DPC' Sigma^{-1} DPC and DPC = D'PC + D0'PC0
     c, Ps, Sinv, _ = _stages_of(model, P, stages)
-    Ahat, Mterm, _ = _pi_terms(c, Ps, Sinv)
-    # -dPi/dt = Pi L + L'Pi + Mterm - Pi N Pi, L = Ahat + (delta/2) I
-    L = Ahat + 0.5 * delta * np.eye(model.n)
+    DPC = _noise(c, Ps, "D", "C")
+    L = c.A - c.B @ Sinv @ DPC + 0.5 * delta * np.eye(model.n)
+    Mterm = _noise(c, Ps, "C", "C") - _T(DPC) @ Sinv @ DPC
     Pi, psd_margins = _riccati_lift(grid, -Mterm, L, _T(L), c.B @ Sinv @ c.Bt,
                                     _sym(model.G), "Pi", psd=True)
     report = PiTransformReport(delta=delta, Pi=Pi, condition_margins=margins,
@@ -542,8 +543,7 @@ def solve_Phi(model: LqMfgModel, P, Gamma, *, stages=None) -> np.ndarray:
     W = (S + Gs @ c.B) @ Sinv
     # -dPhi/dt = lam Phi + forcing
     lam = c.At - W @ c.Bt
-    forcing = ((c.Ct - W @ c.Dt) @ (Ps @ c.sigma)
-               + (c.C0t - W @ c.D0t) @ (Ps @ c.sigma0)
+    forcing = (_noise(c, Ps, "C", "sigma") - W @ _noise(c, Ps, "D", "sigma")
                + (Ps + Gs) @ c.b)[..., 0]
     return _rk4_linear(model.grid, -lam, -forcing, np.zeros(model.n), "Phi")
 
@@ -582,14 +582,12 @@ def build_feedback(model: LqMfgModel, sol: RiccatiSolution) -> FeedbackLaw:
     K_m = -Sigma^{-1}(B'Gamma + D'P beta + D0'P beta0),
     c_u = -Sigma^{-1}(B'Phi + D'P sigma + D0'P sigma0).
     """
-    c = _Coeffs(model)
-    P = sol.P
+    c, P = _Coeffs(model), sol.P
     Sinv = _sigma_inv(sol.Sigma, model.r_min, model.grid.nodes)
     K_z = -(Sinv @ _T(_gain_forms(c, P)[1]))
-    K_m = -(Sinv @ (c.Bt @ sol.Gamma + c.Dt @ P @ c.beta
-                    + c.D0t @ P @ c.beta0))
-    c_u = -(Sinv @ (c.Bt @ sol.Phi[..., None] + c.Dt @ P @ c.sigma
-                    + c.D0t @ P @ c.sigma0))[..., 0]
+    K_m = -(Sinv @ (c.Bt @ sol.Gamma + _noise(c, P, "D", "beta")))
+    c_u = -(Sinv @ (c.Bt @ sol.Phi[..., None]
+                    + _noise(c, P, "D", "sigma")))[..., 0]
     law = FeedbackLaw(grid=model.grid, K_z=K_z, K_m=K_m, c_u=c_u)
     for name, arr in (("K_z", K_z), ("K_m", K_m), ("c_u", c_u)):
         if not np.isfinite(arr).all():

@@ -15,6 +15,7 @@ Oracles used here:
   follow from G and the coefficients alone.
 """
 
+import dataclasses
 import subprocess
 import sys
 import time
@@ -569,12 +570,46 @@ def test_time_varying_schedules_match_interval_oracle():
 
 
 def test_pi_route_time_varying_matches_interval_oracle():
-    for wave in _WAVES:
+    # the structured models (C0 = 0 kills the cross term), and the sine one
+    # with a constant C0 != 0, whose common-channel terms of A_hat and M the
+    # route must carry; there the cross-term condition fails, and the report
+    # must say so
+    C0 = np.random.default_rng(3).uniform(-0.5, 0.5, (2, 2))
+    for wave, common in (("sine", False), ("step", False), ("sine", True)):
         model = time_varying_model(200, wave, structured=True)
+        if common:
+            model = dataclasses.replace(
+                model, C0=CoefficientSchedule.constant(model.grid, C0))
         _, Gam_or, _ = interval_oracle(model)
         Gam_pi, report = solve_Gamma_via_Pi(model, solve_P_direct(model))
-        assert report.condition_ok, wave  # C0 = 0 kills the cross term
+        assert report.condition_ok is not common, wave
         assert np.max(np.abs(Gam_pi - Gam_or)) < 1e-8, wave
+
+
+def test_feedback_matches_gains_written_out_per_node():
+    # every channel nonzero, beta and beta0 included: Sigma and the three
+    # gains of solve_riccati's law, against each node's written-out solve
+    model = time_varying_model(40, "sine")
+    summary = solve_riccati(model)
+    sol, law = summary.solution, summary.feedback
+    want = {"Sigma": [], "K_z": [], "K_m": [], "c_u": []}
+    for j in range(model.grid.node_count):
+        c = {name: getattr(model, name).values[j] for name in _COEFFS}
+        P, B, D, D0 = sol.P[j], c["B"], c["D"], c["D0"]
+        Sig = c["R"] + D.T @ P @ D + D0.T @ P @ D0
+        want["Sigma"].append(Sig)
+        want["K_z"].append(-np.linalg.solve(
+            Sig, B.T @ P + D.T @ P @ c["C"] + D0.T @ P @ c["C0"]))
+        want["K_m"].append(-np.linalg.solve(
+            Sig, B.T @ sol.Gamma[j] + D.T @ P @ c["beta"]
+            + D0.T @ P @ c["beta0"]))
+        want["c_u"].append(-np.linalg.solve(
+            Sig, B.T @ sol.Phi[j][:, None] + D.T @ P @ c["sigma"]
+            + D0.T @ P @ c["sigma0"])[:, 0])
+    for name, got in (("Sigma", sol.Sigma), ("K_z", law.K_z),
+                      ("K_m", law.K_m), ("c_u", law.c_u)):
+        ref = np.array(want[name])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 def stagewise_rk4(grid, terminal, rhs):
