@@ -35,13 +35,13 @@ per-agent step factors, zbar and every statistic are built a chunk of steps
 at a time in whole-array calls, and the rows share all of them but x and
 agent 0's control and zbar.  A chunk's arrays take turns in three buffers
 allocated once per block.  The chunk length counts the block's samples,
-rows and agents, each agent at the max(n, k)**2 numbers of its step factor,
-and a block holds few enough samples that one of these buffers takes at
-most 3 * 2**12 numbers, so a block's kernel needs less than 1 MB besides
-its noise; the length never reaches the bits.  Coefficients come in one of two
-forms, chosen from the model shape: scalar models (n = k = 1) keep no state
-axis and multiply, matrix models apply each agent's factor matrix by
-matmul.  A noise term whose coefficient is zero at every node is dropped.
+rows and agents (each at the max(n, k)**2 numbers of its step factor), and
+a block holds few enough samples that a buffer takes at most 3 * 2**12
+numbers, so a block's kernel needs less than 1 MB besides its noise; the
+length never reaches the bits.  Coefficients come in one of two forms,
+chosen from the model shape: scalar models (n = k = 1) keep no state axis
+and multiply, matrix models apply each agent's factor matrix by matmul.  A
+noise term whose coefficient is zero at every node is dropped.
 """
 
 from __future__ import annotations
@@ -136,9 +136,7 @@ class _SimPayload:
         self.M = int(grid.steps)
         self.n = model.n
         self.k = model.k
-        # numbers in one agent's step factor (n x n, or k x n for the
-        # control), which the kernel's chunk budget counts per agent
-        self.agent_size = max(self.n, self.k) ** 2
+        self.agent_size = max(self.n, self.k) ** 2    # one step factor
         self.grid = grid
         self.x0 = np.asarray(model.x0, float)
         self.G = np.asarray(model.G, float)
@@ -617,10 +615,9 @@ def _sample_tasks(pl: _SimPayload, N: int, S: int, seed: int, cands=()):
     few enough samples, with their candidate rows and the payload's agent
     size, that a chunk of _CHUNK_MIN steps fits _CHUNK_ELEMENTS.
     """
-    C = len(cands) + 1
+    width = (len(cands) + 1) * N * pl.agent_size    # a sample's step
     B = max(1, min(S, _BLOCK_ELEMENTS // (N * pl.M),
-                   _CHUNK_ELEMENTS // ((_CHUNK_MIN + 1) * C * N
-                                       * pl.agent_size)))
+                   _CHUNK_ELEMENTS // ((_CHUNK_MIN + 1) * width)))
     return [((N, s0), N, tuple(derive_seed(seed, N, s)
                                for s in range(s0, min(S, s0 + B))), cands)
             for s0 in range(0, S, B)]

@@ -200,9 +200,9 @@ def test_block_kernel_matches_single_path_integrators(form):
     # a grid whose last kernel chunk is a short one
     steps = 110
     model, law, Em = KERNEL_MODELS[form](steps)
+    d = _SimPayload(model, law, Em).agent_size
     for N in (4, 1):
-        assert steps % _chunk_steps(N, 1, 1, _SimPayload(model, law, Em)
-                                    .agent_size) != 0
+        assert steps % _chunk_steps(N, 1, 1, d) != 0
         seed = derive_seed(3, N, 0)
         sample = simulate_population(model, law, Em, N=N, seed=seed)
         common = NoisePath.generate(model.grid, seed, 0)

@@ -82,6 +82,9 @@ def run_tree(root: str, runs: dict, work: str) -> dict:
     return files
 
 
+_NUMBER = object()   # a number's place in a layout
+
+
 def _numbers(name: str, data: bytes):
     """(layout, numbers) of a CSV or JSON artifact: the numbers in reading
     order, and everything else with each number's place marked; None for
@@ -95,7 +98,7 @@ def _numbers(name: str, data: bytes):
             return [walk(x) for x in v]
         if isinstance(v, (int, float)) and not isinstance(v, bool):
             numbers.append(float(v))
-            return None
+            return _NUMBER
         return v
 
     def cell(text):
@@ -103,7 +106,7 @@ def _numbers(name: str, data: bytes):
             numbers.append(float(text))
         except ValueError:
             return text
-        return None
+        return _NUMBER
 
     try:
         text = data.decode("utf-8")
@@ -133,7 +136,8 @@ def movement(name: str, old: bytes, new: bytes) -> str:
         return "same numbers, different text"
     zeros = sum(x == y for x, y in pairs)
     if zeros == len(pairs):
-        return f"only the sign of a zero changed, in {zeros} places"
+        return (f"only the sign of a zero changed, in {zeros} of "
+                f"{len(a[1])} numbers")
     said = f"{len(pairs)} of {len(a[1])} numbers moved"
     if zeros:
         said += f", {zeros} of them only in the sign of a zero"
