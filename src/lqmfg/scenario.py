@@ -30,8 +30,8 @@ import numpy as np
 from .errors import StructureError, UsageError
 from .model import (COEFFICIENTS, DEFAULT_R_MIN, LqMfgModel, TimeGrid,
                     as_matrix, coefficient_shapes)
-from .population import (DeviationCandidate, candidate_family,
-                         default_candidate_family)
+from .population import (DeviationCandidate, _check_ladder,
+                         candidate_family, default_candidate_family)
 
 FORMAT_VERSION = 1
 
@@ -222,34 +222,34 @@ class SolverBlock:
     max_iters: int = 100
     tol: float = 1e-10
 
+    def __post_init__(self):
+        if self.p_method not in P_METHODS:
+            raise UsageError(f"solver.p_method must be one of {P_METHODS}, "
+                             f"got '{self.p_method}'")
+        if self.gamma_method not in GAMMA_METHODS:
+            raise UsageError(f"solver.gamma_method must be one of "
+                             f"{GAMMA_METHODS}, got '{self.gamma_method}'")
+        if self.steps is not None and self.steps < 1:
+            raise UsageError("solver.steps must be positive")
+        if self.max_iters < 1:
+            raise UsageError("solver.max_iters must be positive")
+        if not self.tol > 0:
+            raise UsageError("solver.tol must be positive")
+
     @classmethod
     def from_dict(cls, d) -> "SolverBlock":
         if d is None:
             return cls()
         _require_keys(d, ("steps", "p_method", "gamma_method", "max_iters",
                           "tol"), "solver block")
-        p_method = _str(d.get("p_method", "direct"), "solver.p_method")
-        if p_method not in P_METHODS:
-            raise UsageError(f"solver.p_method must be one of {P_METHODS}, "
-                             f"got '{p_method}'")
-        gamma_method = _str(d.get("gamma_method", "direct"),
-                            "solver.gamma_method")
-        if gamma_method not in GAMMA_METHODS:
-            raise UsageError(f"solver.gamma_method must be one of "
-                             f"{GAMMA_METHODS}, got '{gamma_method}'")
         steps = d.get("steps")
-        if steps is not None:
-            steps = _int(steps, "solver.steps")
-            if steps < 1:
-                raise UsageError("solver.steps must be positive")
-        max_iters = _int(d.get("max_iters", 100), "solver.max_iters")
-        if max_iters < 1:
-            raise UsageError("solver.max_iters must be positive")
-        tol = _finite(d.get("tol", 1e-10), "solver.tol")
-        if not (tol > 0):
-            raise UsageError("solver.tol must be positive")
-        return cls(steps=steps, p_method=p_method, gamma_method=gamma_method,
-                   max_iters=max_iters, tol=tol)
+        return cls(
+            steps=None if steps is None else _int(steps, "solver.steps"),
+            p_method=_str(d.get("p_method", "direct"), "solver.p_method"),
+            gamma_method=_str(d.get("gamma_method", "direct"),
+                              "solver.gamma_method"),
+            max_iters=_int(d.get("max_iters", 100), "solver.max_iters"),
+            tol=_finite(d.get("tol", 1e-10), "solver.tol"))
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -299,35 +299,43 @@ class ExperimentBlock:
     S: int = 256
     candidates: CandidateFamilyBlock | None = None
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise UsageError(f"experiment.kind must be one of {KINDS}, "
+                             f"got '{self.kind}'")
+        if not 0 <= self.seed < (1 << 64):
+            raise UsageError("experiment.seed must fit in 64 bits")
+        if self.N is not None and self.N < 1:
+            raise UsageError("experiment.N must be at least 1")
+        if self.S < 2:
+            raise UsageError("experiment.S must be at least 2")
+        need = {"simulate": "N", "deviation": "N",
+                "rate_state": "Ns", "rate_cost": "Ns"}.get(self.kind)
+        if need and getattr(self, need) is None:
+            raise UsageError(f"experiment.{need} is required for kind "
+                             f"'{self.kind}'")
+        if need == "Ns":
+            try:
+                _check_ladder(self.Ns)
+            except UsageError as exc:
+                raise UsageError(f"experiment.Ns: {exc}") from None
+
     @classmethod
     def from_dict(cls, d) -> "ExperimentBlock":
         if d is None:
             return cls()
         _require_keys(d, ("kind", "seed", "N", "Ns", "S", "candidates"),
                       "experiment block")
-        kind = _str(d.get("kind", "solve"), "experiment.kind")
-        if kind not in KINDS:
-            raise UsageError(f"experiment.kind must be one of {KINDS}, "
-                             f"got '{kind}'")
-        seed = _int(d.get("seed", 0), "experiment.seed")
-        if not 0 <= seed < (1 << 64):
-            raise UsageError("experiment.seed must fit in 64 bits")
-        N = d.get("N")
-        if N is not None:
-            N = _int(N, "experiment.N")
-            if N < 1:
-                raise UsageError("experiment.N must be at least 1")
-        Ns = d.get("Ns")
-        if Ns is not None:
-            Ns = tuple(_int(v, "experiment.Ns")
-                       for v in _list(Ns, "experiment.Ns"))
-        S = _int(d.get("S", 256), "experiment.S")
-        if S < 2:
-            raise UsageError("experiment.S must be at least 2")
-        cand = d.get("candidates")
-        if cand is not None:
-            cand = CandidateFamilyBlock.from_dict(cand)
-        return cls(kind=kind, seed=seed, N=N, Ns=Ns, S=S, candidates=cand)
+        N, Ns, cand = d.get("N"), d.get("Ns"), d.get("candidates")
+        return cls(
+            kind=_str(d.get("kind", "solve"), "experiment.kind"),
+            seed=_int(d.get("seed", 0), "experiment.seed"),
+            N=None if N is None else _int(N, "experiment.N"),
+            Ns=None if Ns is None else tuple(
+                _int(v, "experiment.Ns") for v in _list(Ns, "experiment.Ns")),
+            S=_int(d.get("S", 256), "experiment.S"),
+            candidates=(None if cand is None
+                        else CandidateFamilyBlock.from_dict(cand)))
 
     def to_dict(self):
         return {"kind": self.kind, "seed": self.seed, "N": self.N,

@@ -335,15 +335,68 @@ def test_cli_extreme_values_write_only_the_error_record(tmp_path, key, value,
         assert json.loads(lines[0])["exit_code"] == code
 
 
-def test_cli_short_rate_ladder_exits_2(tmp_path, capsys):
+def _assert_rejected_before_the_solve(tmp_path, capsys, experiment, key,
+                                      flags=()):
+    """The scenario exits 2 with one record naming ``key`` and no file."""
     d = closed_form_dict(steps=30)
-    d["experiment"] = {"kind": "rate_state", "seed": 3, "N": None,
-                       "Ns": [4, 8, 16], "S": 4, "candidates": None}
+    d["experiment"] = experiment
     d["output"] = {"directory": str(tmp_path / "out"), "prefix": "r"}
-    code = main(["--config", write_config(tmp_path, d), "--quiet"])
+    code = main(["--config", write_config(tmp_path, d), "--quiet", *flags])
     assert code == 2
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError" and record["exit_code"] == 2
+    assert key in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_short_rate_ladder_exits_2(tmp_path, capsys):
+    _assert_rejected_before_the_solve(
+        tmp_path, capsys, {"kind": "rate_state", "seed": 3, "N": None,
+                           "Ns": [4, 8, 16], "S": 4, "candidates": None},
+        "experiment.Ns")
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("simulate", "experiment.N"),
+    ("deviation", "experiment.N"),
+    ("rate_cost", "experiment.Ns"),
+])
+def test_cli_experiment_without_its_size_exits_2(tmp_path, capsys, kind,
+                                                 key):
+    _assert_rejected_before_the_solve(
+        tmp_path, capsys, {"kind": kind, "seed": 3, "S": 4}, key)
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--steps", "0", "steps"),
+    ("--seed", str(1 << 64), "seed"),
+])
+def test_cli_out_of_range_override_exits_2(tmp_path, capsys, flag, value,
+                                           key):
+    _assert_rejected_before_the_solve(
+        tmp_path, capsys, {"kind": "solve", "seed": 3}, key, (flag, value))
+
+
+def test_cli_population_too_large_for_memory_exits_2(tmp_path):
+    # numpy refuses the 218 TiB noise block of N = 10**12 at once, so
+    # nothing is allocated; simulate fails there, before the CLI lists the
+    # N agent paths
+    d = closed_form_dict(steps=30)
+    d["experiment"] = {"kind": "simulate", "seed": 3, "N": 10 ** 12}
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "big"}
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-m", "lqmfg.cli", "--config",
+                          write_config(tmp_path, d), "--quiet"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1, out.stderr
+    record = json.loads(lines[0])
     assert record["exit_code"] == 2
+    assert "allocate" in record["message"]
 
 
 def test_cli_rate_kind_writes_fit_and_table(tmp_path):
@@ -388,6 +441,53 @@ def test_cli_pi_precondition_violation_is_recorded_not_fatal(tmp_path):
     assert cross["pi"] is None
     assert cross["gamma_agreement"] is None
     assert (tmp_path / "out" / "pi_riccati.csv").exists()
+
+
+def _closed_form_run(tmp_path, p_method, gamma_method, **model):
+    """Exit code and output directory of a 200-step netsec-closed-form
+    solve on the given routes."""
+    name = f"{p_method}_{gamma_method}"
+    d = closed_form_dict(steps=200, **model)
+    d["solver"].update(p_method=p_method, gamma_method=gamma_method)
+    d["output"] = {"directory": str(tmp_path / name), "prefix": "cf"}
+    code = main(["--config", write_config(tmp_path, d, f"{name}.json"),
+                 "--quiet"])
+    return code, tmp_path / name
+
+
+def test_cli_iterative_and_pi_routes_match_the_direct_run(tmp_path):
+    # each alternative route as the only, primary route
+    def artifacts(p_method, gamma_method):
+        code, out = _closed_form_run(tmp_path, p_method, gamma_method)
+        assert code == 0
+        table = np.genfromtxt(out / "cf_riccati.csv", delimiter=",",
+                              names=True)
+        cross = json.loads(
+            (out / "cf_solve_report.json").read_text())["cross_check"]
+        return table, cross
+
+    direct, _ = artifacts("direct", "direct")
+    table, cross = artifacts("iterative", "direct")
+    assert np.max(np.abs(table["P_1_1"] - direct["P_1_1"])) < 1e-8
+    assert len(cross["iterative_residuals"]) == \
+        cross["iterative_iterations"] >= 2
+    assert cross["p_agreement"] is None
+    table, cross = artifacts("direct", "pi_transform")
+    assert np.max(np.abs(table["Gamma_1_1"] - direct["Gamma_1_1"])) < 1e-8
+    assert cross["pi"] is not None
+    assert cross["gamma_agreement"] is None and cross["pi_error"] is None
+
+
+def test_cli_pi_route_alone_with_beta_exits_2(tmp_path, capsys):
+    # without the direct route to fall back on, the Pi precondition is fatal
+    code, out = _closed_form_run(tmp_path, "direct", "pi_transform",
+                                 beta=0.5)
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["exit_code"] == 2 and "beta" in record["message"]
+    assert list(out.iterdir()) == []
 
 
 def test_cli_seed_and_steps_overrides_change_artifacts(tmp_path):
