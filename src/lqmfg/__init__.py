@@ -12,12 +12,11 @@ __version__ = "1.0.0"
 from .errors import (ConvergenceError, DivergenceError, LqmfgError,
                      MonotonicityError, SingularSigmaError, StructureError,
                      UsageError, ValidationError)
-from .meanfield import (FilteredStatePath, MeanFieldPath, NoisePath,
-                        derive_seed, gaussian_increments, integrate_Em,
-                        integrate_m, integrate_mean_field, integrate_z_hat)
-from .model import (CoefficientSchedule, DiagnosticReport, LqMfgModel,
-                    TimeGrid, ValidationReport, validate,
-                    wellposedness_diagnostic)
+from .meanfield import (FilteredStatePath, NoisePath, derive_seed,
+                        gaussian_increments, integrate_Em, integrate_m,
+                        integrate_z_hat)
+from .model import (DiagnosticReport, LqMfgModel, TimeGrid,
+                    ValidationReport, validate, wellposedness_diagnostic)
 from .population import (CandidateResult, DeviationCandidate,
                          DeviationReport, LimitCostReport, PopulationSample,
                          RateFitReport, default_candidate_family,
@@ -39,16 +38,15 @@ __all__ = [
     "SingularSigmaError", "DivergenceError", "ConvergenceError",
     "MonotonicityError",
     # model
-    "TimeGrid", "CoefficientSchedule", "LqMfgModel", "ValidationReport",
+    "TimeGrid", "LqMfgModel", "ValidationReport",
     "DiagnosticReport", "validate", "wellposedness_diagnostic",
     # riccati
     "RiccatiSolution", "FeedbackLaw", "SolveSummary", "solve_P_direct",
     "solve_P_iterative", "solve_Gamma_direct", "solve_Gamma_via_Pi",
     "solve_Phi", "build_feedback", "solve_riccati",
     # mean field
-    "NoisePath", "MeanFieldPath", "FilteredStatePath", "derive_seed",
-    "gaussian_increments", "integrate_Em", "integrate_m",
-    "integrate_mean_field", "integrate_z_hat",
+    "NoisePath", "FilteredStatePath", "derive_seed", "gaussian_increments",
+    "integrate_Em", "integrate_m", "integrate_z_hat",
     # population
     "DeviationCandidate", "default_candidate_family", "PopulationSample",
     "simulate_population", "RateFitReport", "rate_experiments",

@@ -5,7 +5,7 @@
 
 Exactly one of --config / --preset selects the scenario. Every run solves
 the Riccati system first and writes the solve artifacts; the experiment
-kind then decides what else is produced:
+kind decides what else is produced:
 
 * ``solve``      — Riccati tables and the solve report only;
 * ``simulate``   — one N-agent population draw: mean-field CSV, one CSV per
@@ -24,6 +24,8 @@ the machine cannot allocate, 3 model validation failure, 4 numerical
 failure. Failures also emit a one-line JSON error record on stderr. The
 scenario, flags included, is checked in full before the solve, so a bad
 experiment block (no N or Ns, an invalid ladder) exits 2 writing nothing.
+The output directory is made only after the solve and the experiment have
+run, so a run that fails in either leaves no file behind.
 """
 
 from __future__ import annotations
@@ -148,7 +150,6 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
     """Execute a scenario; returns the artifact paths in creation order."""
     started = time.perf_counter()
     outdir = config.output.directory
-    os.makedirs(outdir, exist_ok=True)
     prefix = config.output.prefix
 
     def dest(suffix: str) -> str:
@@ -165,12 +166,11 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
                             gamma_method=solver.gamma_method,
                             max_iters=solver.max_iters, tol=solver.tol)
 
-    artifacts: list[str] = []
+    writes = []   # (paths, write), in creation order
 
     def emit(suffix, writer, *payload):
         path = dest(suffix)
-        writer(path, *payload)
-        artifacts.append(path)
+        writes.append(([path], lambda: writer(path, *payload)))
 
     emit("riccati.csv", write_riccati_csv, summary.solution, summary.feedback)
     emit("solve_report.json", write_json, {
@@ -194,9 +194,9 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         agents = [dest(f"agent_{i + 1:0{width}d}.csv") for i in range(N)]
         # formatting the agent files is most of the kind's time: the pool
         # writes them, each worker reading the recorded arrays it forked with
-        map_tasks(_write_agents, (agents, model.grid, sample.z_hat, sample.u),
-                  _agent_ranges(N, workers), workers)
-        artifacts.extend(agents)
+        writes.append((agents, lambda: map_tasks(
+            _write_agents, (agents, model.grid, sample.z_hat, sample.u),
+            _agent_ranges(N, workers), workers)))
         gaps = np.abs(sample.J_central - sample.J_limit)
         state_gap = float(np.max(
             np.sum((sample.state_average - sample.m) ** 2, axis=1)))
@@ -225,6 +225,13 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         payload = deviation_report_dict(dev)
         payload["format_version"] = FORMAT_VERSION
         emit("deviation.json", write_json, payload)
+
+    # only now, so a failed solve or experiment leaves no file behind
+    os.makedirs(outdir, exist_ok=True)
+    artifacts: list[str] = []
+    for paths, write in writes:
+        write()
+        artifacts.extend(paths)
 
     manifest_path = dest("manifest.json")
     write_json(manifest_path, {

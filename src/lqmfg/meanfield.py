@@ -136,13 +136,6 @@ class NoisePath:
 
 
 @dataclasses.dataclass(frozen=True)
-class MeanFieldPath:
-    grid: TimeGrid
-    m: np.ndarray    # (M+1, n), one common-noise realization
-    Em: np.ndarray   # (M+1, n), deterministic
-
-
-@dataclasses.dataclass(frozen=True)
 class FilteredStatePath:
     grid: TimeGrid
     z_hat: np.ndarray   # (M+1, n)
@@ -165,8 +158,8 @@ def integrate_Em(model: LqMfgModel, law: FeedbackLaw) -> np.ndarray:
     """Forward Euler for dE[m] = {(A + alpha) E[m] + B E[u] + b} dt, from x0."""
     _check_law(model, law)
     M, h = model.grid.steps, model.grid.h
-    A, alpha = model.A.values, model.alpha.values
-    B, b = model.B.values, model.b.values
+    A, alpha = model.A, model.alpha
+    B, b = model.B, model.b
     Em = np.empty((M + 1, model.n))
     Em[0] = model.x0
     for j in range(M):
@@ -193,10 +186,9 @@ def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
     if common.stream != 0:
         raise UsageError("the conditional mean is driven by stream 0")
     M, h = model.grid.steps, model.grid.h
-    A, alpha = model.A.values, model.alpha.values
-    B, b = model.B.values, model.b.values
-    C0, D0, sigma0 = model.C0.values, model.D0.values, model.sigma0.values
-    beta0 = model.beta0.values
+    A, alpha = model.A, model.alpha
+    B, b = model.B, model.b
+    C0, D0, beta0, sigma0 = model.C0, model.D0, model.beta0, model.sigma0
     dW = common.increments
     m = np.empty((M + 1, model.n))
     m[0] = model.x0
@@ -210,15 +202,6 @@ def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
             raise DivergenceError("m diverged", node=j + 1,
                                   t=model.grid.nodes[j + 1])
     return m
-
-
-def integrate_mean_field(model: LqMfgModel, law: FeedbackLaw, seed: int
-                         ) -> MeanFieldPath:
-    """Convenience wrapper bundling E[m] and one m realization."""
-    Em = integrate_Em(model, law)
-    common = NoisePath.generate(model.grid, seed, 0)
-    m = integrate_m(model, law, Em, common)
-    return MeanFieldPath(grid=model.grid, m=m, Em=Em)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -235,10 +218,8 @@ def integrate_z_hat(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
     if individual.stream < 1:
         raise UsageError("agent paths use stream ids >= 1")
     M, h = model.grid.steps, model.grid.h
-    A, B, alpha, b = (model.A.values, model.B.values, model.alpha.values,
-                      model.b.values)
-    C, D, beta, sigma = (model.C.values, model.D.values, model.beta.values,
-                         model.sigma.values)
+    A, B, alpha, b = model.A, model.B, model.alpha, model.b
+    C, D, beta, sigma = model.C, model.D, model.beta, model.sigma
     dW = individual.increments
     Em = np.asarray(Em, float)
     z = np.empty((M + 1, model.n))

@@ -10,9 +10,10 @@ where ``x_avg`` is the population state-average, ``W_i`` the agent's own
 Brownian motion and ``W0`` a Brownian motion common to all agents.  Each agent
 pays a quadratic cost tracking the average, weighted by ``Q``, ``R`` and a
 terminal ``G``.  This module holds the coefficient slots and their shapes, the
-one rule that turns a value into a slot matrix, the coefficient schedules and
-the time grid, plus validation and a solvability diagnostic.  All coefficients are
-deterministic, piecewise-constant in time on the grid intervals.
+one rule that turns a value into a slot matrix, the one that turns it into a
+slot's per-node array, and the time grid, plus validation and a solvability
+diagnostic.  All coefficients are deterministic, piecewise-constant in time on
+the grid intervals.
 """
 
 from __future__ import annotations
@@ -54,57 +55,6 @@ class TimeGrid:
     @property
     def node_count(self) -> int:
         return self.steps + 1
-
-
-class CoefficientSchedule:
-    """Matrix-valued coefficient, one value per grid node.
-
-    The value on the interval [t_j, t_{j+1}) is ``values[j]`` (left-node,
-    piecewise-constant convention).  ``values[M]`` is the value at the terminal
-    time.  Constant coefficients simply repeat one matrix.
-    """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: TimeGrid, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 3:
-            raise StructureError(
-                f"schedule values must be (M+1, r, c), got shape {arr.shape}"
-            )
-        if arr.shape[0] != grid.node_count:
-            raise StructureError(
-                f"schedule has {arr.shape[0]} entries, grid has {grid.node_count} nodes"
-            )
-        if not np.isfinite(arr).all():
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise StructureError(f"non-finite schedule entry at node {bad[0]}, index {tuple(bad[1:])}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.grid = grid
-        self.values = arr
-
-    @classmethod
-    def constant(cls, grid: TimeGrid, matrix) -> "CoefficientSchedule":
-        """``matrix`` at every node; a vector is one column, as in
-        ``as_matrix``."""
-        mat = np.asarray(matrix, dtype=float)
-        mat = mat.reshape(-1, 1) if mat.ndim == 1 else np.atleast_2d(mat)
-        return cls(grid, np.repeat(mat[None, :, :], grid.node_count, axis=0))
-
-    @property
-    def shape(self):
-        return self.values.shape[1:]
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.values[j]
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def is_constant(self) -> bool:
-        return bool((self.values == self.values[0]).all())
 
 
 # The coefficient slots of LqMfgModel, in field order, with their shapes:
@@ -149,97 +99,107 @@ def as_matrix(value, shape, name) -> np.ndarray:
 
 
 def _slot_shape(value):
-    """(rows, columns) of a constant, an (M+1, r, c) array or a schedule."""
-    if isinstance(value, CoefficientSchedule):
-        return value.shape
+    """(rows, columns) of a constant or an (M+1, r, c) array."""
     arr = np.asarray(value, dtype=float)
     return (arr.shape[0], 1) if arr.ndim == 1 else np.atleast_2d(arr).shape[-2:]
 
 
 def _schedule(grid, value, shape, name):
-    """A schedule as given, an (M+1, r, c) array, or a constant (as_matrix)."""
-    if isinstance(value, CoefficientSchedule):
-        return value
+    """A slot's read-only (M+1, r, c) float array, from an (M+1, r, c)
+    array or a constant (``as_matrix``) repeated at every node.
+
+    The value on [t_j, t_{j+1}) is entry j (left-node, piecewise-constant
+    convention) and entry M is the value at the terminal time.
+    """
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 3:
-        return CoefficientSchedule(grid, arr)
-    return CoefficientSchedule.constant(grid, as_matrix(arr, shape, name))
+    if arr.ndim != 3:
+        mat = as_matrix(arr, shape, name)
+        return _frozen(np.repeat(mat[None, :, :], grid.node_count, axis=0))
+    if arr.shape[0] != grid.node_count:
+        raise StructureError(f"{name}: schedule has {arr.shape[0]} entries, "
+                             f"grid has {grid.node_count} nodes")
+    if not np.isfinite(arr).all():
+        node, *index = (int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise StructureError(f"{name}: non-finite schedule entry at node "
+                             f"{node}, index {tuple(index)}")
+    return _frozen(arr)
 
 
 @dataclasses.dataclass(frozen=True)
 class LqMfgModel:
     """Immutable coefficient bundle for one game instance.
 
-    Schedules: state feedthroughs A, C, C0 (n x n), control channels B, D, D0
-    (n x k), mean-field couplings alpha, beta, beta0 (n x n), affine/noise
-    intensities b, sigma, sigma0 (n x 1), cost weights Q (n x n) and R (k x k).
-    G is the constant terminal weight, x0 the shared initial state, and r_min
-    the declared lower bound for R (and for the control weighting
-    Sigma = R + D'PD + D0'PD0 derived from it).
+    Each coefficient slot is a read-only (M+1, r, c) float array, one matrix
+    per grid node: state feedthroughs A, C, C0 (n x n), control channels B,
+    D, D0 (n x k), mean-field couplings alpha, beta, beta0 (n x n),
+    affine/noise intensities b, sigma, sigma0 (n x 1), cost weights Q (n x n)
+    and R (k x k).  The constructor, ``from_constants`` and
+    ``dataclasses.replace`` alike take a slot as such an array or as a
+    constant (``as_matrix``).  G is the constant terminal weight, x0 the
+    shared initial state, and r_min the declared lower bound for R (and for
+    the control weighting Sigma = R + D'PD + D0'PD0 derived from it).
     """
 
     grid: TimeGrid
-    A: CoefficientSchedule
-    B: CoefficientSchedule
-    alpha: CoefficientSchedule
-    b: CoefficientSchedule
-    C: CoefficientSchedule
-    D: CoefficientSchedule
-    beta: CoefficientSchedule
-    sigma: CoefficientSchedule
-    C0: CoefficientSchedule
-    D0: CoefficientSchedule
-    beta0: CoefficientSchedule
-    sigma0: CoefficientSchedule
-    Q: CoefficientSchedule
-    R: CoefficientSchedule
+    A: np.ndarray
+    B: np.ndarray
+    alpha: np.ndarray
+    b: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    beta: np.ndarray
+    sigma: np.ndarray
+    C0: np.ndarray
+    D0: np.ndarray
+    beta0: np.ndarray
+    sigma0: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
     G: np.ndarray
     x0: np.ndarray
     r_min: float = DEFAULT_R_MIN
 
     def __post_init__(self):
-        for name in COEFFICIENTS:
-            if not isinstance(getattr(self, name), CoefficientSchedule):
-                raise StructureError(f"'{name}' must be a CoefficientSchedule")
+        shapes = coefficient_shapes(_slot_shape(self.A)[0],
+                                    _slot_shape(self.B)[1])
+        for name, shape in shapes.items():
+            object.__setattr__(self, name, _schedule(
+                self.grid, getattr(self, name), shape, name))
         n, k = self.n, self.k
         object.__setattr__(self, "G", _frozen(as_matrix(self.G, (n, n), "G")))
         object.__setattr__(self, "x0", _frozen(as_matrix(self.x0, (n, 1), "x0")[:, 0]))
         if not (self.r_min > 0.0 and np.isfinite(self.r_min)):
             raise StructureError(f"r_min must be positive and finite, got {self.r_min}")
-        for name, shape in coefficient_shapes(n, k).items():
-            sched = getattr(self, name)
-            if sched.shape != shape:
+        for name, shape in shapes.items():
+            got = getattr(self, name).shape[1:]
+            if got != shape:
                 raise StructureError(
-                    f"'{name}' has shape {sched.shape}, expected {shape} "
+                    f"'{name}' has shape {got}, expected {shape} "
                     f"(n={n} from A, k={k} from B)"
                 )
-            if sched.grid.steps != self.grid.steps or sched.grid.horizon != self.grid.horizon:
-                raise StructureError(f"'{name}' and the model use different grids")
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[1]
 
     @property
     def k(self) -> int:
-        return self.B.shape[1]
+        return self.B.shape[2]
 
     @classmethod
     def from_constants(cls, grid, *, A, B, Q, R, G, x0, alpha=0.0, b=0.0,
                        C=0.0, D=0.0, beta=0.0, sigma=0.0, C0=0.0, D0=0.0,
                        beta0=0.0, sigma0=0.0, r_min=DEFAULT_R_MIN):
-        """Build a model from a constant or a schedule for each slot.
+        """Build a model from a constant or an (M+1, r, c) array for each
+        slot, every slot but A, B, Q, R defaulting to zero.
 
         A constant is a matrix, a vector (one column) or a scalar (1x1
-        slots, or 0 anywhere); a schedule is a ``CoefficientSchedule`` or an
-        (M+1, r, c) array of one matrix per grid node.  n is read from the
-        rows of A and k from the columns of B.
+        slots, or 0 anywhere).  n is read from the rows of A and k from the
+        columns of B.
         """
         given = locals()  # the slot keywords by name, before any other local
-        shapes = coefficient_shapes(_slot_shape(A)[0], _slot_shape(B)[1])
-        kw = {name: _schedule(grid, given[name], shape, name)
-              for name, shape in shapes.items()}
-        return cls(grid=grid, G=G, x0=x0, r_min=r_min, **kw)
+        return cls(grid=grid, G=G, x0=x0, r_min=r_min,
+                   **{name: given[name] for name in COEFFICIENTS})
 
 
 def _frozen(arr):
@@ -284,15 +244,15 @@ class ValidationReport:
         return "\n".join(c.describe() for c in self.checks)
 
 
-def _worst_asymmetry(sched):
+def _worst_asymmetry(X):
     """(max |X - X'| over nodes, node index of the max)."""
-    asym = np.abs(sched.values - np.transpose(sched.values, (0, 2, 1))).reshape(len(sched), -1).max(axis=1)
+    asym = np.abs(X - np.transpose(X, (0, 2, 1))).reshape(len(X), -1).max(axis=1)
     j = int(np.argmax(asym))
     return float(asym[j]), j
 
 
-def _worst_min_eig(sched):
-    sym = 0.5 * (sched.values + np.transpose(sched.values, (0, 2, 1)))
+def _worst_min_eig(X):
+    sym = 0.5 * (X + np.transpose(X, (0, 2, 1)))
     eigs = np.linalg.eigvalsh(sym)[:, 0]
     j = int(np.argmin(eigs))
     return float(eigs[j]), j
@@ -348,8 +308,8 @@ class DiagnosticReport:
                 f"vs bound {self.rhs:.6g}")
 
 
-def _sup_opnorm(sched):
-    return float(np.linalg.norm(sched.values, 2, axis=(1, 2)).max())
+def _sup_opnorm(X):
+    return float(np.linalg.norm(X, 2, axis=(1, 2)).max())
 
 
 def wellposedness_diagnostic(model: LqMfgModel) -> DiagnosticReport:
@@ -360,7 +320,7 @@ def wellposedness_diagnostic(model: LqMfgModel) -> DiagnosticReport:
     - 5|beta0|^2 with operator 2-norms taken sup over nodes.  The condition is
     sufficient, not necessary, so a failure is advisory and blocks nothing.
     """
-    sym = 0.5 * (model.A.values + np.transpose(model.A.values, (0, 2, 1)))
+    sym = 0.5 * (model.A + np.transpose(model.A, (0, 2, 1)))
     lambda_star = float(np.linalg.eigvalsh(sym)[:, -1].max())
     norms = {
         "alpha": _sup_opnorm(model.alpha),

@@ -148,7 +148,7 @@ class _SimPayload:
         def transposed(X):
             return np.ascontiguousarray(X.transpose(0, 2, 1))
 
-        slots = [getattr(model, name).values for name in _STATE_SLOTS]
+        slots = [getattr(model, name) for name in _STATE_SLOTS]
         A, B, alpha, b, C, D, beta, sigma, C0, D0, beta0, sigma0 = slots
         state = [X[:, :, 0].copy() if COEFFICIENTS[name] == "n1"
                  else transposed(X) for name, X in zip(_STATE_SLOTS, slots)]
@@ -187,7 +187,7 @@ class _SimPayload:
         F, K, H, c = (terms(*t) for t in zip(drift, state[4:8], state[8:]))
         self.coeffs = {
             "kz": transposed(law.K_z), "kmc": kmc,
-            "qw": w * model.Q.values, "rw": w * model.R.values,
+            "qw": w * model.Q, "rw": w * model.R,
             "Fz": terms(eye + h * transposed(P1), transposed(Q1), None),
             "ez": terms(h * p0, q0, None),
             "F": F, "K": K, "H": H, "c": c,
@@ -841,8 +841,8 @@ def lq_value_prediction(model: LqMfgModel, P) -> float:
     grid = model.grid
     w = np.full(grid.node_count, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
-    sg = model.sigma.values[:, :, 0]
-    sg0 = model.sigma0.values[:, :, 0]
+    sg = model.sigma[:, :, 0]
+    sg0 = model.sigma0[:, :, 0]
     trace = np.einsum("jn,jnm,jm->j", sg, P, sg) \
         + np.einsum("jn,jnm,jm->j", sg0, P, sg0)
     x0 = np.asarray(model.x0, float)

@@ -96,7 +96,7 @@ class _Coeffs:
 
     def __init__(self, model: LqMfgModel, stop: int | None = None):
         for name in COEFFICIENTS:
-            values = getattr(model, name).values[:stop]
+            values = getattr(model, name)[:stop]
             setattr(self, name, values)
             setattr(self, name + "t", _T(values))
 
@@ -500,13 +500,13 @@ def solve_Gamma_via_Pi(model: LqMfgModel, P, *, stages=None):
     """
     P = np.asarray(P, float)
     grid = model.grid
-    alpha = model.alpha.values
+    alpha = model.alpha
     delta = float(alpha[0, 0, 0])
     if np.abs(alpha - delta * np.eye(model.n)).max() > PRECONDITION_ATOL:
         raise UsageError("Pi substitution requires alpha = delta * identity "
                          "with one scalar delta at every node")
-    if np.abs(model.beta.values).max() > PRECONDITION_ATOL or \
-       np.abs(model.beta0.values).max() > PRECONDITION_ATOL:
+    if np.abs(model.beta).max() > PRECONDITION_ATOL or \
+       np.abs(model.beta0).max() > PRECONDITION_ATOL:
         raise UsageError("Pi substitution requires beta = beta0 = 0")
 
     # the cross term, the one place that reads P through each channel apart

@@ -26,8 +26,7 @@ from scipy.integrate import solve_ivp
 import lqmfg
 from lqmfg import (LqMfgModel, NoisePath, TimeGrid, UsageError, derive_seed,
                    gaussian_increments, integrate_Em, integrate_m,
-                   integrate_mean_field, integrate_z_hat,
-                   simulate_population)
+                   integrate_z_hat, simulate_population)
 from lqmfg.meanfield import fill_increments
 from lqmfg.riccati import solve_riccati
 from lqmfg.scenario import preset
@@ -182,9 +181,9 @@ def test_m_equals_Em_when_common_diffusion_vanishes():
     law = solve_riccati(model).feedback
     Em = integrate_Em(model, law)
     for seed in (1, 2, 3):
-        mf = integrate_mean_field(model, law, seed)
-        assert np.max(np.abs(mf.m - Em)) < 1e-12
-        np.testing.assert_array_equal(mf.Em, Em)
+        m = integrate_m(model, law, Em,
+                        NoisePath.generate(model.grid, seed, 0))
+        assert np.max(np.abs(m - Em)) < 1e-12
 
 
 def test_m_fluctuates_when_common_diffusion_present():
@@ -304,9 +303,11 @@ def test_zhat_requires_individual_stream():
         integrate_z_hat(model, law, Em, common)
 
 
-def test_mean_field_wrapper_reproducible():
+def test_mean_field_paths_reproducible():
     model, law = closed_form(60)
-    a = integrate_mean_field(model, law, seed=31)
-    b = integrate_mean_field(model, law, seed=31)
-    np.testing.assert_array_equal(a.m, b.m)
-    np.testing.assert_array_equal(a.Em, b.Em)
+    Em = integrate_Em(model, law)
+    np.testing.assert_array_equal(Em, integrate_Em(model, law))
+    a, b = (integrate_m(model, law, Em,
+                        NoisePath.generate(model.grid, 31, 0))
+            for _ in range(2))
+    np.testing.assert_array_equal(a, b)

@@ -1,12 +1,13 @@
-"""Model container: grids, schedules, validation, and the growth diagnostic."""
+"""Model container: grids, coefficient arrays, validation, and the growth
+diagnostic."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from lqmfg import (CoefficientSchedule, LqMfgModel, StructureError, TimeGrid,
-                   validate, wellposedness_diagnostic)
+from lqmfg import (LqMfgModel, StructureError, TimeGrid, validate,
+                   wellposedness_diagnostic)
 from lqmfg.model import COEFFICIENTS, coefficient_shapes
 
 
@@ -26,37 +27,64 @@ def test_grid_nodes_and_step():
 
 
 def test_constant_schedule_repeats_matrix():
-    grid = TimeGrid(1.0, 4)
-    sched = CoefficientSchedule.constant(grid, np.array([[1.0, 2.0]]))
-    assert sched.shape == (1, 2)
-    assert sched.is_constant
-    assert len(sched) == 5
-    np.testing.assert_array_equal(sched[3], [[1.0, 2.0]])
+    model = make_scalar(TimeGrid(1.0, 4), A=np.eye(2), B=[[1.0, 2.0]] * 2,
+                        Q=np.eye(2), R=np.eye(2), G=0.0, x0=[0.0, 0.0])
+    assert model.B.shape == (5, 2, 2)
+    for j in range(5):
+        np.testing.assert_array_equal(model.B[j], [[1.0, 2.0]] * 2)
 
 
 def test_constant_schedule_reads_a_vector_as_one_column():
-    # as as_matrix does, so a schedule and a plain vector build one model
+    # as as_matrix does, so a vector and its (M+1, n, 1) array build one model
     grid = TimeGrid(1.0, 4)
-    sched = CoefficientSchedule.constant(grid, [1.0, 2.0])
-    assert sched.shape == (2, 1)
     base = dict(A=np.eye(2), B=np.eye(2), Q=np.eye(2), R=np.eye(2),
                 G=np.eye(2), x0=[0.0, 0.0])
-    model = LqMfgModel.from_constants(grid, b=sched, **base)
-    plain = LqMfgModel.from_constants(grid, b=[1.0, 2.0], **base)
-    np.testing.assert_array_equal(model.b.values, plain.b.values)
+    model = LqMfgModel.from_constants(grid, b=[1.0, 2.0], **base)
+    per_node = LqMfgModel.from_constants(
+        grid, b=np.tile([[1.0], [2.0]], (5, 1, 1)), **base)
+    assert model.b.shape == (5, 2, 1)
+    np.testing.assert_array_equal(model.b, per_node.b)
 
 
 def test_schedule_is_read_only():
+    model = make_scalar()
+    for name in COEFFICIENTS:
+        with pytest.raises(ValueError):
+            getattr(model, name)[0, 0, 0] = 7.0
+
+
+def test_every_slot_form_builds_the_same_read_only_arrays():
+    # a constant, an (M+1, r, c) array, a direct LqMfgModel(...) and
+    # dataclasses.replace all go through one normalization
     grid = TimeGrid(1.0, 4)
-    sched = CoefficientSchedule.constant(grid, np.eye(2))
+    C0 = [[0.1, 0.2], [0.3, 0.4]]
+    base = dict(A=np.eye(2), B=[[1.0], [0.0]], Q=np.eye(2), R=1.0,
+                G=np.eye(2), x0=[0.0, 0.0])
+    const = LqMfgModel.from_constants(grid, C0=C0, **base)
+    per_node = np.repeat(np.array(C0)[None], 5, axis=0)
+    models = [
+        LqMfgModel.from_constants(grid, C0=per_node, **base),
+        LqMfgModel(grid=grid, **{name: getattr(const, name)
+                                 for name in COEFFICIENTS},
+                   G=base["G"], x0=base["x0"]),
+        dataclasses.replace(LqMfgModel.from_constants(grid, **base), C0=C0),
+    ]
+    for model in models:
+        for name in COEFFICIENTS:
+            X = getattr(model, name)
+            assert X.dtype == float and not X.flags.writeable, name
+            np.testing.assert_array_equal(X, getattr(const, name))
     with pytest.raises(ValueError):
-        sched.values[0, 0, 0] = 7.0
+        models[2].C0[0, 0, 0] = 7.0
+    # the model's arrays are copies: the caller's array stays its own
+    per_node[0, 0, 0] = 7.0
+    assert models[0].C0[0, 0, 0] == 0.1
 
 
 def test_scalar_coefficients_build_scalar_model():
     model = make_scalar()
     assert model.n == 1 and model.k == 1
-    assert model.A.values.shape == (11, 1, 1)
+    assert model.A.shape == (11, 1, 1)
     assert model.A[0][0, 0] == 0.5
 
 
@@ -73,7 +101,7 @@ def test_zero_scalar_broadcasts_anywhere():
                                       Q=np.eye(2), R=1.0, G=0.0,
                                       x0=[0.0, 0.0])
     np.testing.assert_array_equal(model.G, np.zeros((2, 2)))
-    np.testing.assert_array_equal(model.D.values, np.zeros((5, 2, 1)))
+    np.testing.assert_array_equal(model.D, np.zeros((5, 2, 1)))
 
 
 def test_nonzero_scalar_message_names_the_slot_shape():
@@ -88,7 +116,7 @@ def test_slot_table_matches_model_fields():
     # __post_init__ checks the slots of the table; a field missing from it
     # would go unchecked
     fields = [f.name for f in dataclasses.fields(LqMfgModel)
-              if f.type == "CoefficientSchedule"]
+              if f.name not in ("grid", "G", "x0", "r_min")]
     assert list(COEFFICIENTS) == fields
     assert coefficient_shapes(3, 2) == {
         "A": (3, 3), "B": (3, 2), "alpha": (3, 3), "b": (3, 1),
@@ -97,33 +125,43 @@ def test_slot_table_matches_model_fields():
         "Q": (3, 3), "R": (2, 2)}
 
 
-@pytest.mark.parametrize("form", ["array", "schedule"])
-def test_control_channel_schedules_with_n_not_k(form):
+def test_control_channel_schedules_with_n_not_k():
     # B, D and D0 are n x k: a time-varying value reads k from its columns
     grid = TimeGrid(1.0, 4)
     rng = np.random.default_rng(3)
     values = {name: rng.uniform(-1.0, 1.0, (5, 3, 2))
               for name in ("B", "D", "D0")}
-    given = {name: v if form == "array" else CoefficientSchedule(grid, v)
-             for name, v in values.items()}
     model = LqMfgModel.from_constants(grid, A=-np.eye(3), Q=np.eye(3),
                                       R=np.eye(2), G=np.eye(3),
-                                      x0=[0.0, 0.0, 0.0], **given)
+                                      x0=[0.0, 0.0, 0.0], **values)
     assert (model.n, model.k) == (3, 2)
     for name, v in values.items():
-        np.testing.assert_array_equal(getattr(model, name).values, v)
-    assert model.R.shape == (2, 2) and model.sigma.shape == (3, 1)
+        np.testing.assert_array_equal(getattr(model, name), v)
+    assert model.R.shape == (5, 2, 2) and model.sigma.shape == (5, 3, 1)
 
 
 def test_schedule_with_wrong_length_rejected():
     grid = TimeGrid(1.0, 4)
-    with pytest.raises(StructureError):
-        make_scalar(grid, A=np.ones((7, 1, 1)))  # grid needs 5 nodes
+    with pytest.raises(StructureError, match="^Q: schedule has 7 entries, "
+                       "grid has 5 nodes$"):
+        make_scalar(grid, Q=np.ones((7, 1, 1)))  # grid needs 5 nodes
+
+
+def test_schedule_with_wrong_matrix_shape_rejected():
+    grid = TimeGrid(1.0, 4)
+    with pytest.raises(StructureError, match=r"^'Q' has shape \(2, 1\), "
+                       r"expected \(1, 1\) \(n=1 from A, k=1 from B\)$"):
+        make_scalar(grid, Q=np.ones((5, 2, 1)))
 
 
 def test_non_finite_entry_rejected():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^A: non-finite entry$"):
         make_scalar(A=np.nan)
+    sigma = np.zeros((11, 1, 1))
+    sigma[6, 0, 0] = np.inf
+    with pytest.raises(StructureError, match=r"^sigma: non-finite schedule "
+                       r"entry at node 6, index \(0, 0\)$"):
+        make_scalar(sigma=sigma)
 
 
 def test_validate_passes_clean_model():

@@ -60,7 +60,7 @@ def netsec_numeric(steps, dim):
         eye = np.eye(dim)
 
         def c(name):
-            return float(getattr(base, name).values[0, 0, 0])
+            return float(getattr(base, name)[0, 0, 0])
 
         model = LqMfgModel.from_constants(
             base.grid, x0=np.repeat(base.x0, dim), G=base.G[0, 0] * eye,
@@ -82,7 +82,7 @@ def state_oracle(model, u, own, common, m=None):
     from the model's own coefficient matrices: the limiting states when the
     mean-field path m is given, else the centralized states coupled to
     their plain average."""
-    c = {name: getattr(model, name).values
+    c = {name: getattr(model, name)
          for name in ("A", "B", "alpha", "b", "C", "D", "beta", "sigma",
                       "C0", "D0", "beta0", "sigma0")}
     x = np.empty(u.shape[:2] + (model.n,))
@@ -522,7 +522,7 @@ def test_limit_costs_match_single_path_integrators():
     grid, S = model.grid, 5
     w = np.full(grid.node_count, grid.h)
     w[0] = w[-1] = 0.5 * grid.h
-    q, r = model.Q.values[:, 0, 0], model.R.values[:, 0, 0]
+    q, r = model.Q[:, 0, 0], model.R[:, 0, 0]
     costs = []
     for s in range(S):
         seed = derive_seed(13, 1, s)

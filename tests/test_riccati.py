@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 import lqmfg
-from lqmfg import (CoefficientSchedule, ConvergenceError, DivergenceError,
-                   LqMfgModel, SingularSigmaError, TimeGrid, UsageError)
+from lqmfg import (ConvergenceError, DivergenceError, LqMfgModel,
+                   SingularSigmaError, TimeGrid, UsageError)
 from lqmfg.model import coefficient_shapes
 from lqmfg.riccati import (_PEquation, _riccati_lift, build_feedback,
                            sigma_sequence, solve_Gamma_direct,
@@ -505,7 +505,7 @@ def time_varying_model(steps, wave, structured=False):
             X, dX = np.zeros_like(X), 0.0
         if structured and name == "alpha":
             X, dX = 0.4 * np.eye(2), 0.0
-        scheds[name] = CoefficientSchedule(grid, X[None] + w * dX)
+        scheds[name] = X[None] + w * dX
     return LqMfgModel(grid=grid, G=np.eye(2), x0=np.zeros(2), **scheds)
 
 
@@ -538,7 +538,7 @@ def interval_oracle(model):
     Y = np.empty((M + 1, 2 * n * n + n))
     Y[M] = np.concatenate([model.G.ravel(), np.zeros(n * n + n)])
     for j in range(M - 1, -1, -1):
-        c = tuple(getattr(model, name).values[j] for name in _COEFFS)
+        c = tuple(getattr(model, name)[j] for name in _COEFFS)
         sol = solve_ivp(rhs, (t[j + 1], t[j]), Y[j + 1], args=(c,),
                         method="DOP853", rtol=1e-12, atol=1e-13)
         Y[j] = sol.y[:, -1]
@@ -578,8 +578,7 @@ def test_pi_route_time_varying_matches_interval_oracle():
     for wave, common in (("sine", False), ("step", False), ("sine", True)):
         model = time_varying_model(200, wave, structured=True)
         if common:
-            model = dataclasses.replace(
-                model, C0=CoefficientSchedule.constant(model.grid, C0))
+            model = dataclasses.replace(model, C0=C0)
         _, Gam_or, _ = interval_oracle(model)
         Gam_pi, report = solve_Gamma_via_Pi(model, solve_P_direct(model))
         assert report.condition_ok is not common, wave
@@ -594,7 +593,7 @@ def test_feedback_matches_gains_written_out_per_node():
     sol, law = summary.solution, summary.feedback
     want = {"Sigma": [], "K_z": [], "K_m": [], "c_u": []}
     for j in range(model.grid.node_count):
-        c = {name: getattr(model, name).values[j] for name in _COEFFS}
+        c = {name: getattr(model, name)[j] for name in _COEFFS}
         P, B, D, D0 = sol.P[j], c["B"], c["D"], c["D0"]
         Sig = c["R"] + D.T @ P @ D + D0.T @ P @ D0
         want["Sigma"].append(Sig)
@@ -638,7 +637,7 @@ def random_schedule_model(n, k, steps, rng):
         X = rng.uniform(-1.0, 1.0, (steps + 1,) + shape)
         if name in ("Q", "R"):
             X = X @ np.swapaxes(X, -1, -2) + np.eye(shape[0])
-        scheds[name] = CoefficientSchedule(grid, X)
+        scheds[name] = X
     return LqMfgModel(grid=grid, G=np.eye(n) + 0.1 * np.ones((n, n)),
                       x0=np.zeros(n), **scheds)
 
@@ -652,7 +651,7 @@ def test_backward_solvers_match_stagewise_rk4():
     for n, k in ((1, 1), (2, 2), (3, 2)):
         model = random_schedule_model(n, k, 40, rng)
         Psi = rng.uniform(-1.0, 1.0, (3, 40, k, n))
-        c = {name: getattr(model, name).values for name in _COEFFS}
+        c = {name: getattr(model, name) for name in _COEFFS}
 
         def closed_loop(P, s, j):
             Y = Psi[s, j]
@@ -666,7 +665,7 @@ def test_backward_solvers_match_stagewise_rk4():
         assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref)), n
 
     model = time_varying_model(40, "sine")
-    c = [{name: getattr(model, name).values[j] for name in _COEFFS}
+    c = [{name: getattr(model, name)[j] for name in _COEFFS}
          for j in range(model.grid.steps)]
 
     def riccati(P, s, j):

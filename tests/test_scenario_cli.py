@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from lqmfg import UsageError
+from lqmfg import DivergenceError, UsageError, cli
 from lqmfg.cli import main, run
 from lqmfg.model import COEFFICIENTS, coefficient_shapes
 from lqmfg.scenario import (ScenarioConfig, build_candidates, parse_scenario,
@@ -397,6 +397,31 @@ def test_cli_population_too_large_for_memory_exits_2(tmp_path):
     record = json.loads(lines[0])
     assert record["exit_code"] == 2
     assert "allocate" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, runner", [
+    ("simulate", "simulate_population"),
+    ("rate_state", "rate_experiment_state"),
+    ("deviation", "deviation_experiment"),
+])
+def test_cli_failure_after_the_solve_writes_nothing(tmp_path, capsys,
+                                                    monkeypatch, kind,
+                                                    runner):
+    # the solve succeeds and the experiment fails: no solve artifact, and
+    # no output directory, is left behind
+    def diverge(*_, **__):
+        raise DivergenceError("diverged in the experiment", node=3, t=0.1)
+
+    monkeypatch.setattr(cli, runner, diverge)
+    d = closed_form_dict(steps=30)
+    d["experiment"] = {"kind": kind, "seed": 3, "N": 4,
+                       "Ns": [2, 4, 8, 16], "S": 4}
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "f"}
+    assert main(["--config", write_config(tmp_path, d), "--quiet"]) == 4
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "DivergenceError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rate_kind_writes_fit_and_table(tmp_path):
@@ -487,7 +512,7 @@ def test_cli_pi_route_alone_with_beta_exits_2(tmp_path, capsys):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["exit_code"] == 2 and "beta" in record["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_seed_and_steps_overrides_change_artifacts(tmp_path):
@@ -647,8 +672,11 @@ def test_cli_malformed_slot_value_exits_2(tmp_path, capsys, B, message):
 def test_cli_out_naming_a_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("")
+    # the directory is made after the solve, which must therefore succeed:
+    # the preset's Kleinman iterates fail their monotonicity check at 20
+    # steps (exit 4)
     code = main(["--preset", "netsec-closed-form", "--out", str(blocker),
-                 "--steps", "20", "--quiet"])
+                 "--steps", "30", "--quiet"])
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

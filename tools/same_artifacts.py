@@ -7,9 +7,11 @@ from each tree's ``src`` (with ``MFG_THREADS=2``) and compares
 every artifact except the manifest, whose configuration echo and wall time
 may differ.  The scenarios are the benchmark workloads' (read from this
 repository's ``perfbench/workloads.py``: ``solve`` at seed 501, ``ladder``
-at seeds 917 and 3, ``simulate`` at seed 917), both presets, and two
-deviation sweeps on the netsec-numeric model.  Prints every file that
-differs or exists in one tree only; exits 1 if there is one, else 0.
+at seeds 917 and 3, ``simulate`` at seed 917), both presets, two
+deviation sweeps on the netsec-numeric model, and one n = k = 2 ``simulate``
+run whose A and D0 are given node by node (``schedule``), the only scenario
+with coefficients that vary in time.  Prints every file that differs or
+exists in one tree only; exits 1 if there is one, else 0.
 
 For a differing CSV or JSON artifact whose text and layout agree, it also
 prints how far its numbers moved: how many moved, and the largest
@@ -41,6 +43,31 @@ def _deviation(N: int, S: int, steps: int) -> dict:
             "output": {"directory": "out", "prefix": "deviation"}}
 
 
+def _time_varying(steps: int, N: int) -> dict:
+    """n = k = 2 with A and D0 modulated by one sine period across the
+    grid, each a ``schedule`` of steps + 1 matrices."""
+    def wave(base, j):
+        scale = 1.0 + 0.5 * math.sin(2.0 * math.pi * j / steps)
+        return [[scale * v for v in row] for row in base]
+
+    def schedule(base):
+        return {"schedule": [wave(base, j) for j in range(steps + 1)]}
+
+    model = {"n": 2, "k": 2, "T": 1.0, "steps": steps, "x0": [1.0, -0.5],
+             "A": schedule([[-0.4, 0.3], [0.1, -0.5]]),
+             "B": [[1.0, 0.2], [0.0, 0.8]], "alpha": [[0.2, 0.0], [0.0, 0.2]],
+             "b": [0.3, -0.1], "C": [[0.2, 0.0], [0.1, 0.2]],
+             "D": [[0.3, 0.0], [0.1, 0.2]], "sigma": [0.4, 0.3],
+             "C0": [[0.1, 0.0], [0.0, 0.1]],
+             "D0": schedule([[0.3, 0.1], [0.0, 0.4]]), "sigma0": [0.2, 0.3],
+             "Q": [[2.0, 0.3], [0.3, 1.0]], "R": [[1.0, 0.1], [0.1, 0.8]],
+             "G": [[1.0, 0.0], [0.0, 1.0]]}
+    return {"format_version": 1, "model": model,
+            "solver": {"p_method": "direct", "gamma_method": "direct"},
+            "experiment": {"kind": "simulate", "seed": 917, "N": N},
+            "output": {"directory": "out", "prefix": "schedule"}}
+
+
 def scenarios() -> dict:
     """``{name: scenario dict, or the name of a preset}``."""
     runs = {f"{w}-{seed}": workloads.scenario(w, seed)
@@ -48,6 +75,7 @@ def scenarios() -> dict:
                             ("simulate", 917))}
     runs["deviation-6"] = _deviation(6, 9, 200)
     runs["deviation-120"] = _deviation(120, 6, 300)
+    runs["schedule-60"] = _time_varying(60, 5)
     for name in ("netsec-closed-form", "netsec-numeric"):
         runs[name] = name
     return runs
