@@ -12,9 +12,8 @@ __version__ = "1.0.0"
 from .errors import (ConvergenceError, DivergenceError, LqmfgError,
                      MonotonicityError, SingularSigmaError, StructureError,
                      UsageError, ValidationError)
-from .meanfield import (FilteredStatePath, NoisePath, derive_seed,
-                        gaussian_increments, integrate_Em, integrate_m,
-                        integrate_z_hat)
+from .meanfield import (derive_seed, gaussian_increments, integrate_Em,
+                        integrate_m, integrate_z_hat)
 from .model import (DiagnosticReport, LqMfgModel, TimeGrid,
                     ValidationReport, validate, wellposedness_diagnostic)
 from .population import (CandidateResult, DeviationCandidate,
@@ -45,8 +44,8 @@ __all__ = [
     "solve_P_iterative", "solve_Gamma_direct", "solve_Gamma_via_Pi",
     "solve_Phi", "build_feedback", "solve_riccati",
     # mean field
-    "NoisePath", "FilteredStatePath", "derive_seed", "gaussian_increments",
-    "integrate_Em", "integrate_m", "integrate_z_hat",
+    "derive_seed", "gaussian_increments", "integrate_Em", "integrate_m",
+    "integrate_z_hat",
     # population
     "DeviationCandidate", "default_candidate_family", "PopulationSample",
     "simulate_population", "RateFitReport", "rate_experiments",

@@ -8,7 +8,9 @@ Integrates, on the shared time grid:
 * ``integrate_z_hat`` — one agent's filtered state zhat_i(t) driven by that
   agent's own noise, with the decentralized control recorded at every node.
 
-Noise is organized in streams: stream 0 is the common noise W0, stream
+The last two are single-path oracles: each reads one stream's increments as
+an (M,) array, the row ``gaussian_increments(grid, seed, stream)`` returns,
+and the caller chooses the stream.  Stream 0 is the common noise W0, stream
 i >= 1 is agent i's W_i.  Increments are a pure function of
 (seed, stream id): a counter-based Philox generator is keyed with the
 128-bit value (seed << 64) + stream, and standard normals are drawn through
@@ -22,8 +24,6 @@ a freshly keyed generator.  ``numpy.random`` is imported on first use only.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -100,52 +100,14 @@ def gaussian_increments(grid: TimeGrid, seed: int, stream: int) -> np.ndarray:
                            (int(stream),))[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class NoisePath:
-    """One Brownian path as its per-step increments.
-
-    Stream 0 carries the common noise; stream i >= 1 belongs to agent i.
-    """
-
-    grid: TimeGrid
-    stream: int
-    increments: np.ndarray   # (M,)
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, float)
-        if inc.shape != (self.grid.steps,):
-            raise UsageError(
-                f"increments shape {inc.shape} does not match grid with "
-                f"{self.grid.steps} steps")
-        inc = inc.copy()
-        inc.flags.writeable = False
-        object.__setattr__(self, "increments", inc)
-
-    @classmethod
-    def generate(cls, grid: TimeGrid, seed: int, stream: int) -> "NoisePath":
-        return cls(grid=grid, stream=stream,
-                   increments=gaussian_increments(grid, seed, stream))
-
-    @property
-    def W(self) -> np.ndarray:
-        """Path values W(t_j), starting at 0; shape (M+1,)."""
-        out = np.empty(self.grid.steps + 1)
-        out[0] = 0.0
-        np.cumsum(self.increments, out=out[1:])
-        return out
-
-
-@dataclasses.dataclass(frozen=True)
-class FilteredStatePath:
-    grid: TimeGrid
-    z_hat: np.ndarray   # (M+1, n)
-    u: np.ndarray       # (M+1, k)
-
-
-def _check_law(model: LqMfgModel, law: FeedbackLaw):
+def _check_law(model: LqMfgModel, law: FeedbackLaw, dW=None):
     if law.grid.steps != model.grid.steps or \
             law.grid.horizon != model.grid.horizon:
         raise UsageError("feedback law grid does not match the model grid")
+    if dW is not None and np.shape(dW) != (model.grid.steps,):
+        raise UsageError(
+            f"increments shape {np.shape(dW)} does not match grid with "
+            f"{model.grid.steps} steps")
 
 
 def _mean_control(law: FeedbackLaw, Em: np.ndarray, j: int) -> np.ndarray:
@@ -174,22 +136,19 @@ def integrate_Em(model: LqMfgModel, law: FeedbackLaw) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
-                common: NoisePath) -> np.ndarray:
-    """Euler-Maruyama for the conditional-mean SDE driven by stream 0.
+                dW0: np.ndarray) -> np.ndarray:
+    """Euler-Maruyama for the conditional-mean SDE driven by dW0, (M,).
 
     Drift {(A + alpha) m + B E[u] + b}; diffusion
     {(C0 + beta0) m + D0 E[u] + sigma0} against dW0.  The state average
     enters the common-noise channel through beta0, the coefficient that the
     Riccati system reads there too.
     """
-    _check_law(model, law)
-    if common.stream != 0:
-        raise UsageError("the conditional mean is driven by stream 0")
+    _check_law(model, law, dW0)
     M, h = model.grid.steps, model.grid.h
     A, alpha = model.A, model.alpha
     B, b = model.B, model.b
     C0, D0, beta0, sigma0 = model.C0, model.D0, model.beta0, model.sigma0
-    dW = common.increments
     m = np.empty((M + 1, model.n))
     m[0] = model.x0
     Em = np.asarray(Em, float)
@@ -197,7 +156,7 @@ def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
         Eu = _mean_control(law, Em, j)
         drift = (A[j] + alpha[j]) @ m[j] + B[j] @ Eu + b[j][:, 0]
         diff = (C0[j] + beta0[j]) @ m[j] + D0[j] @ Eu + sigma0[j][:, 0]
-        m[j + 1] = m[j] + h * drift + dW[j] * diff
+        m[j + 1] = m[j] + h * drift + dW0[j] * diff
         if not np.isfinite(m[j + 1]).all():
             raise DivergenceError("m diverged", node=j + 1,
                                   t=model.grid.nodes[j + 1])
@@ -206,21 +165,19 @@ def integrate_m(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_z_hat(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
-                    individual: NoisePath) -> FilteredStatePath:
+                    dW: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama for one agent's filtered state, control recorded.
 
     Drift (A + B K_z) zhat + (alpha + B K_m) Em + B c_u + b; diffusion
     (C + D K_z) zhat + (beta + D K_m) Em + D c_u + sigma against the agent's
-    own increments.  The recorded control satisfies
-    u(t_j) = K_z(t_j) zhat(t_j) + K_m(t_j) Em(t_j) + c_u(t_j) at every node.
+    own increments dW, (M,).  Returns (zhat, u), (M+1, n) and (M+1, k); u
+    satisfies u(t_j) = K_z(t_j) zhat(t_j) + K_m(t_j) Em(t_j) + c_u(t_j) at
+    every node.
     """
-    _check_law(model, law)
-    if individual.stream < 1:
-        raise UsageError("agent paths use stream ids >= 1")
+    _check_law(model, law, dW)
     M, h = model.grid.steps, model.grid.h
     A, B, alpha, b = model.A, model.B, model.alpha, model.b
     C, D, beta, sigma = model.C, model.D, model.beta, model.sigma
-    dW = individual.increments
     Em = np.asarray(Em, float)
     z = np.empty((M + 1, model.n))
     u = np.empty((M + 1, model.k))
@@ -234,4 +191,4 @@ def integrate_z_hat(model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray,
             raise DivergenceError("zhat diverged", node=j + 1,
                                   t=model.grid.nodes[j + 1])
     u[M] = law.K_z[M] @ z[M] + law.K_m[M] @ Em[M] + law.c_u[M]
-    return FilteredStatePath(grid=model.grid, z_hat=z, u=u)
+    return z, u

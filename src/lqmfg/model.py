@@ -302,11 +302,6 @@ class DiagnosticReport:
     def holds(self) -> bool:
         return self.lhs < self.rhs
 
-    def describe(self) -> str:
-        status = "holds" if self.holds else "does NOT hold"
-        return (f"dissipativity condition {status}: 4*lambda_star = {self.lhs:.6g} "
-                f"vs bound {self.rhs:.6g}")
-
 
 def _sup_opnorm(X):
     return float(np.linalg.norm(X, 2, axis=(1, 2)).max())

@@ -391,10 +391,6 @@ class IterativeInfo:
     iterations: int
     residuals: tuple[float, ...]
 
-    @property
-    def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else 0.0
-
 
 def solve_P_iterative(model: LqMfgModel, max_iters: int = DEFAULT_MAX_ITERS,
                       tol: float = DEFAULT_ITER_TOL, *,

@@ -32,6 +32,7 @@ from .model import (COEFFICIENTS, DEFAULT_R_MIN, LqMfgModel, TimeGrid,
                     as_matrix, coefficient_shapes)
 from .population import (DeviationCandidate, _check_ladder,
                          candidate_family, default_candidate_family)
+from .riccati import DEFAULT_ITER_TOL, DEFAULT_MAX_ITERS
 
 FORMAT_VERSION = 1
 
@@ -90,6 +91,28 @@ def _list(value, context) -> list:
     if isinstance(value, (list, tuple)):
         return list(value)
     raise UsageError(f"{context} must be a list, got {value!r}")
+
+
+def _optional(parse):
+    """parse, with JSON null read as None."""
+    return lambda value, context: None if value is None else \
+        parse(value, context)
+
+
+def _tuple_of(parse):
+    return lambda value, context: tuple(parse(v, context)
+                                        for v in _list(value, context))
+
+
+def _block(cls, d, parsers, context, name):
+    """cls from the keys of d, each read by its parser with the context
+    name.key; a key that d does not give keeps its field default, and a
+    null block is the default block."""
+    if d is None:
+        return cls()
+    _require_keys(d, parsers, context)
+    return cls(**{key: parse(d[key], f"{name}.{key}")
+                  for key, parse in parsers.items() if key in d})
 
 
 def _real_array(value, context) -> np.ndarray:
@@ -160,6 +183,10 @@ class ModelBlock:
     G: tuple
     r_min: float = DEFAULT_R_MIN
 
+    def __post_init__(self):
+        if not self.r_min > 0:
+            raise UsageError(f"model.r_min must be positive, got {self.r_min}")
+
     @classmethod
     def from_dict(cls, d) -> "ModelBlock":
         allowed = ("n", "k", "T", "steps", "x0", "G", "r_min", *COEFFICIENTS)
@@ -181,12 +208,11 @@ class ModelBlock:
                                            steps)
                   for name, shape in coefficient_shapes(n, k).items()}
         G = _float_matrix(d.get("G", 0.0), (n, n), "model.G")
-        r_min = _finite(d.get("r_min", DEFAULT_R_MIN), "model.r_min")
-        if not r_min > 0:
-            raise UsageError(f"model.r_min must be positive, got {r_min}")
+        given = {"r_min": _finite(d["r_min"], "model.r_min")} \
+            if "r_min" in d else {}
         return cls(n=n, k=k, horizon=horizon, steps=steps,
                    x0=tuple(row[0] for row in x0), coefficients=coeffs,
-                   G=G, r_min=r_min)
+                   G=G, **given)
 
     def to_dict(self):
         out = {"n": self.n, "k": self.k, "T": self.horizon,
@@ -219,8 +245,8 @@ class SolverBlock:
     steps: int | None = None
     p_method: str = "direct"
     gamma_method: str = "direct"
-    max_iters: int = 100
-    tol: float = 1e-10
+    max_iters: int = DEFAULT_MAX_ITERS
+    tol: float = DEFAULT_ITER_TOL
 
     def __post_init__(self):
         if self.p_method not in P_METHODS:
@@ -238,18 +264,9 @@ class SolverBlock:
 
     @classmethod
     def from_dict(cls, d) -> "SolverBlock":
-        if d is None:
-            return cls()
-        _require_keys(d, ("steps", "p_method", "gamma_method", "max_iters",
-                          "tol"), "solver block")
-        steps = d.get("steps")
-        return cls(
-            steps=None if steps is None else _int(steps, "solver.steps"),
-            p_method=_str(d.get("p_method", "direct"), "solver.p_method"),
-            gamma_method=_str(d.get("gamma_method", "direct"),
-                              "solver.gamma_method"),
-            max_iters=_int(d.get("max_iters", 100), "solver.max_iters"),
-            tol=_finite(d.get("tol", 1e-10), "solver.tol"))
+        return _block(cls, d, {"steps": _optional(_int), "p_method": _str,
+                               "gamma_method": _str, "max_iters": _int,
+                               "tol": _finite}, "solver block", "solver")
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -263,17 +280,10 @@ class CandidateFamilyBlock:
 
     @classmethod
     def from_dict(cls, d) -> "CandidateFamilyBlock":
-        _require_keys(d, ("gain_scales", "include_zero", "offsets"),
-                      "experiment.candidates")
         ctx = "experiment.candidates"
-        scales = _list(d.get("gain_scales", ()), f"{ctx}.gain_scales")
-        offsets = _list(d.get("offsets", ()), f"{ctx}.offsets")
-        return cls(
-            gain_scales=tuple(_finite(v, f"{ctx}.gain_scales")
-                              for v in scales),
-            include_zero=_bool(d.get("include_zero", True),
-                               f"{ctx}.include_zero"),
-            offsets=tuple(_finite(v, f"{ctx}.offsets") for v in offsets))
+        return _block(cls, d, {"gain_scales": _tuple_of(_finite),
+                               "include_zero": _bool,
+                               "offsets": _tuple_of(_finite)}, ctx, ctx)
 
     def to_dict(self):
         return {"gain_scales": list(self.gain_scales),
@@ -322,20 +332,12 @@ class ExperimentBlock:
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentBlock":
-        if d is None:
-            return cls()
-        _require_keys(d, ("kind", "seed", "N", "Ns", "S", "candidates"),
-                      "experiment block")
-        N, Ns, cand = d.get("N"), d.get("Ns"), d.get("candidates")
-        return cls(
-            kind=_str(d.get("kind", "solve"), "experiment.kind"),
-            seed=_int(d.get("seed", 0), "experiment.seed"),
-            N=None if N is None else _int(N, "experiment.N"),
-            Ns=None if Ns is None else tuple(
-                _int(v, "experiment.Ns") for v in _list(Ns, "experiment.Ns")),
-            S=_int(d.get("S", 256), "experiment.S"),
-            candidates=(None if cand is None
-                        else CandidateFamilyBlock.from_dict(cand)))
+        return _block(cls, d, {
+            "kind": _str, "seed": _int, "N": _optional(_int),
+            "Ns": _optional(_tuple_of(_int)), "S": _int,
+            "candidates": _optional(
+                lambda v, _: CandidateFamilyBlock.from_dict(v))},
+            "experiment block", "experiment")
 
     def to_dict(self):
         return {"kind": self.kind, "seed": self.seed, "N": self.N,
@@ -345,6 +347,13 @@ class ExperimentBlock:
                                if self.candidates else None)}
 
 
+def _prefix(value, context) -> str:
+    prefix = _str(value, context)
+    if not prefix or "/" in prefix or "\\" in prefix:
+        raise UsageError(f"{context} must be a plain file-name prefix")
+    return prefix
+
+
 @dataclasses.dataclass(frozen=True)
 class OutputBlock:
     directory: str = "."
@@ -352,14 +361,8 @@ class OutputBlock:
 
     @classmethod
     def from_dict(cls, d) -> "OutputBlock":
-        if d is None:
-            return cls()
-        _require_keys(d, ("directory", "prefix"), "output block")
-        prefix = _str(d.get("prefix", "run"), "output.prefix")
-        if not prefix or "/" in prefix or "\\" in prefix:
-            raise UsageError("output.prefix must be a plain file-name prefix")
-        return cls(directory=_str(d.get("directory", "."), "output.directory"),
-                   prefix=prefix)
+        return _block(cls, d, {"prefix": _prefix, "directory": _str},
+                      "output block", "output")
 
     def to_dict(self):
         return dataclasses.asdict(self)

@@ -24,7 +24,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import lqmfg
-from lqmfg import (LqMfgModel, NoisePath, TimeGrid, UsageError, derive_seed,
+from lqmfg import (LqMfgModel, TimeGrid, UsageError, derive_seed,
                    gaussian_increments, integrate_Em, integrate_m,
                    integrate_z_hat, simulate_population)
 from lqmfg.meanfield import fill_increments
@@ -51,6 +51,17 @@ def test_derive_seed_separates_arguments():
             for s in (0, 1, 2) for N in (25, 50) for i in range(50)}
     assert len(seen) == 3 * 2 * 50  # no collisions on this sweep
     assert derive_seed(1, 2) != derive_seed(2, 1)
+
+
+def test_public_names_resolve_and_path_wrappers_are_gone():
+    assert len(set(lqmfg.__all__)) == len(lqmfg.__all__)
+    for name in lqmfg.__all__:
+        assert hasattr(lqmfg, name), name
+    # the oracles read and return plain arrays: meanfield defines no path
+    # type, neither for the increments nor for zhat and u
+    assert not [name for name, value in vars(lqmfg.meanfield).items()
+                if isinstance(value, type)
+                and value.__module__ == "lqmfg.meanfield"]
 
 
 def test_increments_reproducible_and_stream_separated():
@@ -102,19 +113,13 @@ def test_increment_scale_is_sqrt_h():
     assert abs(pooled.mean()) < 4.0 * math.sqrt(grid.h / pooled.size) * 2
 
 
-def test_noise_path_cumulative_view():
-    grid = TimeGrid(1.0, 16)
-    path = NoisePath.generate(grid, seed=3, stream=2)
-    W = path.W
-    assert W.shape == (17,)
-    assert W[0] == 0.0
-    np.testing.assert_allclose(np.diff(W), path.increments, atol=1e-15)
-
-
-def test_noise_path_rejects_wrong_shape():
-    grid = TimeGrid(1.0, 16)
-    with pytest.raises(UsageError):
-        NoisePath(grid, 0, np.zeros(7))
+def test_oracles_reject_increments_of_wrong_shape():
+    model, law = closed_form(16)
+    Em = integrate_Em(model, law)
+    for dW in (np.zeros(7), np.zeros((16, 1))):
+        for oracle in (integrate_m, integrate_z_hat):
+            with pytest.raises(UsageError, match="increments shape"):
+                oracle(model, law, Em, dW)
 
 
 # --------------------------------------------------------------------- Em
@@ -164,12 +169,12 @@ def test_m_pure_noise_is_exactly_x0_plus_scaled_W0():
                                       x0=[2.0])
     law = solve_riccati(model).feedback
     Em = integrate_Em(model, law)
-    common = NoisePath.generate(model.grid, seed=17, stream=0)
-    m = integrate_m(model, law, Em, common)
+    dW0 = gaussian_increments(model.grid, seed=17, stream=0)
+    m = integrate_m(model, law, Em, dW0)
     expected = np.empty(129)
     expected[0] = 2.0
     for j in range(128):  # same accumulation order as the scheme
-        expected[j + 1] = expected[j] + 1.5 * common.increments[j]
+        expected[j + 1] = expected[j] + 1.5 * dW0[j]
     np.testing.assert_array_equal(m[:, 0], expected)
 
 
@@ -182,24 +187,15 @@ def test_m_equals_Em_when_common_diffusion_vanishes():
     Em = integrate_Em(model, law)
     for seed in (1, 2, 3):
         m = integrate_m(model, law, Em,
-                        NoisePath.generate(model.grid, seed, 0))
+                        gaussian_increments(model.grid, seed, 0))
         assert np.max(np.abs(m - Em)) < 1e-12
 
 
 def test_m_fluctuates_when_common_diffusion_present():
     model, law = closed_form(200)
     Em = integrate_Em(model, law)
-    common = NoisePath.generate(model.grid, seed=5, stream=0)
-    m = integrate_m(model, law, Em, common)
+    m = integrate_m(model, law, Em, gaussian_increments(model.grid, 5, 0))
     assert np.max(np.abs(m - Em)) > 1e-3
-
-
-def test_m_requires_stream_zero():
-    model, law = closed_form(20)
-    Em = integrate_Em(model, law)
-    agent = NoisePath.generate(model.grid, seed=5, stream=1)
-    with pytest.raises(UsageError):
-        integrate_m(model, law, Em, agent)
 
 
 def test_m_reads_beta0_not_beta():
@@ -212,8 +208,7 @@ def test_m_reads_beta0_not_beta():
                                       G=0.5, x0=[1.0])
     law = solve_riccati(model).feedback
     Em = integrate_Em(model, law)
-    common = NoisePath.generate(model.grid, seed=11, stream=0)
-    m = integrate_m(model, law, Em, common)
+    m = integrate_m(model, law, Em, gaussian_increments(model.grid, 11, 0))
     assert np.max(np.abs(m - Em)) < 1e-12
     sample = simulate_population(model, law, Em, N=3, seed=11)
     assert np.max(np.abs(sample.m - Em)) < 1e-12
@@ -233,11 +228,10 @@ def test_strong_order_one_under_refinement():
     for path in range(64):
         fine = gaussian_increments(model_of[1600].grid, derive_seed(88, path), 0)
         ref = integrate_m(model_of[1600], laws[1600], Ems[1600],
-                          NoisePath(model_of[1600].grid, 0, fine))[-1, 0]
+                          fine)[-1, 0]
         for M in (100, 200):
             coarse = fine.reshape(M, 1600 // M).sum(axis=1)
-            m = integrate_m(model_of[M], laws[M], Ems[M],
-                            NoisePath(model_of[M].grid, 0, coarse))[-1, 0]
+            m = integrate_m(model_of[M], laws[M], Ems[M], coarse)[-1, 0]
             errs[M].append((m - ref) ** 2)
     e100 = math.sqrt(math.fsum(errs[100]) / 64)
     e200 = math.sqrt(math.fsum(errs[200]) / 64)
@@ -249,18 +243,17 @@ def test_strong_order_one_under_refinement():
 def test_zhat_control_is_consistent_at_every_node():
     model, law = closed_form(150)
     Em = integrate_Em(model, law)
-    agent = NoisePath.generate(model.grid, seed=9, stream=3)
-    path = integrate_z_hat(model, law, Em, agent)
+    z_hat, u = integrate_z_hat(model, law, Em,
+                               gaussian_increments(model.grid, 9, 3))
     for j in range(model.grid.node_count):
-        expected = law.K_z[j] @ path.z_hat[j] + law.K_m[j] @ Em[j] + law.c_u[j]
-        np.testing.assert_allclose(path.u[j], expected, rtol=0, atol=1e-14)
+        expected = law.K_z[j] @ z_hat[j] + law.K_m[j] @ Em[j] + law.c_u[j]
+        np.testing.assert_allclose(u[j], expected, rtol=0, atol=1e-14)
 
 
 def test_zhat_noise_free_against_independent_ode():
     model, law = closed_form(2000)
     Em = integrate_Em(model, law)
-    silent = NoisePath(model.grid, 1, np.zeros(2000))
-    path = integrate_z_hat(model, law, Em, silent)
+    z_hat, _ = integrate_z_hat(model, law, Em, np.zeros(2000))
 
     def P_exact(t):
         e = np.exp(4.0 * (t - 1.0))
@@ -279,7 +272,7 @@ def test_zhat_noise_free_against_independent_ode():
     sol = solve_ivp(rhs, (0.0, 1.0), [1.0, 1.0], rtol=1e-10, atol=1e-12,
                     dense_output=True)
     z_exact = sol.sol(1.0)[1]
-    assert path.z_hat[-1, 0] == pytest.approx(z_exact, rel=5e-3)
+    assert z_hat[-1, 0] == pytest.approx(z_exact, rel=5e-3)
 
 
 def test_zhat_mean_matches_Em():
@@ -288,26 +281,16 @@ def test_zhat_mean_matches_Em():
     S = 1024
     terminal = np.empty(S)
     for s in range(S):
-        agent = NoisePath.generate(model.grid, seed=derive_seed(23, s),
-                                   stream=1)
-        terminal[s] = integrate_z_hat(model, law, Em, agent).z_hat[-1, 0]
+        dW = gaussian_increments(model.grid, derive_seed(23, s), 1)
+        terminal[s] = integrate_z_hat(model, law, Em, dW)[0][-1, 0]
     se = terminal.std(ddof=1) / math.sqrt(S)
     assert abs(terminal.mean() - Em[-1, 0]) < 4.0 * se
-
-
-def test_zhat_requires_individual_stream():
-    model, law = closed_form(20)
-    Em = integrate_Em(model, law)
-    common = NoisePath.generate(model.grid, seed=5, stream=0)
-    with pytest.raises(UsageError):
-        integrate_z_hat(model, law, Em, common)
 
 
 def test_mean_field_paths_reproducible():
     model, law = closed_form(60)
     Em = integrate_Em(model, law)
     np.testing.assert_array_equal(Em, integrate_Em(model, law))
-    a, b = (integrate_m(model, law, Em,
-                        NoisePath.generate(model.grid, 31, 0))
+    a, b = (integrate_m(model, law, Em, gaussian_increments(model.grid, 31, 0))
             for _ in range(2))
     np.testing.assert_array_equal(a, b)

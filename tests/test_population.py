@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import lqmfg
-from lqmfg import (DeviationCandidate, DivergenceError, LqMfgModel, NoisePath,
-                   TimeGrid, UsageError, default_candidate_family, derive_seed,
-                   deviation_experiment, integrate_Em, integrate_m,
-                   integrate_z_hat, limit_problem_experiment,
+from lqmfg import (DeviationCandidate, DivergenceError, LqMfgModel, TimeGrid,
+                   UsageError, default_candidate_family, derive_seed,
+                   deviation_experiment, gaussian_increments, integrate_Em,
+                   integrate_m, integrate_z_hat, limit_problem_experiment,
                    lq_value_prediction, rate_experiment_state,
                    rate_experiments, resolve_workers, simulate_population)
 from lqmfg.population import (_BLOCK_ELEMENTS, _block_kernel, _block_noise,
@@ -77,8 +77,9 @@ def netsec_numeric(steps, dim):
 KERNEL_MODELS = {"scalar": closed_form, "matrix": matrix_model}
 
 
-def state_oracle(model, u, own, common, m=None):
-    """States of agents i with controls u[i] and streams own[i], stepped
+def state_oracle(model, u, dW, dW0, m=None):
+    """States of agents i with controls u[i] and own increments dW[i], common
+    increments dW0, stepped
     from the model's own coefficient matrices: the limiting states when the
     mean-field path m is given, else the centralized states coupled to
     their plain average."""
@@ -93,11 +94,9 @@ def state_oracle(model, u, own, common, m=None):
         def lin(a, d, b, s0):
             return (x[:, j] @ c[a][j].T + u[:, j] @ c[d][j].T
                     + c[b][j] @ avg + c[s0][j][:, 0])
-        dWi = np.array([path.increments[j] for path in own])[:, None]
         x[:, j + 1] = (x[:, j] + model.grid.h * lin("A", "B", "alpha", "b")
-                       + dWi * lin("C", "D", "beta", "sigma")
-                       + common.increments[j]
-                       * lin("C0", "D0", "beta0", "sigma0"))
+                       + dW[:, j, None] * lin("C", "D", "beta", "sigma")
+                       + dW0[j] * lin("C0", "D0", "beta0", "sigma0"))
     return x
 
 
@@ -205,17 +204,19 @@ def test_block_kernel_matches_single_path_integrators(form):
         assert steps % _chunk_steps(N, 1, 1, d) != 0
         seed = derive_seed(3, N, 0)
         sample = simulate_population(model, law, Em, N=N, seed=seed)
-        common = NoisePath.generate(model.grid, seed, 0)
-        m = integrate_m(model, law, Em, common)
-        own = [NoisePath.generate(model.grid, seed, i + 1) for i in range(N)]
-        paths = [integrate_z_hat(model, law, Em, path) for path in own]
-        u = np.array([path.u for path in paths])
+        dW0 = gaussian_increments(model.grid, seed, 0)
+        m = integrate_m(model, law, Em, dW0)
+        dW = np.array([gaussian_increments(model.grid, seed, i + 1)
+                       for i in range(N)])
+        paths = [integrate_z_hat(model, law, Em, row) for row in dW]
+        z_hat = np.array([z for z, _ in paths])
+        u = np.array([u for _, u in paths])
         for got, want in (
                 (sample.m, m),
-                (sample.z_hat, [path.z_hat for path in paths]),
+                (sample.z_hat, z_hat),
                 (sample.u, u),
-                (sample.z_bar, state_oracle(model, u, own, common, m)),
-                (sample.x, state_oracle(model, u, own, common))):
+                (sample.z_bar, state_oracle(model, u, dW, dW0, m)),
+                (sample.x, state_oracle(model, u, dW, dW0))):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -237,12 +238,12 @@ def test_exploding_feedback_is_diagnosed(form):
         huge = FeedbackLaw(grid=law.grid, K_z=np.full_like(law.K_z, gain),
                            K_m=np.zeros_like(law.K_m),
                            c_u=np.zeros_like(law.c_u))
-        integrate_m(model, huge, Em, NoisePath.generate(model.grid, 2, 0))
+        integrate_m(model, huge, Em, gaussian_increments(model.grid, 2, 0))
         nodes = []
         for i in range(3):
             with pytest.raises(DivergenceError) as oracle:
                 integrate_z_hat(model, huge, Em,
-                                NoisePath.generate(model.grid, 2, i + 1))
+                                gaussian_increments(model.grid, 2, i + 1))
             nodes.append(oracle.value.node)
         with pytest.raises(DivergenceError) as err:
             simulate_population(model, huge, Em, N=3, seed=2)
@@ -303,7 +304,7 @@ def test_ladder_block_memory_stays_within_its_noise_and_one_megabyte():
     # n = k = 3 embedding, whose step factors are 3 x 3 per agent: the
     # kernel's chunk buffers must add at most 1 MB to the block's noise
     M = 125
-    NoisePath.generate(TimeGrid(1.0, 1), 1, 0)   # imports numpy.random
+    gaussian_increments(TimeGrid(1.0, 1), 1, 0)   # imports numpy.random
     ladder = (payload(M), ())
     family = default_candidate_family()[1:]
     deviation = (netsec_numeric(M, 1), family)
@@ -526,11 +527,11 @@ def test_limit_costs_match_single_path_integrators():
     costs = []
     for s in range(S):
         seed = derive_seed(13, 1, s)
-        common = NoisePath.generate(grid, seed, 0)
-        own = NoisePath.generate(grid, seed, 1)
-        m = integrate_m(model, law, Em, common)
-        u = integrate_z_hat(model, law, Em, own).u
-        zb = state_oracle(model, u[None], [own], common, m)[0, :, 0]
+        dW0 = gaussian_increments(grid, seed, 0)
+        dW = gaussian_increments(grid, seed, 1)[None]
+        m = integrate_m(model, law, Em, dW0)
+        u = integrate_z_hat(model, law, Em, dW[0])[1]
+        zb = state_oracle(model, u[None], dW, dW0, m)[0, :, 0]
         m, u = m[:, 0], u[:, 0]
         run = (w * (q * (zb - m) ** 2 + r * u ** 2)).sum()
         costs.append(0.5 * (run + model.G[0, 0] * zb[-1] ** 2))

@@ -4,8 +4,10 @@
 
 Runs a fixed set of scenarios through ``python -m lqmfg.cli ... --quiet``
 from each tree's ``src`` (with ``MFG_THREADS=2``) and compares
-every artifact except the manifest, whose configuration echo and wall time
-may differ.  The scenarios are the benchmark workloads' (read from this
+every artifact.  A manifest is compared without its wall time and without
+the output directory of its configuration echo, the two entries that differ
+between the trees' runs; the rest of it, the configuration echo included,
+must match.  The scenarios are the benchmark workloads' (read from this
 repository's ``perfbench/workloads.py``: ``solve`` at seed 501, ``ladder``
 at seeds 917 and 3, ``simulate`` at seed 917), both presets, two
 deviation sweeps on the netsec-numeric model, and one n = k = 2 ``simulate``
@@ -83,7 +85,7 @@ def scenarios() -> dict:
 
 def run_tree(root: str, runs: dict, work: str) -> dict:
     """Run every scenario from ``root``'s src; ``{relative path: bytes}`` of
-    the artifacts, manifests left out."""
+    the artifacts, each manifest as ``comparable_manifest`` gives it."""
     src = os.path.join(os.path.abspath(root), "src")
     env = dict(os.environ, MFG_THREADS="2", PYTHONPATH=src)
     os.makedirs(work)
@@ -104,10 +106,21 @@ def run_tree(root: str, runs: dict, work: str) -> dict:
             sys.exit(f"{root}: {name} exited {done.returncode}\n"
                      f"{done.stderr}")
         for entry in sorted(os.listdir(out)):
-            if not entry.endswith("manifest.json"):
-                with open(os.path.join(out, entry), "rb") as fh:
-                    files[f"{name}/{entry}"] = fh.read()
+            with open(os.path.join(out, entry), "rb") as fh:
+                data = fh.read()
+            if entry.endswith("manifest.json"):
+                data = comparable_manifest(data)
+            files[f"{name}/{entry}"] = data
     return files
+
+
+def comparable_manifest(data: bytes) -> bytes:
+    """A manifest without its wall time and its output directory, written
+    back in the manifest's own layout (``io.write_json``)."""
+    manifest = json.loads(data)
+    del manifest["wall_time_s"]
+    del manifest["config"]["output"]["directory"]
+    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
 
 
 _NUMBER = object()   # a number's place in a layout
