@@ -121,15 +121,17 @@ def write_agent_csv(path, grid, z_hat, u) -> None:
 
 
 def rate_report_dict(report) -> dict:
+    """The fit as JSON; a degenerate fit has no slope, intercept or slope
+    error, and writes ``null`` for them, which strict parsers accept."""
+    degenerate = bool(report.degenerate)
     out = {
         "name": report.name,
         "Ns": list(report.Ns),
         "values": [float(v) for v in report.values],
         "stderrs": [float(v) for v in report.stderrs],
-        "slope": float(report.slope),
-        "intercept": float(report.intercept),
-        "slope_stderr": float(report.slope_stderr),
-        "degenerate": bool(report.degenerate),
+        **{key: None if degenerate else float(getattr(report, key))
+           for key in ("slope", "intercept", "slope_stderr")},
+        "degenerate": degenerate,
         "sample_count": int(report.sample_count),
         "seed": int(report.seed),
     }

@@ -24,10 +24,11 @@ the same blocks (``_sample_tasks``): a block holds up to 2**18 // (N M)
 samples, so its increments take at most 2 MB (or one sample's worth), and
 every sample of a deviation or limiting-problem block carries each
 candidate as a row.  The limiting problem is the kernel at N = 1, and a
-recorded population is a block of one sample and one row.  Blocks are the
-tasks of the process pool, which one driver (``_sample_stats``) maps for
-all three experiments.  Every block's statistics equal those of its
-samples run one at a time, and a row's those of its candidate run alone.
+recorded population is a block of one sample and one row that keeps zhat
+and u.  Blocks are the tasks of the process pool, which one driver
+(``_sample_stats``) maps for all three experiments.  Every block's
+statistics equal those of its samples run one at a time, and a row's those
+of its candidate run alone.
 
 Only x couples the agents (through its sorted average), so the kernel steps
 only x node by node.  m is built once per block; zhat, the controls, the
@@ -214,13 +215,18 @@ class _BlockStats:
 
 @dataclasses.dataclass(frozen=True)
 class PopulationSample:
-    """One recorded joint simulation of the N-agent system."""
+    """One recorded joint simulation of the N-agent system.
+
+    Each agent's filtered state and control are recorded, the paths that the
+    ``simulate`` kind writes; its centralized state x_i and limiting state
+    zbar_i are stepped but not stored, and reach the sample only through
+    the state average and the two costs.  ``z_hat`` and ``u`` are agent-major
+    views of time-major arrays, so ``z_hat[i]`` is agent i's (M+1, n) path.
+    """
 
     N: int
-    x: np.ndarray              # (N, M+1, n)
-    z_hat: np.ndarray          # (N, M+1, n)
-    z_bar: np.ndarray          # (N, M+1, n)
-    u: np.ndarray              # (N, M+1, k)
+    z_hat: np.ndarray          # (N, M+1, n), a view of a time-major array
+    u: np.ndarray              # (N, M+1, k), a view of a time-major array
     state_average: np.ndarray  # (M+1, n)
     m: np.ndarray              # (M+1, n)
     Em: np.ndarray             # (M+1, n)
@@ -283,6 +289,10 @@ def _finish(pl, Jc, Jl, gap, sup_x, sup_z):
 @np.errstate(over="ignore", invalid="ignore")
 def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     """Step a block of samples; ``record`` needs B = C = 1.
+
+    Returns the block's statistics, and with ``record`` also the
+    ``PopulationSample``: then the kernel stores zhat and u, time-major as
+    its chunks hold them, and the sorted state average, but not x or zbar.
 
     Only x couples the agents, through its sorted average, so only x is
     stepped node by node.  m is built once for the block.  Per chunk of
@@ -415,7 +425,8 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     sup_x = np.zeros((C, B, 1))
     sup_z = np.zeros((C, B, 1))
     if record:
-        rec = [np.empty((N, M + 1) + s) for s in (vec, vec, vec, kv)]
+        rec_zh = np.empty((M + 1, N) + vec)
+        rec_u = np.empty((M + 1, N) + kv)
         rec_xbar = np.empty((M + 1,) + vec)
 
     for j0 in range(0, M, L):
@@ -448,8 +459,8 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
             u[:, :, N:] = np.where(
                 zero, 0.0, gain * op(zh[:, :, :1], kz) + kmc + offset)
         if record:
-            for out, src in ((rec[1], zh[:k, 0]), (rec[3], u[:k, 0, :N])):
-                out[:, j0:j0 + k] = src.swapaxes(0, 1)
+            rec_zh[j0:j0 + k] = zh[:k, 0]
+            rec_u[j0:j0 + k] = u[:k, 0, :N]
         for t in quad(u[:k], node(co["rw"], j0, j0 + k), view(c, k, B, W)):
             RU += t
 
@@ -509,8 +520,6 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
         e = xm[:k] - mk[:, None]
         np.maximum(sup_x, norm2(e).max(axis=0), out=sup_x)
         if record:
-            for out, src in ((rec[0], x[:k, 0, 0]), (rec[2], zb[:k, 0, :N])):
-                out[:, j0:j0 + k] = src.swapaxes(0, 1)
             rec_xbar[j0:j0 + k] = xm[:k, 0, 0, 0]
 
     Jc += quad(x_last, G, np.empty((C, B, N)))
@@ -521,9 +530,10 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     stats = _finish(pl, Jc, Jl, gap, sup_x, sup_z)
     if not record:
         return stats
-    rec_x, rec_zh, rec_zb, rec_u = (r.reshape(N, M + 1, -1) for r in rec)
-    sample = PopulationSample(N=N, x=rec_x, z_hat=rec_zh, z_bar=rec_zb,
-                              u=rec_u, state_average=rec_xbar.reshape(M + 1, n),
+    sample = PopulationSample(N=N,
+                              z_hat=rec_zh.reshape(M + 1, N, n).swapaxes(0, 1),
+                              u=rec_u.reshape(M + 1, N, pl.k).swapaxes(0, 1),
+                              state_average=rec_xbar.reshape(M + 1, n),
                               m=m[:, 0, 0].reshape(M + 1, n),
                               Em=pl.Em.copy(), J_central=Jc[0, 0],
                               J_limit=Jl[0, 0])
@@ -537,12 +547,14 @@ def _run_block(pl: _SimPayload, N: int, seeds, cands=()) -> _BlockStats:
 
 def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
                         seed: int) -> PopulationSample:
-    """Joint simulation of N agents with recorded trajectories.
+    """Joint simulation of N agents, recording each agent's zhat and u.
 
     Stream 0 drives the common noise and the mean-field path m; agent i uses
     stream i of the same seed.  The coupling term uses the same-step
     empirical average (explicit scheme), computed as a sorted sum so agent
-    relabeling cannot change it.
+    relabeling cannot change it.  The run holds its noise and two per-agent
+    paths, zhat and u; x and zbar are stepped but not stored, and enter
+    only the state average and the costs.
     """
     N = int(N)
     if N < 1:

@@ -100,26 +100,71 @@ def state_oracle(model, u, dW, dW0, m=None):
     return x
 
 
+def oracle_paths(model, law, Em, N, seed):
+    """m, zhat and u of sample ``seed`` from the meanfield.integrate_*
+    oracles, and its agents' centralized states x and limiting states
+    z_bar from state_oracle, on the streams the kernel reads."""
+    dW0 = gaussian_increments(model.grid, seed, 0)
+    m = integrate_m(model, law, Em, dW0)
+    dW = np.array([gaussian_increments(model.grid, seed, i + 1)
+                   for i in range(N)])
+    paths = [integrate_z_hat(model, law, Em, row) for row in dW]
+    z_hat = np.array([z for z, _ in paths])
+    u = np.array([u for _, u in paths])
+    return {"m": m, "z_hat": z_hat, "u": u,
+            "z_bar": state_oracle(model, u, dW, dW0, m),
+            "x": state_oracle(model, u, dW, dW0)}
+
+
+def oracle_costs(model, states, target, u):
+    """Halved trapezoid costs of the agents' (N, M+1, n) ``states`` tracking
+    the (M+1, n) ``target`` under controls ``u``, with the terminal term."""
+    grid = model.grid
+    w = np.full(grid.node_count, grid.h)
+    w[0] = w[-1] = 0.5 * grid.h
+    e = states - target
+    run = (np.einsum("j,ijn,jnm,ijm->i", w, e, model.Q, e)
+           + np.einsum("j,ijk,jkl,ijl->i", w, u, model.R, u))
+    end = np.einsum("in,nm,im->i", states[:, -1], model.G, states[:, -1])
+    return 0.5 * (run + end)
+
+
+def close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 # ----------------------------------------------------------------- samples
 
 def test_single_agent_population_degenerates_cleanly():
+    # one agent is its own average: the state average is that agent's
+    # centralized state, and its centralized cost tracks nothing but itself
     model, law, Em = closed_form(50)
     sample = simulate_population(model, law, Em, N=1, seed=4)
     assert sample.N == 1
-    np.testing.assert_array_equal(sample.state_average, sample.x[0])
+    o = oracle_paths(model, law, Em, 1, 4)
+    close(sample.state_average, o["x"][0])
     assert sample.J_central.shape == (1,) and sample.J_limit.shape == (1,)
     assert np.isfinite(sample.J_central).all()
+    close(sample.J_central, oracle_costs(model, o["x"], o["x"][0], o["u"]))
 
 
 def test_state_average_is_sorted_mean_of_agents():
     model, law, Em = closed_form(40)
     sample = simulate_population(model, law, Em, N=7, seed=12)
-    for j in (0, 13, 40):
-        recomputed = np.sort(sample.x[:, j, 0]).sum() / 7
-        assert sample.state_average[j, 0] == recomputed
-    # sorting makes the aggregate exactly invariant under agent relabeling
+    close(sample.state_average,
+          oracle_paths(model, law, Em, 7, 12)["x"].mean(axis=0))
+    # sorting makes the aggregate exactly invariant under agent relabeling:
+    # the agents' streams permuted, every agent keeps its bits and the
+    # average keeps its own
+    pl = _SimPayload(model, law, Em)
+    dWi, dW0 = _block_noise(pl, 7, (12,))
     perm = np.random.default_rng(0).permutation(7)
-    assert np.sort(sample.x[perm, 25, 0]).sum() == np.sort(sample.x[:, 25, 0]).sum()
+    _, permuted = _block_kernel(pl, dWi[:, perm], dW0, record=True)
+    np.testing.assert_array_equal(permuted.state_average,
+                                  sample.state_average)
+    for field in ("z_hat", "u", "J_central", "J_limit"):
+        np.testing.assert_array_equal(getattr(permuted, field),
+                                      getattr(sample, field)[perm])
 
 
 def test_costs_nonnegative_and_reproducible():
@@ -127,8 +172,8 @@ def test_costs_nonnegative_and_reproducible():
     a = simulate_population(model, law, Em, N=5, seed=77)
     b = simulate_population(model, law, Em, N=5, seed=77)
     assert (a.J_central >= 0.0).all() and (a.J_limit >= 0.0).all()
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.J_central, b.J_central)
+    for field in ("z_hat", "u", "state_average", "J_central"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_zero_noise_decoupled_population_hits_the_limit():
@@ -138,8 +183,11 @@ def test_zero_noise_decoupled_population_hits_the_limit():
                                       Q=1.0, R=1.0, G=0.5, x0=[1.0])
     law = solve_riccati(model).feedback
     Em = integrate_Em(model, law)
-    sample = simulate_population(model, law, Em, N=4, seed=9)
-    assert np.max(np.abs(sample.x - sample.z_bar)) < 1e-12
+    pl = _SimPayload(model, law, Em)
+    stats, sample = _block_kernel(pl, *_block_noise(pl, 4, (9,)),
+                                  record=True)
+    # agent_gaps is sup_t |x_i - zbar_i|^2
+    assert np.sqrt(np.max(stats.agent_gaps)) < 1e-12
     assert np.max(np.abs(sample.J_central - sample.J_limit)) < 1e-12
     assert np.max(np.abs(sample.state_average - sample.m)) < 1e-12
 
@@ -196,28 +244,32 @@ def test_splitting_a_rung_into_blocks_keeps_bits(monkeypatch):
 def test_block_kernel_matches_single_path_integrators(form):
     # the recorded block (one sample) against the independent
     # meanfield.integrate_* oracles and state_oracle on the same streams, on
-    # a grid whose last kernel chunk is a short one
+    # a grid whose last kernel chunk is a short one; x and zbar, which the
+    # kernel steps but does not record, through the state average, the
+    # costs and the gaps
     steps = 110
     model, law, Em = KERNEL_MODELS[form](steps)
-    d = _SimPayload(model, law, Em).agent_size
+    pl = _SimPayload(model, law, Em)
     for N in (4, 1):
-        assert steps % _chunk_steps(N, 1, 1, d) != 0
+        assert steps % _chunk_steps(N, 1, 1, pl.agent_size) != 0
         seed = derive_seed(3, N, 0)
-        sample = simulate_population(model, law, Em, N=N, seed=seed)
-        dW0 = gaussian_increments(model.grid, seed, 0)
-        m = integrate_m(model, law, Em, dW0)
-        dW = np.array([gaussian_increments(model.grid, seed, i + 1)
-                       for i in range(N)])
-        paths = [integrate_z_hat(model, law, Em, row) for row in dW]
-        z_hat = np.array([z for z, _ in paths])
-        u = np.array([u for _, u in paths])
+        stats, sample = _block_kernel(pl, *_block_noise(pl, N, (seed,)),
+                                      record=True)
+        o = oracle_paths(model, law, Em, N, seed)
+        x, zb, m, u = o["x"], o["z_bar"], o["m"], o["u"]
+        xbar = x.mean(axis=0)
         for got, want in (
                 (sample.m, m),
-                (sample.z_hat, z_hat),
+                (sample.z_hat, o["z_hat"]),
                 (sample.u, u),
-                (sample.z_bar, state_oracle(model, u, dW, dW0, m)),
-                (sample.x, state_oracle(model, u, dW, dW0))):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                (sample.state_average, xbar),
+                (sample.J_central, oracle_costs(model, x, xbar, u)),
+                (sample.J_limit, oracle_costs(model, zb, m, u)),
+                (stats.agent_gaps[0, 0],
+                 (((x - zb) ** 2).sum(axis=2)).max(axis=1)),
+                (stats.zbar_gap[0, 0],
+                 (((zb.mean(axis=0) - m) ** 2).sum(axis=1)).max())):
+            close(got, want)
 
 
 def test_population_rejects_bad_arguments():
@@ -324,6 +376,27 @@ def test_ladder_block_memory_stays_within_its_noise_and_one_megabyte():
         finally:
             tracemalloc.stop()
         assert peak <= noise + 2 ** 20, (N, peak - noise)
+
+
+def test_recorded_population_holds_its_noise_and_two_paths():
+    # one recorded block of the simulate benchmark's size, in the scalar
+    # form and on the n = k = 2 embedding: besides its noise it may hold
+    # the zhat and u paths it returns and at most 1 MB more, so no x or
+    # zbar path
+    N, M = 400, 500
+    gaussian_increments(TimeGrid(1.0, 1), 1, 0)   # imports numpy.random
+    for dim in (1, 2):
+        pl = netsec_numeric(M, dim)
+        noise = (N + 1) * M * 8
+        paths = N * (M + 1) * (pl.n + pl.k) * 8
+        tracemalloc.start()
+        try:
+            _block_kernel(pl, *_block_noise(pl, N, (derive_seed(1, N, 0),)),
+                          record=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= noise + paths + 2 ** 20, (dim, peak - noise - paths)
 
 
 def test_parallel_workers_bitwise_match_serial():

@@ -439,6 +439,32 @@ def test_cli_rate_kind_writes_fit_and_table(tmp_path):
     np.testing.assert_allclose(table["cost_gap"], rep["values"], rtol=1e-15)
 
 
+def test_cli_degenerate_rate_fit_writes_strict_json(tmp_path):
+    # no noise: every agent sits on the limit, the gaps read 0 and the
+    # log-log fits are degenerate; their JSON must parse without NaN
+    d = closed_form_dict(steps=30, A={"const": [[0.4]]},
+                         alpha={"const": [[0.0]]}, sigma={"const": [[0.0]]},
+                         sigma0={"const": [[0.0]]}, Q={"const": [[1.0]]},
+                         G=[[0.5]])
+    d["solver"] = {"p_method": "direct", "gamma_method": "direct"}
+    d["experiment"] = {"kind": "rate_state", "seed": 3, "N": None,
+                       "Ns": [2, 4, 8, 16], "S": 2, "candidates": None}
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "z"}
+    assert main(["--config", write_config(tmp_path, d), "--quiet"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    rep = json.loads((tmp_path / "out" / "z_rate_state.json").read_text(),
+                     parse_constant=reject)
+    fits = [rep] + rep["companions"]
+    assert any(fit["degenerate"] for fit in fits)
+    for fit in fits:
+        if fit["degenerate"]:
+            assert (fit["slope"], fit["intercept"],
+                    fit["slope_stderr"]) == (None, None, None)
+
+
 def test_cli_deviation_kind(tmp_path):
     d = closed_form_dict(steps=30)
     d["experiment"] = {"kind": "deviation", "seed": 5, "N": 4, "Ns": None,
