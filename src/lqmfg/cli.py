@@ -43,9 +43,9 @@ import numpy as np
 
 from . import __version__
 from .errors import LqmfgError, UsageError, ValidationError
-from .io import (deviation_report_dict, rate_report_dict, write_agent_csv,
-                 write_json, write_meanfield_csv, write_rate_csv,
-                 write_riccati_csv)
+from .io import (deviation_report_dict, plain, rate_report_dict,
+                 write_agent_csv, write_json, write_meanfield_csv,
+                 write_rate_csv, write_riccati_csv)
 from .meanfield import integrate_Em
 from .model import validate, wellposedness_diagnostic
 from .population import (deviation_experiment, map_tasks,
@@ -92,27 +92,13 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     return config
 
 
-def _validation_dict(report) -> list[dict]:
-    return [{"name": c.name, "passed": bool(c.passed),
-             "node": c.node, "value": c.value, "threshold": c.threshold}
-            for c in report.checks]
-
-
-def _diagnostic_dict(diag) -> dict:
-    return {"lambda_star": float(diag.lambda_star),
-            "norms": {key: float(val) for key, val in diag.norms.items()},
-            "lhs": float(diag.lhs), "rhs": float(diag.rhs),
-            "holds": bool(diag.holds)}
-
-
 def _cross_check_dict(summary) -> dict:
     nodes = summary.solution.grid.nodes
 
     def margin(per_node):
         """The smallest of a per-node margin, with its node and time."""
         node = int(np.argmin(per_node))
-        return {"value": float(per_node[node]), "node": node,
-                "t": float(nodes[node])}
+        return {"value": per_node[node], "node": node, "t": nodes[node]}
 
     out = {"p_method": summary.p_method,
            "gamma_method": summary.gamma_method,
@@ -125,10 +111,9 @@ def _cross_check_dict(summary) -> dict:
            "pi": None, "pi_error": summary.pi_error}
     if summary.pi_report is not None:
         rep = summary.pi_report
-        out["pi"] = {"delta": float(rep.delta),
-                     "condition_ok": bool(rep.condition_ok),
-                     "min_margin": float(min(rep.condition_margins)),
-                     "violated_nodes": [int(j) for j in rep.violated_nodes],
+        out["pi"] = {"delta": rep.delta, "condition_ok": rep.condition_ok,
+                     "min_margin": min(rep.condition_margins),
+                     "violated_nodes": rep.violated_nodes,
                      "psd_margin": margin(rep.psd_margins)}
     return out
 
@@ -175,8 +160,8 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
     emit("riccati.csv", write_riccati_csv, summary.solution, summary.feedback)
     emit("solve_report.json", write_json, {
         "format_version": FORMAT_VERSION,
-        "validation": _validation_dict(report),
-        "diagnostic": _diagnostic_dict(diag),
+        "validation": report.checks,
+        "diagnostic": dict(plain(diag), holds=diag.holds),
         "cross_check": _cross_check_dict(summary),
     })
 
@@ -203,8 +188,7 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         emit("costs.json", write_json, {
             "format_version": FORMAT_VERSION,
             "N": N,
-            "J_central": [float(v) for v in sample.J_central],
-            "J_limit": [float(v) for v in sample.J_limit],
+            "J_central": sample.J_central, "J_limit": sample.J_limit,
             "mean_J_central": math.fsum(sample.J_central) / N,
             "mean_J_limit": math.fsum(sample.J_limit) / N,
             "mean_abs_cost_gap": math.fsum(gaps) / N,
@@ -214,17 +198,15 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         runner = (rate_experiment_state if exp.kind == "rate_state"
                   else rate_experiment_cost)
         rate = runner(model, law, exp.Ns, exp.S, exp.seed)
-        payload = rate_report_dict(rate)
-        payload["format_version"] = FORMAT_VERSION
-        emit(f"{exp.kind}.json", write_json, payload)
+        emit(f"{exp.kind}.json", write_json,
+             dict(rate_report_dict(rate), format_version=FORMAT_VERSION))
         emit(f"{exp.kind}.csv", write_rate_csv, rate)
     elif exp.kind == "deviation":
         candidates = build_candidates(exp.candidates)
         dev = deviation_experiment(model, law, exp.N, exp.S, candidates,
                                    exp.seed)
-        payload = deviation_report_dict(dev)
-        payload["format_version"] = FORMAT_VERSION
-        emit("deviation.json", write_json, payload)
+        emit("deviation.json", write_json,
+             dict(deviation_report_dict(dev), format_version=FORMAT_VERSION))
 
     # only now, so a failed solve or experiment leaves no file behind
     os.makedirs(outdir, exist_ok=True)

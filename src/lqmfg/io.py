@@ -11,6 +11,7 @@ many agent tables of one population format their shared column once.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -37,19 +38,27 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def plain(value):
+    """``value`` in JSON's own types: a dataclass as the dict of its fields,
+    a dict, list, tuple or array item by item, a numpy scalar as its Python
+    value.  Any other type that JSON has no form for raises ``TypeError``."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True,
-                                       default=_jsonable) + "\n")
+                                       default=plain) + "\n")
 
 
 def _matrix_headers(name: str, rows: int, cols: int) -> list[str]:
@@ -121,20 +130,13 @@ def write_agent_csv(path, grid, z_hat, u) -> None:
 
 
 def rate_report_dict(report) -> dict:
-    """The fit as JSON; a degenerate fit has no slope, intercept or slope
-    error, and writes ``null`` for them, which strict parsers accept."""
-    degenerate = bool(report.degenerate)
-    out = {
-        "name": report.name,
-        "Ns": list(report.Ns),
-        "values": [float(v) for v in report.values],
-        "stderrs": [float(v) for v in report.stderrs],
-        **{key: None if degenerate else float(getattr(report, key))
-           for key in ("slope", "intercept", "slope_stderr")},
-        "degenerate": degenerate,
-        "sample_count": int(report.sample_count),
-        "seed": int(report.seed),
-    }
+    """The fit's fields as JSON.  A degenerate fit has no slope, intercept
+    or slope error, and writes ``null`` for them, which strict parsers
+    accept; companion fits recurse and are left out when there are none."""
+    out = plain(report)
+    if report.degenerate:
+        out.update(slope=None, intercept=None, slope_stderr=None)
+    del out["companions"]
     if report.companions:
         out["companions"] = [rate_report_dict(c) for c in report.companions]
     return out
@@ -151,18 +153,7 @@ def write_rate_csv(path, report) -> None:
 
 
 def deviation_report_dict(report) -> dict:
-    return {
-        "N": int(report.N),
-        "S": int(report.S),
-        "seed": int(report.seed),
-        "baseline_mean_cost": float(report.baseline_mean_cost),
-        "baseline_stderr": float(report.baseline_stderr),
-        "max_gain": float(report.max_gain),
-        "candidates": [{
-            "name": r.name,
-            "mean_cost": float(r.mean_cost),
-            "cost_stderr": float(r.cost_stderr),
-            "gain": float(r.gain),
-            "gain_stderr": float(r.gain_stderr),
-        } for r in report.results],
-    }
+    """The report's fields as JSON, its ``results`` named ``candidates``."""
+    out = plain(report)
+    out["candidates"] = out.pop("results")
+    return out

@@ -56,7 +56,8 @@ import os
 import numpy as np
 
 from .errors import DivergenceError, UsageError
-from .meanfield import derive_seed, fill_increments, integrate_Em
+from .meanfield import (_check_law, derive_seed, fill_increments,
+                        integrate_Em)
 from .model import COEFFICIENTS, LqMfgModel
 from .riccati import FeedbackLaw
 
@@ -132,6 +133,7 @@ class _SimPayload:
     """
 
     def __init__(self, model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray):
+        _check_law(model, law)
         grid = model.grid
         h = self.h = float(grid.h)
         self.M = int(grid.steps)
@@ -554,7 +556,8 @@ def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
     empirical average (explicit scheme), computed as a sorted sum so agent
     relabeling cannot change it.  The run holds its noise and two per-agent
     paths, zhat and u; x and zbar are stepped but not stored, and enter
-    only the state average and the costs.
+    only the state average and the costs.  Raises ``UsageError`` if ``law``
+    or ``Em`` was solved on another grid than the model's.
     """
     N = int(N)
     if N < 1:

@@ -28,6 +28,7 @@ import numbers
 import numpy as np
 
 from .errors import StructureError, UsageError
+from .io import plain
 from .model import (COEFFICIENTS, DEFAULT_R_MIN, LqMfgModel, TimeGrid,
                     as_matrix, coefficient_shapes)
 from .population import (DeviationCandidate, _check_ladder,
@@ -146,9 +147,7 @@ class CoefficientSpec:
     values: tuple   # (r, c) nested floats, or (count, r, c) nested floats
 
     def to_json(self):
-        return {self.kind: [list(row) for row in self.values]} \
-            if self.kind == "const" else \
-            {self.kind: [[list(row) for row in mat] for mat in self.values]}
+        return {self.kind: plain(self.values)}
 
 
 def _parse_coefficient(name, value, shape, steps):
@@ -172,6 +171,18 @@ def _parse_coefficient(name, value, shape, steps):
     return CoefficientSpec("const", _float_matrix(value, shape, context))
 
 
+def _check_sizes(n, k, horizon, steps):
+    """n, k and steps at least 1, T finite and positive."""
+    if n < 1 or k < 1:
+        raise UsageError("model dimensions n and k must be positive")
+    if not np.isfinite(horizon):
+        raise UsageError(f"model.T must be finite, got {horizon}")
+    if not horizon > 0:
+        raise UsageError(f"model horizon T must be positive, got {horizon}")
+    if steps < 1:
+        raise UsageError(f"model steps must be positive, got {steps}")
+
+
 @dataclasses.dataclass(frozen=True)
 class ModelBlock:
     n: int
@@ -184,6 +195,7 @@ class ModelBlock:
     r_min: float = DEFAULT_R_MIN
 
     def __post_init__(self):
+        _check_sizes(self.n, self.k, self.horizon, self.steps)
         if not self.r_min > 0:
             raise UsageError(f"model.r_min must be positive, got {self.r_min}")
 
@@ -195,14 +207,10 @@ class ModelBlock:
             if key not in d:
                 raise UsageError(f"model block is missing '{key}'")
         n, k = _int(d["n"], "model.n"), _int(d["k"], "model.k")
-        if n < 1 or k < 1:
-            raise UsageError("model dimensions n and k must be positive")
-        horizon = _finite(d["T"], "model.T")
-        if not horizon > 0:
-            raise UsageError(f"model horizon T must be positive, got {horizon}")
+        horizon = _real(d["T"], "model.T")
         steps = _int(d["steps"], "model.steps")
-        if steps < 1:
-            raise UsageError(f"model steps must be positive, got {steps}")
+        # named before the entries that these sizes shape are read
+        _check_sizes(n, k, horizon, steps)
         x0 = _float_matrix(d["x0"], (n, 1), "model.x0")
         coeffs = {name: _parse_coefficient(name, d.get(name, 0.0), shape,
                                            steps)
@@ -215,13 +223,11 @@ class ModelBlock:
                    G=G, **given)
 
     def to_dict(self):
-        out = {"n": self.n, "k": self.k, "T": self.horizon,
-               "steps": self.steps, "x0": list(self.x0)}
-        for name in COEFFICIENTS:
-            out[name] = self.coefficients[name].to_json()
-        out["G"] = [list(row) for row in self.G]
-        out["r_min"] = self.r_min
-        return out
+        return {"n": self.n, "k": self.k, "T": self.horizon,
+                "steps": self.steps, "x0": list(self.x0),
+                "G": plain(self.G), "r_min": self.r_min,
+                **{name: self.coefficients[name].to_json()
+                   for name in COEFFICIENTS}}
 
     def build(self, steps_override: int | None = None) -> LqMfgModel:
         steps = self.steps if steps_override is None else int(steps_override)
@@ -268,9 +274,6 @@ class SolverBlock:
                                "gamma_method": _str, "max_iters": _int,
                                "tol": _finite}, "solver block", "solver")
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class CandidateFamilyBlock:
@@ -284,11 +287,6 @@ class CandidateFamilyBlock:
         return _block(cls, d, {"gain_scales": _tuple_of(_finite),
                                "include_zero": _bool,
                                "offsets": _tuple_of(_finite)}, ctx, ctx)
-
-    def to_dict(self):
-        return {"gain_scales": list(self.gain_scales),
-                "include_zero": self.include_zero,
-                "offsets": list(self.offsets)}
 
 
 def build_candidates(block: CandidateFamilyBlock | None
@@ -339,13 +337,6 @@ class ExperimentBlock:
                 lambda v, _: CandidateFamilyBlock.from_dict(v))},
             "experiment block", "experiment")
 
-    def to_dict(self):
-        return {"kind": self.kind, "seed": self.seed, "N": self.N,
-                "Ns": list(self.Ns) if self.Ns is not None else None,
-                "S": self.S,
-                "candidates": (self.candidates.to_dict()
-                               if self.candidates else None)}
-
 
 def _prefix(value, context) -> str:
     prefix = _str(value, context)
@@ -363,9 +354,6 @@ class OutputBlock:
     def from_dict(cls, d) -> "OutputBlock":
         return _block(cls, d, {"prefix": _prefix, "directory": _str},
                       "output block", "output")
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -393,9 +381,9 @@ class ScenarioConfig:
     def to_dict(self):
         return {"format_version": FORMAT_VERSION,
                 "model": self.model.to_dict(),
-                "solver": self.solver.to_dict(),
-                "experiment": self.experiment.to_dict(),
-                "output": self.output.to_dict()}
+                **plain({"solver": self.solver,
+                         "experiment": self.experiment,
+                         "output": self.output})}
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)

@@ -1,5 +1,6 @@
 """Finite-population simulator, rate fits, and deviation experiments."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -278,6 +279,13 @@ def test_population_rejects_bad_arguments():
         simulate_population(model, law, Em, N=0, seed=1)
     with pytest.raises(UsageError):
         _SimPayload(model, law, Em[:-1])  # Em on the wrong grid
+    # a law and its Em solved with the same steps on another horizon
+    longer = dataclasses.replace(preset("netsec-closed-form").model,
+                                 horizon=2.0).build(20)
+    other = solve_riccati(longer).feedback
+    with pytest.raises(UsageError, match="grid does not match"):
+        simulate_population(model, other, integrate_Em(longer, other),
+                            N=2, seed=1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

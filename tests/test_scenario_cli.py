@@ -1,6 +1,7 @@
 """Scenario schema round-trips and the command-line pipeline."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -113,6 +114,15 @@ def test_zero_steps_override_is_rejected():
     # 0 is an override like any other, not "use the scenario's own steps"
     with pytest.raises(UsageError):
         preset("netsec-closed-form").model.build(0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 0), ("horizon", -1.0), ("steps", 0)])
+def test_model_block_built_in_python_checks_its_sizes(field, value):
+    # a block replaced in Python is checked as one read from JSON is
+    with pytest.raises(UsageError):
+        dataclasses.replace(preset("netsec-closed-form").model,
+                            **{field: value})
 
 
 def test_wrong_format_version_rejected():
@@ -621,6 +631,56 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
     assert key in record["message"]
 
 
+@pytest.mark.parametrize("block, entries, key", [
+    ("model", {"n": 0}, "n and k"),
+    ("model", {"k": -1}, "n and k"),
+    ("model", {"steps": 0}, "model steps"),
+    ("model", {"T": 0}, "horizon T"),
+    ("solver", {"p_method": "newton"}, "solver.p_method"),
+    ("solver", {"gamma_method": "newton"}, "solver.gamma_method"),
+    ("solver", {"max_iters": 0}, "solver.max_iters"),
+    ("solver", {"tol": -1e-9}, "solver.tol"),
+    ("experiment", {"kind": "sweep"}, "experiment.kind"),
+    ("experiment", {"kind": "simulate", "N": 0}, "experiment.N"),
+    ("experiment", {"S": 1}, "experiment.S"),
+    ("output", {"prefix": "a/b"}, "output.prefix"),
+    ("model", {"x0": [[1.0], [1.0, 2.0]]}, "model.x0"),
+    ("model", {"A": 10 ** 400}, "model.A"),
+    ("experiment", {"kind": "rate_state", "Ns": 8}, "experiment.Ns"),
+])
+def test_cli_out_of_range_value_exits_2_writing_nothing(tmp_path, capsys,
+                                                        block, entries, key):
+    d = closed_form_dict()
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "bad"}
+    d[block].update(entries)
+    code = main(["--config", write_config(tmp_path, d), "--quiet"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError" and record["exit_code"] == 2
+    assert key in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("steps, code", [(10, 0), (20, 0), (3, 4), (5, 4)])
+def test_cli_kleinman_order_check_on_coarse_grids(tmp_path, capsys, steps,
+                                                  code):
+    # on 10 and 20 steps the iterates leave the PSD order only by RK4's
+    # step error and agree with the direct route; on 3 and 5 they diverge
+    out = tmp_path / "out"
+    assert main(["--preset", "netsec-closed-form", "--steps", str(steps),
+                 "--out", str(out), "--quiet"]) == code
+    if code:
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "MonotonicityError"
+        assert not out.exists()
+    else:
+        report = json.loads(
+            (out / "netsec-closed-form_solve_report.json").read_text())
+        assert report["cross_check"]["p_agreement"] <= 1e-5
+
+
 def test_cli_removed_solver_key_exits_2(tmp_path, capsys):
     # a removed key that scenarios and manifests written earlier still carry
     d = closed_form_dict()
@@ -806,6 +866,47 @@ def test_agent_csv_with_preformatted_nodes_keeps_the_bytes(tmp_path):
     for _ in range(2):
         write_agent_csv(tmp_path / "agent.csv", grid, z_hat, u)
         assert (tmp_path / "agent.csv").read_bytes() == reference.encode()
+
+
+def test_atomic_write_onto_a_directory_leaves_no_temp_file(tmp_path):
+    from lqmfg.io import atomic_write_text
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(tmp_path / "taken", "text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_write_json_writes_numpy_and_dataclass_values_as_plain_ones(
+        tmp_path):
+    from lqmfg.io import write_json
+
+    @dataclasses.dataclass(frozen=True)
+    class Inner:
+        value: float
+        count: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Outer:
+        inner: Inner
+        pair: tuple
+        flag: bool
+
+    numpy = {"f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True),
+             "a": np.array([[1.5, -0.0], [5e-324, 2.0]]),
+             "n": [np.float32(0.5), (np.int32(7), None)],
+             "d": Outer(Inner(np.float64(1e300), np.int64(4)),
+                        (np.float64(2.5), "x"), np.bool_(False))}
+    python = {"f": 0.1, "i": -3, "b": True,
+              "a": [[1.5, -0.0], [5e-324, 2.0]], "n": [0.5, [7, None]],
+              "d": {"inner": {"value": 1e300, "count": 4},
+                    "pair": [2.5, "x"], "flag": False}}
+    write_json(tmp_path / "numpy.json", numpy)
+    write_json(tmp_path / "python.json", python)
+    assert ((tmp_path / "numpy.json").read_bytes()
+            == (tmp_path / "python.json").read_bytes())
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "set.json", {"s": {1, 2}})
+    assert not (tmp_path / "set.json").exists()
 
 
 # ------------------------------------------------------ mutated scenarios
