@@ -23,7 +23,8 @@ Exit codes: 0 success, 2 usage/config error, unwritable output or a size
 the machine cannot allocate, 3 model validation failure, 4 numerical
 failure. Failures also emit a one-line JSON error record on stderr. The
 scenario, flags included, is checked in full before the solve, so a bad
-experiment block (no N or Ns, an invalid ladder) exits 2 writing nothing.
+experiment block (no N or Ns, an invalid ladder) exits 2 writing nothing,
+as does a bad ``MFG_THREADS`` for every kind but ``solve``, which ignores it.
 The output directory is made only after the solve and the experiment have
 run, so a run that fails in either leaves no file behind.
 """
@@ -140,6 +141,9 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
     def dest(suffix: str) -> str:
         return os.path.join(outdir, f"{prefix}_{suffix}")
 
+    exp = config.experiment
+    # a bad MFG_THREADS exits here, before the solve; a solve runs no pool
+    workers = None if exp.kind == "solve" else resolve_workers()
     model = config.model.build(config.solver.steps)
     report = validate(model)
     if not report.all_passed:
@@ -165,12 +169,10 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         "cross_check": _cross_check_dict(summary),
     })
 
-    exp = config.experiment
     law = summary.feedback
 
     if exp.kind == "simulate":
         N = exp.N
-        workers = resolve_workers()
         Em = integrate_Em(model, law)
         sample = simulate_population(model, law, Em, N, exp.seed)
         emit("meanfield.csv", write_meanfield_csv,
@@ -197,14 +199,14 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
     elif exp.kind in ("rate_state", "rate_cost"):
         runner = (rate_experiment_state if exp.kind == "rate_state"
                   else rate_experiment_cost)
-        rate = runner(model, law, exp.Ns, exp.S, exp.seed)
+        rate = runner(model, law, exp.Ns, exp.S, exp.seed, workers=workers)
         emit(f"{exp.kind}.json", write_json,
              dict(rate_report_dict(rate), format_version=FORMAT_VERSION))
         emit(f"{exp.kind}.csv", write_rate_csv, rate)
     elif exp.kind == "deviation":
         candidates = build_candidates(exp.candidates)
         dev = deviation_experiment(model, law, exp.N, exp.S, candidates,
-                                   exp.seed)
+                                   exp.seed, workers=workers)
         emit("deviation.json", write_json,
              dict(deviation_report_dict(dev), format_version=FORMAT_VERSION))
 

@@ -61,15 +61,6 @@ def write_json(path, payload) -> None:
                                        default=plain) + "\n")
 
 
-def _matrix_headers(name: str, rows: int, cols: int) -> list[str]:
-    return [f"{name}_{i + 1}_{j + 1}"
-            for i in range(rows) for j in range(cols)]
-
-
-def _vector_headers(name: str, rows: int) -> list[str]:
-    return [f"{name}_{i + 1}" for i in range(rows)]
-
-
 def _csv(headers, blocks, grid=None) -> str:
     """CSV text: ``headers``, then one line per row of ``blocks``.
 
@@ -99,34 +90,35 @@ def _node_lines(grid, width: int) -> str:
     return "".join(f"{t!r},{line}" for t in grid.nodes.tolist())
 
 
+def _table(path, named, grid=None) -> None:
+    """Write the CSV table of the ``(name, block)`` pairs ``named``, led by
+    a ``t`` column of ``grid``'s nodes if given.  A block's columns are
+    ``name`` for a number per line, ``name_i`` for a vector and
+    ``name_i_j`` for a matrix, in ``_csv``'s row-major order, from 1."""
+    headers = [] if grid is None else ["t"]
+    for name, block in named:
+        names = [name]
+        for size in np.shape(block)[1:]:
+            names = [f"{head}_{i + 1}" for head in names for i in range(size)]
+        headers += names
+    atomic_write_text(path, _csv(headers, [b for _, b in named], grid))
+
+
 def write_riccati_csv(path, solution, feedback) -> None:
     """One row per grid node: P, Gamma, Phi, Sigma, and the feedback law."""
-    n = solution.P.shape[1]
-    k = solution.Sigma.shape[1]
-    headers = (["t"] + _matrix_headers("P", n, n)
-               + _matrix_headers("Gamma", n, n)
-               + _vector_headers("Phi", n)
-               + _matrix_headers("Sigma", k, k)
-               + _matrix_headers("K_z", k, n)
-               + _matrix_headers("K_m", k, n)
-               + _vector_headers("c_u", k))
-    blocks = [solution.P, solution.Gamma, solution.Phi, solution.Sigma,
-              feedback.K_z, feedback.K_m, feedback.c_u]
-    atomic_write_text(path, _csv(headers, blocks, solution.grid))
+    _table(path, [("P", solution.P), ("Gamma", solution.Gamma),
+                  ("Phi", solution.Phi), ("Sigma", solution.Sigma),
+                  ("K_z", feedback.K_z), ("K_m", feedback.K_m),
+                  ("c_u", feedback.c_u)], solution.grid)
 
 
 def write_meanfield_csv(path, grid, m, Em) -> None:
-    n = m.shape[1]
-    headers = ["t"] + _vector_headers("m", n) + _vector_headers("Em", n)
-    atomic_write_text(path, _csv(headers, [m, Em], grid))
+    _table(path, [("m", m), ("Em", Em)], grid)
 
 
 def write_agent_csv(path, grid, z_hat, u) -> None:
     """One row per grid node: t, zhat, u."""
-    n = z_hat.shape[1]
-    k = u.shape[1]
-    headers = (["t"] + _vector_headers("zhat", n) + _vector_headers("u", k))
-    atomic_write_text(path, _csv(headers, [z_hat, u], grid))
+    _table(path, [("zhat", z_hat), ("u", u)], grid)
 
 
 def rate_report_dict(report) -> dict:
@@ -143,13 +135,10 @@ def rate_report_dict(report) -> dict:
 
 
 def write_rate_csv(path, report) -> None:
-    headers = ["N", report.name, f"{report.name}_stderr"]
-    columns = [np.asarray(report.Ns, float),
-               np.asarray(report.values), np.asarray(report.stderrs)]
-    for comp in report.companions:
-        headers += [comp.name, f"{comp.name}_stderr"]
-        columns += [np.asarray(comp.values), np.asarray(comp.stderrs)]
-    atomic_write_text(path, _csv(headers, columns))
+    named = [("N", report.Ns)]
+    for fit in (report, *report.companions):
+        named += [(fit.name, fit.values), (f"{fit.name}_stderr", fit.stderrs)]
+    _table(path, named)
 
 
 def deviation_report_dict(report) -> dict:

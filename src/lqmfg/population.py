@@ -586,9 +586,11 @@ def _worker_call(task):
 
 def resolve_workers(workers=None) -> int:
     """Worker count: explicit argument, else MFG_THREADS, else CPU count."""
+    source = "worker count"
     if workers is None:
         env = os.environ.get("MFG_THREADS", "").strip()
         if env:
+            source = "MFG_THREADS"
             try:
                 workers = int(env)
             except ValueError:
@@ -598,7 +600,7 @@ def resolve_workers(workers=None) -> int:
             workers = os.cpu_count() or 1
     workers = int(workers)
     if workers < 1:
-        raise UsageError("worker count must be at least 1")
+        raise UsageError(f"{source} must be at least 1, got {workers}")
     return workers
 
 

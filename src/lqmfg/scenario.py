@@ -12,8 +12,10 @@ A scenario bundles four blocks:
   deviation) and its parameters;
 * ``output`` — destination directory and file-name prefix.
 
-Parsing normalizes every coefficient to an explicit const/schedule form, so
-serializing a parsed config and re-parsing it yields an identical config.
+Parsing normalizes every coefficient to nested float rows, one matrix for a
+constant and one per node for a schedule, and serialization writes them back
+as ``const`` or ``schedule`` by their depth, so serializing a parsed config
+and re-parsing it yields an identical config.
 Two presets reproduce the network-security examples: ``netsec-closed-form``
 (the explicitly solvable parameter set) and ``netsec-numeric`` (the 50-agent
 simulation set).
@@ -141,16 +143,9 @@ def _float_matrix(value, shape, context):
     return tuple(tuple(float(v) for v in row) for row in arr)
 
 
-@dataclasses.dataclass(frozen=True)
-class CoefficientSpec:
-    kind: str       # "const" or "schedule"
-    values: tuple   # (r, c) nested floats, or (count, r, c) nested floats
-
-    def to_json(self):
-        return {self.kind: plain(self.values)}
-
-
-def _parse_coefficient(name, value, shape, steps):
+def _parse_coefficient(name, value, shape):
+    """A slot's nested float rows: one matrix for a constant, one matrix per
+    node for a schedule."""
     context = f"model.{name}"
     if isinstance(value, dict):
         _require_keys(value, ("const", "schedule"), context)
@@ -158,17 +153,13 @@ def _parse_coefficient(name, value, shape, steps):
             raise UsageError(f"{context}: give exactly one of 'const' or "
                              f"'schedule'")
         if "const" in value:
-            return CoefficientSpec(
-                "const", _float_matrix(value["const"], shape, context))
-        seq = value["schedule"]
-        if not isinstance(seq, list) or len(seq) != steps + 1:
-            raise UsageError(f"{context}: a schedule needs steps + 1 = "
-                             f"{steps + 1} matrices, got "
-                             f"{len(seq) if isinstance(seq, list) else type(seq).__name__}")
-        return CoefficientSpec("schedule", tuple(
-            _float_matrix(mat, shape, f"{context}[{j}]")
-            for j, mat in enumerate(seq)))
-    return CoefficientSpec("const", _float_matrix(value, shape, context))
+            return _float_matrix(value["const"], shape, context)
+        seq = _list(value["schedule"], context)
+        if not seq:     # the model would read an empty one as a matrix
+            raise UsageError(f"{context}: schedule has no entries")
+        return tuple(_float_matrix(mat, shape, f"{context}[{j}]")
+                     for j, mat in enumerate(seq))
+    return _float_matrix(value, shape, context)
 
 
 def _check_sizes(n, k, horizon, steps):
@@ -185,6 +176,11 @@ def _check_sizes(n, k, horizon, steps):
 
 @dataclasses.dataclass(frozen=True)
 class ModelBlock:
+    """A scenario's model: its sizes, x0 and G as nested floats, and each
+    coefficient slot's nested float rows (a matrix for a constant, one
+    matrix per node for a schedule).  A block is valid exactly when its
+    model builds with its n and k; construction raises ``UsageError``
+    naming ``model.<slot>`` otherwise."""
     n: int
     k: int
     horizon: float
@@ -195,9 +191,7 @@ class ModelBlock:
     r_min: float = DEFAULT_R_MIN
 
     def __post_init__(self):
-        _check_sizes(self.n, self.k, self.horizon, self.steps)
-        if not self.r_min > 0:
-            raise UsageError(f"model.r_min must be positive, got {self.r_min}")
+        self.build()
 
     @classmethod
     def from_dict(cls, d) -> "ModelBlock":
@@ -212,8 +206,7 @@ class ModelBlock:
         # named before the entries that these sizes shape are read
         _check_sizes(n, k, horizon, steps)
         x0 = _float_matrix(d["x0"], (n, 1), "model.x0")
-        coeffs = {name: _parse_coefficient(name, d.get(name, 0.0), shape,
-                                           steps)
+        coeffs = {name: _parse_coefficient(name, d.get(name, 0.0), shape)
                   for name, shape in coefficient_shapes(n, k).items()}
         G = _float_matrix(d.get("G", 0.0), (n, n), "model.G")
         given = {"r_min": _finite(d["r_min"], "model.r_min")} \
@@ -226,24 +219,23 @@ class ModelBlock:
         return {"n": self.n, "k": self.k, "T": self.horizon,
                 "steps": self.steps, "x0": list(self.x0),
                 "G": plain(self.G), "r_min": self.r_min,
-                **{name: self.coefficients[name].to_json()
-                   for name in COEFFICIENTS}}
+                **{name: {"schedule" if np.ndim(value) == 3 else "const":
+                          plain(value)}
+                   for name, value in self.coefficients.items()}}
 
     def build(self, steps_override: int | None = None) -> LqMfgModel:
-        steps = self.steps if steps_override is None else int(steps_override)
-        if steps < 1:
-            raise UsageError(f"steps override must be positive, got {steps}")
-        grid = TimeGrid(self.horizon, steps)
-        kwargs = {}
-        for name, spec in self.coefficients.items():
-            arr = kwargs[name] = np.asarray(spec.values, float)
-            if spec.kind == "schedule" and arr.shape[0] != steps + 1:
-                raise UsageError(
-                    f"schedule for '{name}' has {arr.shape[0]} entries "
-                    f"but the grid has {steps + 1} nodes; explicit "
-                    f"schedules cannot be combined with a steps override")
-        return LqMfgModel.from_constants(grid, G=self.G, x0=self.x0,
-                                         r_min=self.r_min, **kwargs)
+        steps = self.steps if steps_override is None else steps_override
+        try:
+            model = LqMfgModel.from_constants(
+                TimeGrid(self.horizon, steps), G=self.G, x0=self.x0,
+                r_min=self.r_min, **self.coefficients)
+        except StructureError as exc:
+            raise UsageError(f"model.{exc}") from None
+        if (model.n, model.k) != (self.n, self.k):   # n from A, k from B
+            raise UsageError(f"model.A, model.B: entries of n = {model.n}, "
+                             f"k = {model.k} in a block of n = {self.n}, "
+                             f"k = {self.k}")
+        return model
 
 
 @dataclasses.dataclass(frozen=True)

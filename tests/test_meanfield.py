@@ -24,11 +24,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import lqmfg
-from lqmfg import (LqMfgModel, TimeGrid, UsageError, derive_seed,
-                   gaussian_increments, integrate_Em, integrate_m,
-                   integrate_z_hat, simulate_population)
+from lqmfg import (DivergenceError, LqMfgModel, TimeGrid, UsageError,
+                   derive_seed, gaussian_increments, integrate_Em,
+                   integrate_m, integrate_z_hat, simulate_population)
 from lqmfg.meanfield import fill_increments
-from lqmfg.riccati import solve_riccati
+from lqmfg.riccati import FeedbackLaw, solve_riccati
 from lqmfg.scenario import preset
 
 
@@ -294,3 +294,23 @@ def test_mean_field_paths_reproducible():
     a, b = (integrate_m(model, law, Em, gaussian_increments(model.grid, 31, 0))
             for _ in range(2))
     np.testing.assert_array_equal(a, b)
+
+
+def test_mean_paths_report_the_node_where_they_diverge():
+    grid = TimeGrid(1.0, 10)
+    law = FeedbackLaw(grid=grid, K_z=np.zeros((11, 1, 1)),
+                      K_m=np.zeros((11, 1, 1)), c_u=np.zeros((11, 1)))
+    # E[m] grows by 1 + hA per step: 1e199 at node 1, past floats at node 2
+    model = LqMfgModel.from_constants(grid, A=1e200, B=1.0, Q=1.0, R=1.0,
+                                      G=0.0, x0=1.0)
+    with pytest.raises(DivergenceError,
+                       match=r"^E\[m\] diverged at node 2 "):
+        integrate_Em(model, law)
+    # the common-noise diffusion C0 m against 1e200 increments overflows
+    # on the first step
+    model = LqMfgModel.from_constants(grid, A=0.0, B=1.0, Q=1.0, R=1.0,
+                                      G=0.0, x0=1.0, C0=1e200)
+    Em = integrate_Em(model, law)
+    with pytest.raises(DivergenceError) as err:
+        integrate_m(model, law, Em, np.full(grid.steps, 1e200))
+    assert str(err.value).startswith("m diverged") and err.value.node == 1

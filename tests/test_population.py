@@ -288,6 +288,25 @@ def test_population_rejects_bad_arguments():
                             N=2, seed=1)
 
 
+def test_deviation_rejects_an_empty_population():
+    model, law, _ = closed_form(20)
+    with pytest.raises(UsageError, match="population size"):
+        deviation_experiment(model, law, 0, 4, default_candidate_family(), 1)
+
+
+def test_population_cost_overflow_is_diagnosed():
+    # the states stay at x0 = 10, but the terminal cost overflows
+    grid = TimeGrid(1.0, 10)
+    model = LqMfgModel.from_constants(grid, A=0.0, B=1.0, Q=1.0, R=1.0,
+                                      G=1e308, x0=10.0)
+    law = FeedbackLaw(grid=grid, K_z=np.zeros((11, 1, 1)),
+                      K_m=np.zeros((11, 1, 1)), c_u=np.zeros((11, 1)))
+    Em = integrate_Em(model, law)
+    with pytest.raises(DivergenceError) as err:
+        simulate_population(model, law, Em, N=2, seed=1)
+    assert err.value.node == 10
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("form", KERNEL_MODELS)
 def test_exploding_feedback_is_diagnosed(form):

@@ -212,6 +212,18 @@ def test_lift_reports_an_escape_of_repeated_eigenvalues():
     assert "finite escape time" in str(err.value)
 
 
+def test_lift_reports_an_exactly_singular_step():
+    # dY/dt = Y^2 from Y(1) = -4 on steps of h = 1/4: the last step's
+    # X = 1 + h Y(1) is exactly 0, so Y's solve fails at the pole's node
+    M = 4
+    zero, one = np.zeros((3, M, 1, 1)), np.ones((3, M, 1, 1))
+    with pytest.raises(DivergenceError) as err:
+        _riccati_lift(TimeGrid(1.0, M), zero, zero, zero, one,
+                      np.full((1, 1), -4.0), "Gamma")
+    assert err.value.node == 3
+    assert "finite escape time" in str(err.value)
+
+
 def test_gamma_reports_the_node_of_its_pole():
     # Along the supplied P = 0 (A = 0, B = R = 1, Q = 4) the Gamma equation
     # is dGamma/dt = Gamma^2 + 4 with Gamma(1) = 0, so Gamma(t) =
@@ -423,6 +435,16 @@ def test_feedback_shapes():
     assert summary.feedback.K_m.shape == (21, 1, 2)
     assert summary.feedback.c_u.shape == (21, 1)
     assert summary.solution.Sigma.shape == (21, 1, 1)
+
+
+def test_feedback_from_a_non_finite_phi_is_diagnosed():
+    model = closed_form_model(20)
+    solution = solve_riccati(model).solution
+    broken = dataclasses.replace(solution,
+                                 Phi=np.full_like(solution.Phi, np.inf))
+    with pytest.raises(DivergenceError,
+                       match="^feedback component c_u is not finite$"):
+        build_feedback(model, broken)
 
 
 def test_sigma_sequence_matches_definition():

@@ -52,7 +52,7 @@ def test_preset_models_build_and_validate():
         assert model.n == 1 and model.k == 1
         assert lqmfg.validate(model).all_passed
     closed = preset("netsec-closed-form")
-    assert closed.model.coefficients["Q"].values == ((3.0,),)
+    assert closed.model.coefficients["Q"] == ((3.0,),)
     assert closed.experiment.kind == "solve"
     numeric = preset("netsec-numeric")
     assert numeric.experiment.kind == "simulate"
@@ -70,7 +70,7 @@ def test_schedule_coefficient_round_trips():
     d = closed_form_dict(steps=4,
                          A={"schedule": [[[0.1 * j]] for j in range(5)]})
     cfg = parse_scenario(json.dumps(d))
-    assert cfg.model.coefficients["A"].kind == "schedule"
+    assert np.ndim(cfg.model.coefficients["A"]) == 3    # a schedule
     assert parse_scenario(serialize_scenario(cfg)) == cfg
     model = cfg.model.build()
     assert model.A[3][0, 0] == pytest.approx(0.3)
@@ -106,7 +106,8 @@ def test_steps_override_conflicts_with_explicit_schedule():
                          A={"schedule": [[[1.0]]] * 5})
     cfg = parse_scenario(json.dumps(d))
     cfg.model.build()  # fine on its own grid
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^model.A: schedule has 5 entries, "
+                                         "grid has 9 nodes$"):
         cfg.model.build(steps_override=8)
 
 
@@ -117,12 +118,46 @@ def test_zero_steps_override_is_rejected():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 0), ("horizon", -1.0), ("steps", 0)])
+    ("n", 0), ("horizon", -1.0), ("steps", 0), ("n", 2),
+    ("x0", (1.0, 2.0))])
 def test_model_block_built_in_python_checks_its_sizes(field, value):
     # a block replaced in Python is checked as one read from JSON is
     with pytest.raises(UsageError):
         dataclasses.replace(preset("netsec-closed-form").model,
                             **{field: value})
+
+
+@pytest.mark.parametrize("name", ["netsec-closed-form", "netsec-numeric"])
+@pytest.mark.parametrize("field, value", [
+    *[("n", v) for v in (0, 1, 2)], *[("k", v) for v in (0, 1, 2)],
+    *[("steps", v) for v in (0, 1, 50)],
+    *[("horizon", v) for v in (-1.0, 0.5, 2.0)],
+    *[("r_min", v) for v in (-1.0, 1e-6, 0.5)],
+    *[("x0", v) for v in ((), (1.0,), (1.0, 2.0))],
+    ("G", ((2.0,),)), ("G", ((1.0, 0.0), (0.0, 1.0)))])
+def test_model_block_constructs_only_when_its_echo_reparses(name, field,
+                                                           value):
+    # a block either raises at construction or its config echo re-parses
+    # to an equal block that builds the same model
+    cfg = preset(name)
+    try:
+        block = dataclasses.replace(cfg.model, **{field: value})
+    except UsageError as exc:
+        assert str(exc).startswith("model.")
+        return
+    again = parse_scenario(serialize_scenario(cfg.replace(model=block)))
+    assert again.model == block
+    built, rebuilt = block.build(), again.model.build()
+    for f in dataclasses.fields(built):
+        assert np.array_equal(getattr(built, f.name),
+                              getattr(rebuilt, f.name)), f.name
+
+
+def test_integral_float_sizes_read_as_integers():
+    cfg = parse_scenario(json.dumps(closed_form_dict(steps=40.0, n=1.0)))
+    assert cfg.model.steps == 40 and type(cfg.model.steps) is int
+    assert cfg.model.n == 1 and type(cfg.model.n) is int
+    assert cfg.model.build().grid.steps == 40
 
 
 def test_wrong_format_version_rejected():
@@ -631,6 +666,49 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
     assert key in record["message"]
 
 
+def test_cli_overflowing_horizon_exits_2(tmp_path, capsys):
+    # JSON reads 1e400 as infinity: a config error naming the key, as a
+    # non-finite r_min is
+    d = closed_form_dict()
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "bad"}
+    text = json.dumps(d)
+    assert text.count('"T": 1.0') == 1
+    path = tmp_path / "scenario.json"
+    path.write_text(text.replace('"T": 1.0', '"T": 1e400'))
+    assert main(["--config", str(path), "--quiet"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError"
+    assert record["message"] == "model.T must be finite, got inf"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_cli_bad_mfg_threads_exits_2_before_the_solve(tmp_path, capsys,
+                                                      monkeypatch, threads):
+    monkeypatch.setenv("MFG_THREADS", threads)
+    d = closed_form_dict(steps=20)
+    d["experiment"] = {"kind": "rate_state", "Ns": [2, 4, 8, 16], "S": 2}
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "bad"}
+    path = write_config(tmp_path, d)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the worker count was read")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve_riccati", no_solve)
+        assert main(["--config", path, "--quiet"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError" and record["exit_code"] == 2
+    assert "MFG_THREADS" in record["message"]
+    assert not (tmp_path / "out").exists()
+    # a solve runs no pool and ignores the variable
+    d["experiment"] = {"kind": "solve"}
+    assert main(["--config", write_config(tmp_path, d), "--quiet"]) == 0
+
+
 @pytest.mark.parametrize("block, entries, key", [
     ("model", {"n": 0}, "n and k"),
     ("model", {"k": -1}, "n and k"),
@@ -647,6 +725,9 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
     ("model", {"x0": [[1.0], [1.0, 2.0]]}, "model.x0"),
     ("model", {"A": 10 ** 400}, "model.A"),
     ("experiment", {"kind": "rate_state", "Ns": 8}, "experiment.Ns"),
+    ("model", {"A": {"schedule": []}}, "model.A: schedule has no entries"),
+    ("model", {"steps": 8, "A": {"schedule": [[[1.0]]] * 5}},
+     "model.A: schedule has 5 entries, grid has 9 nodes"),
 ])
 def test_cli_out_of_range_value_exits_2_writing_nothing(tmp_path, capsys,
                                                         block, entries, key):
@@ -758,9 +839,8 @@ def test_cli_malformed_slot_value_exits_2(tmp_path, capsys, B, message):
 def test_cli_out_naming_a_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("")
-    # the directory is made after the solve, which must therefore succeed:
-    # the preset's Kleinman iterates fail their monotonicity check at 20
-    # steps (exit 4)
+    # the directory is made after the solve, which must therefore succeed,
+    # as the preset's does at 30 steps (and at 20)
     code = main(["--preset", "netsec-closed-form", "--out", str(blocker),
                  "--steps", "30", "--quiet"])
     assert code == 2

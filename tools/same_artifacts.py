@@ -9,10 +9,12 @@ the output directory of its configuration echo, the two entries that differ
 between the trees' runs; the rest of it, the configuration echo included,
 must match.  The scenarios are the benchmark workloads' (read from this
 repository's ``perfbench/workloads.py``: ``solve`` at seed 501, ``ladder``
-at seeds 917 and 3, ``simulate`` at seed 917), both presets, two
-deviation sweeps on the netsec-numeric model, and one n = k = 2 ``simulate``
-run whose A and D0 are given node by node (``schedule``), the only scenario
-with coefficients that vary in time.  Prints every file that differs or
+at seeds 917 and 3, ``simulate`` at seed 917), the ladder at seed 917 with
+kind ``rate_cost`` (the one rate table without companion columns), both
+presets, two deviation sweeps on the netsec-numeric model, a netsec-numeric
+``simulate`` run whose solver steps override the model's, and one n = k = 2
+``simulate`` run whose A and D0 are given node by node (``schedule``), the
+only scenario with coefficients that vary in time.  Prints every file that differs or
 exists in one tree only; exits 1 if there is one, else 0.
 
 For a differing CSV or JSON artifact whose text and layout agree, it also
@@ -75,6 +77,14 @@ def scenarios() -> dict:
     runs = {f"{w}-{seed}": workloads.scenario(w, seed)
             for w, seed in (("solve", 501), ("ladder", 917), ("ladder", 3),
                             ("simulate", 917))}
+    runs["rate_cost-917"] = workloads.scenario("ladder", 917)
+    runs["rate_cost-917"]["experiment"]["kind"] = "rate_cost"
+    runs["override-200"] = {
+        "format_version": 1,
+        "model": dict(workloads.NETSEC_NUMERIC, steps=1000),
+        "solver": {"steps": 200},
+        "experiment": {"kind": "simulate", "seed": 917, "N": 5},
+        "output": {"directory": "out", "prefix": "override"}}
     runs["deviation-6"] = _deviation(6, 9, 200)
     runs["deviation-120"] = _deviation(120, 6, 300)
     runs["schedule-60"] = _time_varying(60, 5)
