@@ -120,10 +120,12 @@ def _cross_check_dict(summary) -> dict:
 
 
 def _write_agents(payload, start: int, stop: int) -> None:
-    """Write the CSVs of agents ``start`` to ``stop - 1``, one at a time."""
-    paths, grid, z_hat, u = payload
-    for i in range(start, stop):
-        write_agent_csv(paths[i], grid, z_hat[i], u[i])
+    """Integrate the zhat and u paths of agents ``start`` to ``stop - 1``
+    and write their CSVs, one at a time."""
+    paths, grid, sample = payload
+    z_hat, u = sample.agent_paths(start, stop)
+    for i, path in enumerate(paths[start:stop]):
+        write_agent_csv(path, grid, z_hat[i], u[i])
 
 
 def _agent_ranges(N: int, workers: int) -> list:
@@ -180,9 +182,10 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         width = max(3, len(str(N)))
         agents = [dest(f"agent_{i + 1:0{width}d}.csv") for i in range(N)]
         # formatting the agent files is most of the kind's time: the pool
-        # writes them, each worker reading the recorded arrays it forked with
+        # writes them, each task integrating its own agents' zhat and u
+        # from their streams, so no process holds every agent's paths
         writes.append((agents, lambda: map_tasks(
-            _write_agents, (agents, model.grid, sample.z_hat, sample.u),
+            _write_agents, (agents, model.grid, sample),
             _agent_ranges(N, workers), workers)))
         gaps = np.abs(sample.J_central - sample.J_limit)
         state_gap = float(np.max(

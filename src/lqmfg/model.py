@@ -174,7 +174,7 @@ class LqMfgModel:
             got = getattr(self, name).shape[1:]
             if got != shape:
                 raise StructureError(
-                    f"'{name}' has shape {got}, expected {shape} "
+                    f"{name}: has shape {got}, expected {shape} "
                     f"(n={n} from A, k={k} from B)"
                 )
 

@@ -24,11 +24,14 @@ the same blocks (``_sample_tasks``): a block holds up to 2**18 // (N M)
 samples, so its increments take at most 2 MB (or one sample's worth), and
 every sample of a deviation or limiting-problem block carries each
 candidate as a row.  The limiting problem is the kernel at N = 1, and a
-recorded population is a block of one sample and one row that keeps zhat
-and u.  Blocks are the tasks of the process pool, which one driver
-(``_sample_stats``) maps for all three experiments.  Every block's
-statistics equal those of its samples run one at a time, and a row's those
-of its candidate run alone.
+recorded population is a block of one sample and one row that keeps m and
+the state average but no per-agent path: an agent's zhat and u read only
+its own stream, so any range of agents integrates them again from their
+streams (``_agent_paths``) through the step the kernel takes
+(``_filtered``), bit for bit.  Blocks are the tasks of the process pool,
+which one driver (``_sample_stats``) maps for all three experiments.
+Every block's statistics equal those of its samples run one at a time, and
+a row's those of its candidate run alone.
 
 Only x couples the agents (through its sorted average), so the kernel steps
 only x node by node.  m is built once per block; zhat, the controls, the
@@ -119,6 +122,14 @@ def default_candidate_family() -> tuple[DeviationCandidate, ...]:
 _STATE_SLOTS = tuple(name for name in COEFFICIENTS if name not in ("Q", "R"))
 
 
+def _apply_rows(y, f, out=None):
+    """y f for row vectors y (..., n) and matrices f (..., n, p), one
+    batched matmul."""
+    if out is not None:
+        out = out[..., None, :]
+    return np.matmul(y[..., None, :], f, out=out)[..., 0, :]
+
+
 class _SimPayload:
     """Everything a block needs, precomputed once and shipped to workers.
 
@@ -130,6 +141,12 @@ class _SimPayload:
     step zhat, ``F``, ``K``, ``H`` and ``c`` multiply the state, the
     control and the coupling average and force the state, ``Fm`` and ``em``
     step m.
+
+    Scalar models (n = k = 1) keep no state axis: their coefficients are
+    (M+1,) arrays, x0 and G floats, and ``op`` applies a factor by
+    multiplication.  Matrix models give every state the trailing axis
+    ``vec`` (and every control ``kv``), and ``op`` applies each agent's
+    factor matrix by one batched matmul.
     """
 
     def __init__(self, model: LqMfgModel, law: FeedbackLaw, Em: np.ndarray):
@@ -198,6 +215,17 @@ class _SimPayload:
                         transposed(C0 + beta0)),
             "em": terms(h * BEu, None, D0Eu),
         }
+        if self.n == self.k == 1:
+            self.vec = self.kv = ()
+            self.coeffs = {
+                key: (v.reshape(-1) if isinstance(v, np.ndarray) else
+                      tuple(t if t is None else t.reshape(-1) for t in v))
+                for key, v in self.coeffs.items()}
+            self.x0, self.G = float(self.x0[0]), float(self.G[0, 0])
+            self.op = np.multiply
+        else:
+            self.vec, self.kv = (self.n,), (self.k,)
+            self.op = _apply_rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,23 +245,36 @@ class _BlockStats:
 
 @dataclasses.dataclass(frozen=True)
 class PopulationSample:
-    """One recorded joint simulation of the N-agent system.
+    """One joint simulation of the N-agent system, without per-agent paths.
 
-    Each agent's filtered state and control are recorded, the paths that the
-    ``simulate`` kind writes; its centralized state x_i and limiting state
-    zbar_i are stepped but not stored, and reach the sample only through
-    the state average and the two costs.  ``z_hat`` and ``u`` are agent-major
-    views of time-major arrays, so ``z_hat[i]`` is agent i's (M+1, n) path.
+    Every agent's states are stepped, but the sample keeps only the state
+    average, m and each agent's two costs.  An agent's filtered state and
+    control read only its own stream and Em, so ``agent_paths`` integrates
+    them again, for any range of agents, bit for bit as the kernel did.
     """
 
     N: int
-    z_hat: np.ndarray          # (N, M+1, n), a view of a time-major array
-    u: np.ndarray              # (N, M+1, k), a view of a time-major array
+    seed: int
     state_average: np.ndarray  # (M+1, n)
     m: np.ndarray              # (M+1, n)
     Em: np.ndarray             # (M+1, n)
     J_central: np.ndarray      # (N,)
     J_limit: np.ndarray        # (N,)
+    _payload: _SimPayload
+
+    def agent_paths(self, start: int = 0, stop: int | None = None):
+        """zhat (A, M+1, n) and u (A, M+1, k) of agents start..stop-1 (by
+        default all), from their streams start+1..stop of ``seed``, as
+        agent-major views of time-major arrays: ``z_hat[i]`` is agent
+        start + i's path."""
+        stop = self.N if stop is None else stop
+        if not 0 <= start <= stop <= self.N:
+            raise UsageError(f"agents {start}..{stop - 1} are not within "
+                             f"0..{self.N - 1}")
+        pl = self._payload
+        dW = fill_increments(np.empty((stop - start, pl.M)), pl.h, self.seed,
+                             range(start + 1, stop + 1))
+        return _agent_paths(pl, dW)
 
 
 def _block_noise(pl: _SimPayload, N: int, seeds):
@@ -288,46 +329,98 @@ def _finish(pl, Jc, Jl, gap, sup_x, sup_z):
                          (sup_x[..., 0], gap, sup_z[..., 0], Jc, Jl)))
 
 
+def _node(a, j0, j1, axes=2):
+    """Coefficients of nodes j0..j1-1, broadcasting against arrays with
+    ``axes`` agent axes after the node axis."""
+    a = a[j0:j1]
+    return a.reshape(a.shape[:1] + (1,) * axes + a.shape[1:])
+
+
+def _factor(terms, j0, j1, dwi, dw0, out=None):
+    """t0 + dwi t1 + dw0 t2 of a coefficient's ``terms`` for the steps
+    j0..j1-1, in ``out[:j1 - j0]`` if given, else in a new array that
+    broadcasts against it."""
+    t0, t1, t2 = terms
+    lift = (1,) * (t0.ndim - 1)
+    f = _node(t0, j0, j1)
+    if t2 is not None:
+        f = f + dw0.reshape(dw0.shape + lift) * _node(t2, j0, j1)
+    if out is not None:
+        out = out[:j1 - j0]
+    if t1 is None:
+        if out is None:
+            return f
+        out[...] = f
+        return out
+    out = np.multiply(dwi.reshape(dwi.shape + lift), _node(t1, j0, j1),
+                      out=out)
+    out += f
+    return out
+
+
+def _filtered(pl: _SimPayload, j0: int, dw, zh, u, ez=None, fz=None):
+    """Step zhat of agents from node j0 over their time-major increments
+    dw (steps, B, A) and give them their controls: zh (steps + 1, B, A[, n])
+    holds node j0 in zh[0] and receives the rest, u receives
+    K_z zhat + K_m Em + c_u at every node of zh.  ``ez`` takes the step
+    forcing (it may share memory with u), ``fz`` the step factors when they
+    carry per-agent noise; else both are new arrays.  An agent reads only
+    its own increments, so no grouping of agents or steps reaches the bits.
+    """
+    j1 = j0 + len(dw)
+    co, op = pl.coeffs, pl.op
+    Fz = _factor(co["Fz"], j0, j1, dw, None, fz)
+    ez = _factor(co["ez"], j0, j1, dw, None, ez)
+    for i in range(len(dw)):
+        op(zh[i], Fz[i], out=zh[i + 1])
+        zh[i + 1] += ez[i]
+    op(zh, _node(co["kz"], j0, j1 + 1), out=u)
+    u += _node(co["kmc"], j0, j1 + 1)
+
+
+def _agent_paths(pl: _SimPayload, dW):
+    """zhat (A, M+1, n) and u (A, M+1, k) of the A agents whose increments
+    are the rows of dW (A, M), a chunk of steps at a time through
+    ``_filtered``, as agent-major views of time-major arrays."""
+    A, M = len(dW), pl.M
+    zh = np.empty((M + 1, 1, A) + pl.vec)
+    u = np.empty((M + 1, 1, A) + pl.kv)
+    zh[0] = pl.x0
+    L = _chunk_steps(A, 1, 1, pl.agent_size)
+    for j0 in range(0, M, L):
+        j1 = min(M, j0 + L)
+        dw = np.ascontiguousarray(dW[:, j0:j1].T)[:, None]
+        _filtered(pl, j0, dw, zh[j0:j1 + 1], u[j0:j1 + 1])
+    return (zh.reshape(M + 1, A, pl.n).swapaxes(0, 1),
+            u.reshape(M + 1, A, pl.k).swapaxes(0, 1))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     """Step a block of samples; ``record`` needs B = C = 1.
 
-    Returns the block's statistics, and with ``record`` also the
-    ``PopulationSample``: then the kernel stores zhat and u, time-major as
-    its chunks hold them, and the sorted state average, but not x or zbar.
+    Returns the block's statistics, and with ``record`` also the sample's
+    m and sorted state average, each (M+1, n); no per-agent path is kept.
 
     Only x couples the agents, through its sorted average, so only x is
     stepped node by node.  m is built once for the block.  Per chunk of
-    steps the kernel builds zhat, u and the step factors (F of the state, H
-    of the coupling average, E of the control and constant forcing) in
-    whole-array calls, then zbar, which shares them with x, then x, and
-    last the chunk's costs and gaps.  zhat, m and the other agents' u and
-    zbar are shared by the rows: u and zbar carry one extra agent column per
-    candidate row, agent 0 under that row's control.
-
-    Scalar models (n = k = 1) keep no state axis and apply the factors by
-    multiplication; matrix models give every state a trailing axis and
-    apply each agent's factor matrix (transposed, for row vectors) by one
-    batched matmul, so their quadratic forms reduce over that axis.
+    steps the kernel builds zhat and u (``_filtered``) and the step factors
+    (F of the state, H of the coupling average, E of the control and
+    constant forcing) in whole-array calls, then zbar, which shares them
+    with x, then x, and last the chunk's costs and gaps.  zhat, m and the
+    other agents' u and zbar are shared by the rows: u and zbar carry one
+    extra agent column per candidate row, agent 0 under that row's control.
+    In the matrix form the quadratic forms reduce over the state axis.
     """
     M, n = pl.M, pl.n
     B, N = dWi.shape[:2]
     R = len(cands)
     C, W = R + 1, N + R
     L = _chunk_steps(N, B, C, pl.agent_size)
-    co = pl.coeffs
-    x0, G = pl.x0, pl.G
-    # op applies a factor to a state, quad(y, wt, out) is y' wt y per agent
-    # (in ``out`` for scalar models) and norm2(e) is |e|^2 (in place for
-    # scalar models)
-    if n == pl.k == 1:
-        vec = kv = mat = ()
-        co = {key: (v.reshape(M + 1) if isinstance(v, np.ndarray) else
-                    tuple(t if t is None else t.reshape(M + 1) for t in v))
-              for key, v in co.items()}
-        x0, G = float(x0[0]), float(G[0, 0])
-        op = np.multiply
-
+    co, op, vec, kv = pl.coeffs, pl.op, pl.vec, pl.kv
+    # quad(y, wt, out) is y' wt y per agent (in ``out`` for scalar models)
+    # and norm2(e) is |e|^2 (in place for scalar models)
+    if not vec:
         def quad(y, wt, out):
             np.multiply(y, y, out=out)
             out *= wt
@@ -337,43 +430,11 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
             e *= e
             return e
     else:
-        vec, kv, mat = (n,), (pl.k,), (n, n)
-
-        def op(y, f, out=None):
-            if out is not None:
-                out = out[..., None, :]
-            return np.matmul(y[..., None, :], f, out=out)[..., 0, :]
-
         def quad(y, wt, out):
             return (op(y, wt) * y).sum(axis=-1)
 
         def norm2(e):
             return (e * e).sum(axis=-1)
-
-    def node(a, j0, j1, axes=2):
-        """Coefficients of nodes j0..j1-1, broadcasting against arrays with
-        ``axes`` agent axes after the node axis."""
-        a = a[j0:j1]
-        return a.reshape(a.shape[:1] + (1,) * axes + a.shape[1:])
-
-    def factor(key, j0, j1, dwi, dw0, out=None):
-        """t0 + dwi t1 + dw0 t2 for the steps j0..j1-1, in ``out[:j1 - j0]``
-        if given, else in a new array that broadcasts against it."""
-        t0, t1, t2 = co[key]
-        lift = (1,) * (t0.ndim - 1)
-        f = node(t0, j0, j1)
-        if t2 is not None:
-            f = f + dw0.reshape(dw0.shape + lift) * node(t2, j0, j1)
-        if out is not None:
-            out = out[:j1 - j0]
-        if t1 is None:
-            if out is None:
-                return f
-            out[...] = f
-            return out
-        np.multiply(dwi.reshape(dwi.shape + lift), node(t1, j0, j1), out=out)
-        out += f
-        return out
 
     def rows(v, out, copy=False):
         """(k, B, W, ...) -> (k, C, B, N, ...): row r >= 1 reads agent 0
@@ -390,11 +451,11 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     # m, once for the block
     d0 = dW0.transpose(2, 0, 1)                      # (M, B, 1)
     m = np.empty((M + 1, B, 1) + vec)
-    m[0] = x0
+    m[0] = pl.x0
     for j0 in range(0, M, L):
         j1 = min(M, j0 + L)
-        fm = factor("Fm", j0, j1, None, d0[j0:j1])
-        em = factor("em", j0, j1, None, d0[j0:j1])
+        fm = _factor(co["Fm"], j0, j1, None, d0[j0:j1])
+        em = _factor(co["em"], j0, j1, None, d0[j0:j1])
         for i, j in enumerate(range(j0, j1)):
             op(m[j], fm[i], out=m[j + 1])
             m[j + 1] += em[i]
@@ -408,7 +469,7 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     size = (L + 1) * B * max(C * N, W) * max(n, pl.k)
     a, b, c = (np.empty(size) for _ in range(3))
     fbuf = {key: np.empty((L, B, N if key == "Fz" else W)
-                          + (kv + vec if key == "K" else mat))
+                          + (kv + vec if key == "K" else vec * 2))
             for key in ("Fz", "F", "H", "K") if co[key][1] is not None}
     Ex = np.empty((L, C, B, N) + vec) if R else None
     xm = np.empty((L + 1, C, B, 1) + vec)
@@ -417,9 +478,9 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
         return arena[:math.prod(shape)].reshape(shape)
 
     # each chunk starts from the last node of the one before
-    zh_last = np.full((B, N) + vec, x0)
-    zb_last = np.full((B, W) + vec, x0)
-    x_last = np.full((C, B, N) + vec, x0)
+    zh_last = np.full((B, N) + vec, pl.x0)
+    zb_last = np.full((B, W) + vec, pl.x0)
+    x_last = np.full((C, B, N) + vec, pl.x0)
     Jc = np.zeros((C, B, N))        # the state costs
     Jl = np.zeros((B, W))
     RU = np.zeros((B, W))           # the control cost, shared by both
@@ -427,8 +488,6 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     sup_x = np.zeros((C, B, 1))
     sup_z = np.zeros((C, B, 1))
     if record:
-        rec_zh = np.empty((M + 1, N) + vec)
-        rec_u = np.empty((M + 1, N) + kv)
         rec_xbar = np.empty((M + 1,) + vec)
 
     for j0 in range(0, M, L):
@@ -442,36 +501,29 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
         dw[..., N:] = dw[..., :1]
         d0c = d0[j0:j1]
 
-        # zhat (arena c), then every agent's control (arena b)
-        Fz = factor("Fz", j0, j1, dw[..., :N], None, fbuf.get("Fz"))
-        ez = factor("ez", j0, j1, dw[..., :N], None,
-                    view(b, steps, B, N, *vec))
+        # zhat (arena c) and every agent's control (arena b, which also
+        # takes zhat's forcing)
         zh = view(c, steps + 1, B, N, *vec)
         zh[0] = zh_last
-        for i in range(steps):
-            op(zh[i], Fz[i], out=zh[i + 1])
-            zh[i + 1] += ez[i]
+        u = view(b, steps + 1, B, W, *kv)
+        _filtered(pl, j0, dw[..., :N], zh, u[:, :, :N],
+                  view(b, steps, B, N, *vec), fbuf.get("Fz"))
         zh_last[...] = zh[steps]
         zh_bad = steps + 1 if np.isfinite(zh_last).all() else _first_bad(zh)
-        u = view(b, steps + 1, B, W, *kv)
-        kz, kmc = node(co["kz"], j0, j1 + 1), node(co["kmc"], j0, j1 + 1)
-        op(zh, kz, out=u[:, :, :N])
-        u[:, :, :N] += kmc
         if R:
+            kz = _node(co["kz"], j0, j1 + 1)
             u[:, :, N:] = np.where(
-                zero, 0.0, gain * op(zh[:, :, :1], kz) + kmc + offset)
-        if record:
-            rec_zh[j0:j0 + k] = zh[:k, 0]
-            rec_u[j0:j0 + k] = u[:k, 0, :N]
-        for t in quad(u[:k], node(co["rw"], j0, j0 + k), view(c, k, B, W)):
+                zero, 0.0, gain * op(zh[:, :, :1], kz)
+                + _node(co["kmc"], j0, j1 + 1) + offset)
+        for t in quad(u[:k], _node(co["rw"], j0, j0 + k), view(c, k, B, W)):
             RU += t
 
         # the step factors that zbar and x share: E (arena c), then zbar
         # (arena b) from its forcing (arena a)
-        F = factor("F", j0, j1, dw, d0c, fbuf.get("F"))
-        H = factor("H", j0, j1, dw, d0c, fbuf.get("H"))
-        E = factor("c", j0, j1, dw, d0c, view(c, steps, B, W, *vec))
-        K = factor("K", j0, j1, dw, d0c, fbuf.get("K"))
+        F = _factor(co["F"], j0, j1, dw, d0c, fbuf.get("F"))
+        H = _factor(co["H"], j0, j1, dw, d0c, fbuf.get("H"))
+        E = _factor(co["c"], j0, j1, dw, d0c, view(c, steps, B, W, *vec))
+        K = _factor(co["K"], j0, j1, dw, d0c, fbuf.get("K"))
         E += op(u[:steps], K, out=None if kv else u[:steps])
         mc = m[j0:j1 + 1]
         Gz = np.add(E, op(mc[:steps], H), out=view(a, steps, B, W, *vec))
@@ -505,12 +557,12 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
         # the chunk's trapezoid costs, added node by node, and its gaps
         # (arena c)
         mk = mc[:k]
-        qw = node(co["qw"], j0, j0 + k)
+        qw = _node(co["qw"], j0, j0 + k)
         dz = np.subtract(zb[:k], mk, out=view(c, k, B, W, *vec))
         for t in quad(dz, qw, dz):
             Jl += t
         dx = np.subtract(x[:k], xm[:k], out=view(c, k, C, B, N, *vec))
-        for t in quad(dx, node(co["qw"], j0, j0 + k, 3), dx):
+        for t in quad(dx, _node(co["qw"], j0, j0 + k, 3), dx):
             Jc += t
         e = view(c, k, C, B, N, *vec)
         np.subtract(x[:k], rows(zb[:k], e), out=e)
@@ -524,22 +576,15 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
         if record:
             rec_xbar[j0:j0 + k] = xm[:k, 0, 0, 0]
 
-    Jc += quad(x_last, G, np.empty((C, B, N)))
-    Jl += quad(zb_last, G, np.empty((B, W)))
+    Jc += quad(x_last, pl.G, np.empty((C, B, N)))
+    Jl += quad(zb_last, pl.G, np.empty((B, W)))
     Jl += RU
     Jc += rows(RU[None], np.empty((1, C, B, N)))[0]
     Jl = rows(Jl[None], np.empty((1, C, B, N)))[0]
     stats = _finish(pl, Jc, Jl, gap, sup_x, sup_z)
     if not record:
         return stats
-    sample = PopulationSample(N=N,
-                              z_hat=rec_zh.reshape(M + 1, N, n).swapaxes(0, 1),
-                              u=rec_u.reshape(M + 1, N, pl.k).swapaxes(0, 1),
-                              state_average=rec_xbar.reshape(M + 1, n),
-                              m=m[:, 0, 0].reshape(M + 1, n),
-                              Em=pl.Em.copy(), J_central=Jc[0, 0],
-                              J_limit=Jl[0, 0])
-    return stats, sample
+    return stats, m[:, 0, 0].reshape(M + 1, n), rec_xbar.reshape(M + 1, n)
 
 
 def _run_block(pl: _SimPayload, N: int, seeds, cands=()) -> _BlockStats:
@@ -549,23 +594,26 @@ def _run_block(pl: _SimPayload, N: int, seeds, cands=()) -> _BlockStats:
 
 def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
                         seed: int) -> PopulationSample:
-    """Joint simulation of N agents, recording each agent's zhat and u.
+    """Joint simulation of N agents: m, the state average and the costs.
 
     Stream 0 drives the common noise and the mean-field path m; agent i uses
     stream i of the same seed.  The coupling term uses the same-step
     empirical average (explicit scheme), computed as a sorted sum so agent
-    relabeling cannot change it.  The run holds its noise and two per-agent
-    paths, zhat and u; x and zbar are stepped but not stored, and enter
-    only the state average and the costs.  Raises ``UsageError`` if ``law``
-    or ``Em`` was solved on another grid than the model's.
+    relabeling cannot change it.  The run holds its noise and no per-agent
+    path: every agent's zhat, u, x and zbar are stepped but not stored, and
+    ``PopulationSample.agent_paths`` integrates zhat and u again from the
+    agents' own streams.  Raises ``UsageError`` if ``law`` or ``Em`` was
+    solved on another grid than the model's.
     """
-    N = int(N)
+    N, seed = int(N), int(seed)
     if N < 1:
         raise UsageError("population size must be at least 1")
     pl = _SimPayload(model, law, Em)
-    _, sample = _block_kernel(pl, *_block_noise(pl, N, (int(seed),)),
-                              record=True)
-    return sample
+    stats, m, xbar = _block_kernel(pl, *_block_noise(pl, N, (seed,)),
+                                   record=True)
+    return PopulationSample(N=N, seed=seed, state_average=xbar, m=m,
+                            Em=pl.Em.copy(), J_central=stats.J_central[0, 0],
+                            J_limit=stats.J_limit[0, 0], _payload=pl)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_schedule_with_wrong_length_rejected():
 
 def test_schedule_with_wrong_matrix_shape_rejected():
     grid = TimeGrid(1.0, 4)
-    with pytest.raises(StructureError, match=r"^'Q' has shape \(2, 1\), "
+    with pytest.raises(StructureError, match=r"^Q: has shape \(2, 1\), "
                        r"expected \(1, 1\) \(n=1 from A, k=1 from B\)$"):
         make_scalar(grid, Q=np.ones((5, 2, 1)))
 

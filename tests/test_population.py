@@ -14,9 +14,10 @@ from lqmfg import (DeviationCandidate, DivergenceError, LqMfgModel, TimeGrid,
                    integrate_m, integrate_z_hat, limit_problem_experiment,
                    lq_value_prediction, rate_experiment_state,
                    rate_experiments, resolve_workers, simulate_population)
-from lqmfg.population import (_BLOCK_ELEMENTS, _block_kernel, _block_noise,
-                              _check_ladder, _chunk_steps, _fit_loglog,
-                              _run_block, _sample_tasks, _SimPayload)
+from lqmfg.population import (_BLOCK_ELEMENTS, _agent_paths, _block_kernel,
+                              _block_noise, _check_ladder, _chunk_steps,
+                              _filtered, _fit_loglog, _run_block,
+                              _sample_tasks, _SimPayload)
 from lqmfg.riccati import FeedbackLaw, solve_riccati
 from lqmfg.scenario import preset
 
@@ -51,9 +52,10 @@ def matrix_model(steps):
     return model, law, integrate_Em(model, law)
 
 
-def netsec_numeric(steps, dim):
-    """The netsec-numeric preset, or for dim > 1 its diagonal embedding:
-    every coefficient c becomes c I, and x0, b, sigma, sigma0 repeat."""
+def netsec_model(steps, dim):
+    """The netsec-numeric preset, or for dim > 1 its diagonal embedding
+    (every coefficient c becomes c I, and x0, b, sigma, sigma0 repeat),
+    with its law and Em."""
     base = preset("netsec-numeric").model.build(steps)
     if dim == 1:
         model = base
@@ -72,7 +74,12 @@ def netsec_numeric(steps, dim):
             **{name: np.full((dim, 1), c(name)) for name in
                ("b", "sigma", "sigma0")})
     law = solve_riccati(model).feedback
-    return _SimPayload(model, law, integrate_Em(model, law))
+    return model, law, integrate_Em(model, law)
+
+
+def netsec_numeric(steps, dim):
+    """The payload of ``netsec_model(steps, dim)``."""
+    return _SimPayload(*netsec_model(steps, dim))
 
 
 KERNEL_MODELS = {"scalar": closed_form, "matrix": matrix_model}
@@ -160,12 +167,14 @@ def test_state_average_is_sorted_mean_of_agents():
     pl = _SimPayload(model, law, Em)
     dWi, dW0 = _block_noise(pl, 7, (12,))
     perm = np.random.default_rng(0).permutation(7)
-    _, permuted = _block_kernel(pl, dWi[:, perm], dW0, record=True)
-    np.testing.assert_array_equal(permuted.state_average,
-                                  sample.state_average)
-    for field in ("z_hat", "u", "J_central", "J_limit"):
-        np.testing.assert_array_equal(getattr(permuted, field),
-                                      getattr(sample, field)[perm])
+    stats, _, state_average = _block_kernel(pl, dWi[:, perm], dW0,
+                                            record=True)
+    np.testing.assert_array_equal(state_average, sample.state_average)
+    permuted = (*_agent_paths(pl, dWi[0, perm]), stats.J_central[0, 0],
+                stats.J_limit[0, 0])
+    for got, want in zip(permuted, (*sample.agent_paths(), sample.J_central,
+                                    sample.J_limit)):
+        np.testing.assert_array_equal(got, want[perm])
 
 
 def test_costs_nonnegative_and_reproducible():
@@ -173,8 +182,10 @@ def test_costs_nonnegative_and_reproducible():
     a = simulate_population(model, law, Em, N=5, seed=77)
     b = simulate_population(model, law, Em, N=5, seed=77)
     assert (a.J_central >= 0.0).all() and (a.J_limit >= 0.0).all()
-    for field in ("z_hat", "u", "state_average", "J_central"):
+    for field in ("state_average", "J_central"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+    for x, y in zip(a.agent_paths(), b.agent_paths()):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_zero_noise_decoupled_population_hits_the_limit():
@@ -185,12 +196,12 @@ def test_zero_noise_decoupled_population_hits_the_limit():
     law = solve_riccati(model).feedback
     Em = integrate_Em(model, law)
     pl = _SimPayload(model, law, Em)
-    stats, sample = _block_kernel(pl, *_block_noise(pl, 4, (9,)),
-                                  record=True)
+    stats, m, state_average = _block_kernel(pl, *_block_noise(pl, 4, (9,)),
+                                            record=True)
     # agent_gaps is sup_t |x_i - zbar_i|^2
     assert np.sqrt(np.max(stats.agent_gaps)) < 1e-12
-    assert np.max(np.abs(sample.J_central - sample.J_limit)) < 1e-12
-    assert np.max(np.abs(sample.state_average - sample.m)) < 1e-12
+    assert np.max(np.abs(stats.J_central - stats.J_limit)) < 1e-12
+    assert np.max(np.abs(state_average - m)) < 1e-12
 
 
 STAT_FIELDS = ("xbar_gap", "agent_gaps", "zbar_gap", "J_central", "J_limit")
@@ -243,29 +254,31 @@ def test_splitting_a_rung_into_blocks_keeps_bits(monkeypatch):
 
 @pytest.mark.parametrize("form", KERNEL_MODELS)
 def test_block_kernel_matches_single_path_integrators(form):
-    # the recorded block (one sample) against the independent
-    # meanfield.integrate_* oracles and state_oracle on the same streams, on
-    # a grid whose last kernel chunk is a short one; x and zbar, which the
-    # kernel steps but does not record, through the state average, the
-    # costs and the gaps
+    # the recorded block (one sample) and its agents' paths against the
+    # independent meanfield.integrate_* oracles and state_oracle on the same
+    # streams, on a grid whose last kernel chunk is a short one; x and
+    # zbar, which the kernel steps but does not record, through the state
+    # average, the costs and the gaps
     steps = 110
     model, law, Em = KERNEL_MODELS[form](steps)
     pl = _SimPayload(model, law, Em)
     for N in (4, 1):
         assert steps % _chunk_steps(N, 1, 1, pl.agent_size) != 0
         seed = derive_seed(3, N, 0)
-        stats, sample = _block_kernel(pl, *_block_noise(pl, N, (seed,)),
-                                      record=True)
+        stats, m_got, xbar_got = _block_kernel(
+            pl, *_block_noise(pl, N, (seed,)), record=True)
+        z_hat, u_got = simulate_population(model, law, Em, N,
+                                           seed).agent_paths()
         o = oracle_paths(model, law, Em, N, seed)
         x, zb, m, u = o["x"], o["z_bar"], o["m"], o["u"]
         xbar = x.mean(axis=0)
         for got, want in (
-                (sample.m, m),
-                (sample.z_hat, o["z_hat"]),
-                (sample.u, u),
-                (sample.state_average, xbar),
-                (sample.J_central, oracle_costs(model, x, xbar, u)),
-                (sample.J_limit, oracle_costs(model, zb, m, u)),
+                (m_got, m),
+                (z_hat, o["z_hat"]),
+                (u_got, u),
+                (xbar_got, xbar),
+                (stats.J_central[0, 0], oracle_costs(model, x, xbar, u)),
+                (stats.J_limit[0, 0], oracle_costs(model, zb, m, u)),
                 (stats.agent_gaps[0, 0],
                  (((x - zb) ** 2).sum(axis=2)).max(axis=1)),
                 (stats.zbar_gap[0, 0],
@@ -405,25 +418,75 @@ def test_ladder_block_memory_stays_within_its_noise_and_one_megabyte():
         assert peak <= noise + 2 ** 20, (N, peak - noise)
 
 
-def test_recorded_population_holds_its_noise_and_two_paths():
+def test_recorded_population_and_an_agent_task_hold_no_more_than_theirs(
+        tmp_path):
     # one recorded block of the simulate benchmark's size, in the scalar
-    # form and on the n = k = 2 embedding: besides its noise it may hold
-    # the zhat and u paths it returns and at most 1 MB more, so no x or
-    # zbar path
+    # form and on the n = k = 2 embedding: besides its noise it may hold at
+    # most 1 MB, so no per-agent path; and one of the CLI's agent-range
+    # tasks at that size (N = 400 over 8 ranges) may hold its range's
+    # noise, zhat and u paths and at most 1 MB more
+    from lqmfg.cli import _agent_ranges, _write_agents
     N, M = 400, 500
+    seed = derive_seed(1, N, 0)
     gaussian_increments(TimeGrid(1.0, 1), 1, 0)   # imports numpy.random
     for dim in (1, 2):
-        pl = netsec_numeric(M, dim)
+        model, law, Em = netsec_model(M, dim)
+        pl = _SimPayload(model, law, Em)
         noise = (N + 1) * M * 8
-        paths = N * (M + 1) * (pl.n + pl.k) * 8
         tracemalloc.start()
         try:
-            _block_kernel(pl, *_block_noise(pl, N, (derive_seed(1, N, 0),)),
-                          record=True)
+            _block_kernel(pl, *_block_noise(pl, N, (seed,)), record=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= noise + paths + 2 ** 20, (dim, peak - noise - paths)
+        assert peak <= noise + 2 ** 20, (dim, peak - noise)
+
+        sample = simulate_population(model, law, Em, N, seed)
+        ranges = _agent_ranges(N, 2)
+        assert len(ranges) == 8
+        _, start, stop = ranges[0]
+        A = stop - start
+        own = A * M * 8 + A * (M + 1) * (pl.n + pl.k) * 8
+        paths = [str(tmp_path / f"agent_{i}.csv") for i in range(N)]
+        tracemalloc.start()
+        try:
+            _write_agents((paths, model.grid, sample), start, stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= own + 2 ** 20, (dim, peak - own)
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_agent_ranges_give_the_kernels_paths_bit_for_bit(monkeypatch, dim):
+    # the kernel's own zhat and u, caught as it steps the whole population,
+    # against every split of [0, N) into ranges of 1, 3 and N agents, each
+    # integrated from its agents' streams, in the scalar form and on the
+    # n = k = 2 embedding, on a grid whose last chunk is a short one
+    import lqmfg.population as population
+    N, M = 7, 110
+    model, law, Em = netsec_model(M, dim)
+    pl = _SimPayload(model, law, Em)
+    assert all(M % _chunk_steps(A, 1, 1, pl.agent_size) for A in (1, 3, N))
+    zh = np.empty((M + 1, N, dim))
+    u = np.empty((M + 1, N, dim))
+
+    def caught(pl, j0, dw, z, v, *buffers):
+        _filtered(pl, j0, dw, z, v, *buffers)
+        zh[j0:j0 + len(z)] = z[:, 0].reshape(-1, N, dim)
+        u[j0:j0 + len(v)] = v[:, 0].reshape(-1, N, dim)
+
+    monkeypatch.setattr(population, "_filtered", caught)
+    sample = simulate_population(model, law, Em, N, derive_seed(4, N, 0))
+    monkeypatch.undo()
+    for size in (1, 3, N):
+        parts = [sample.agent_paths(i, min(N, i + size))
+                 for i in range(0, N, size)]
+        for got, want in zip(zip(*parts), (zh, u)):
+            np.testing.assert_array_equal(np.concatenate(got),
+                                          want.swapaxes(0, 1))
+    with pytest.raises(UsageError):
+        sample.agent_paths(3, N + 1)
 
 
 def test_parallel_workers_bitwise_match_serial():

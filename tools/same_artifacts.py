@@ -12,10 +12,12 @@ repository's ``perfbench/workloads.py``: ``solve`` at seed 501, ``ladder``
 at seeds 917 and 3, ``simulate`` at seed 917), the ladder at seed 917 with
 kind ``rate_cost`` (the one rate table without companion columns), both
 presets, two deviation sweeps on the netsec-numeric model, a netsec-numeric
-``simulate`` run whose solver steps override the model's, and one n = k = 2
-``simulate`` run whose A and D0 are given node by node (``schedule``), the
-only scenario with coefficients that vary in time.  Prints every file that differs or
-exists in one tree only; exits 1 if there is one, else 0.
+``simulate`` run whose solver steps override the model's, one of 13 agents
+on 110 steps (uneven agent ranges for the pool's tasks, and a short last
+kernel chunk), and one n = k = 2 ``simulate`` run whose A and D0 are given
+node by node (``schedule``), the only scenario with coefficients that vary
+in time.  Prints every file that differs or exists in one tree only; exits
+1 if there is one, else 0.
 
 For a differing CSV or JSON artifact whose text and layout agree, it also
 prints how far its numbers moved: how many moved, and the largest
@@ -85,6 +87,12 @@ def scenarios() -> dict:
         "solver": {"steps": 200},
         "experiment": {"kind": "simulate", "seed": 917, "N": 5},
         "output": {"directory": "out", "prefix": "override"}}
+    runs["ranges-13"] = {
+        "format_version": 1,
+        "model": dict(workloads.NETSEC_NUMERIC, steps=110),
+        "solver": {"p_method": "direct", "gamma_method": "direct"},
+        "experiment": {"kind": "simulate", "seed": 917, "N": 13},
+        "output": {"directory": "out", "prefix": "ranges"}}
     runs["deviation-6"] = _deviation(6, 9, 200)
     runs["deviation-120"] = _deviation(120, 6, 300)
     runs["schedule-60"] = _time_varying(60, 5)
