@@ -17,12 +17,12 @@ from .meanfield import (derive_seed, gaussian_increments, integrate_Em,
 from .model import (DiagnosticReport, LqMfgModel, TimeGrid,
                     ValidationReport, validate, wellposedness_diagnostic)
 from .population import (CandidateResult, DeviationCandidate,
-                         DeviationReport, LimitCostReport, PopulationSample,
-                         RateFitReport, default_candidate_family,
-                         deviation_experiment, limit_problem_experiment,
-                         lq_value_prediction, rate_experiment_cost,
-                         rate_experiment_state, rate_experiments,
-                         resolve_workers, simulate_population)
+                         DeviationReport, PopulationSample, RateFitReport,
+                         default_candidate_family, deviation_experiment,
+                         limit_problem_experiment, lq_value_prediction,
+                         rate_experiment_cost, rate_experiment_state,
+                         rate_experiments, resolve_workers,
+                         simulate_population)
 from .riccati import (FeedbackLaw, RiccatiSolution, SolveSummary,
                       build_feedback, solve_Gamma_direct, solve_Gamma_via_Pi,
                       solve_P_direct, solve_P_iterative, solve_Phi,
@@ -50,8 +50,8 @@ __all__ = [
     "DeviationCandidate", "default_candidate_family", "PopulationSample",
     "simulate_population", "RateFitReport", "rate_experiments",
     "rate_experiment_state", "rate_experiment_cost", "CandidateResult",
-    "DeviationReport", "deviation_experiment", "LimitCostReport",
-    "limit_problem_experiment", "lq_value_prediction", "resolve_workers",
+    "DeviationReport", "deviation_experiment", "limit_problem_experiment",
+    "lq_value_prediction", "resolve_workers",
     # scenarios
     "ScenarioConfig", "parse_scenario", "serialize_scenario",
     "load_scenario", "preset", "build_candidates",

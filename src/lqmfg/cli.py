@@ -44,9 +44,8 @@ import numpy as np
 
 from . import __version__
 from .errors import LqmfgError, UsageError, ValidationError
-from .io import (deviation_report_dict, plain, rate_report_dict,
-                 write_agent_csv, write_json, write_meanfield_csv,
-                 write_rate_csv, write_riccati_csv)
+from .io import (plain, rate_report_dict, write_agent_csv, write_json,
+                 write_meanfield_csv, write_rate_csv, write_riccati_csv)
 from .meanfield import integrate_Em
 from .model import validate, wellposedness_diagnostic
 from .population import (deviation_experiment, map_tasks,
@@ -211,7 +210,7 @@ def run(config: ScenarioConfig, quiet: bool = False) -> list[str]:
         dev = deviation_experiment(model, law, exp.N, exp.S, candidates,
                                    exp.seed, workers=workers)
         emit("deviation.json", write_json,
-             dict(deviation_report_dict(dev), format_version=FORMAT_VERSION))
+             dict(plain(dev), format_version=FORMAT_VERSION))
 
     # only now, so a failed solve or experiment leaves no file behind
     os.makedirs(outdir, exist_ok=True)

@@ -140,9 +140,3 @@ def write_rate_csv(path, report) -> None:
         named += [(fit.name, fit.values), (f"{fit.name}_stderr", fit.stderrs)]
     _table(path, named)
 
-
-def deviation_report_dict(report) -> dict:
-    """The report's fields as JSON, its ``results`` named ``candidates``."""
-    out = plain(report)
-    out["candidates"] = out.pop("results")
-    return out

@@ -748,15 +748,6 @@ def _fit_loglog(Ns, values):
     return float(coef[0]), float(coef[1]), float(np.sqrt(cov[0, 0])), False
 
 
-def _make_report(name, Ns, values, stderrs, S, seed, companions=()):
-    slope, intercept, sl_se, degen = _fit_loglog(Ns, values)
-    return RateFitReport(name=name, Ns=tuple(Ns), values=tuple(values),
-                         stderrs=tuple(stderrs), slope=slope,
-                         intercept=intercept, slope_stderr=sl_se,
-                         degenerate=degen, sample_count=S, seed=seed,
-                         companions=tuple(companions))
-
-
 def _check_ladder(Ns):
     Ns = tuple(int(N) for N in Ns)
     if len(Ns) < 4:
@@ -783,7 +774,9 @@ def rate_experiments(model: LqMfgModel, law: FeedbackLaw, Ns, S: int,
     def fit(name, per_sample, companions=()):
         """Fit of the sample mean of ``per_sample(stats)`` over the ladder."""
         means, ses = zip(*(_mean_se(per_sample(stats[N])) for N in Ns))
-        return _make_report(name, Ns, means, ses, int(S), seed, companions)
+        return RateFitReport(name, Ns, means, ses, *_fit_loglog(Ns, means),
+                             sample_count=int(S), seed=seed,
+                             companions=companions)
 
     def worst_agent(st):
         # the agent whose gap to its limiting state has the largest mean
@@ -827,32 +820,36 @@ class CandidateResult:
 
 @dataclasses.dataclass(frozen=True)
 class DeviationReport:
-    """Cost gains of unilateral deviations by agent 1, all agents else fixed."""
+    """Cost gains of unilateral deviations by agent 1, all agents else fixed.
+
+    ``deviation_experiment`` reports the N-agent system's costs;
+    ``limit_problem_experiment`` reports the limiting problem's, with
+    N = 1, the population size its samples run at.
+    """
 
     N: int
     S: int
     seed: int
     baseline_mean_cost: float
     baseline_stderr: float
-    results: tuple[CandidateResult, ...]
+    candidates: tuple[CandidateResult, ...]
     max_gain: float
 
 
-def _candidate_rows(candidates):
-    """Kernel rows for ``candidates`` and each candidate's row index.
+def _candidate_report(model, law, N, S, seed, candidates, cost, workers=None
+                      ) -> DeviationReport:
+    """The report of ``candidates`` over S samples of N agents, from agent
+    1's cost ``cost`` (a ``_BlockStats`` field): baseline mean and SE,
+    paired candidate results and their largest gain (NaN without any).
 
     Row 0 is the baseline.  A "self" candidate replays it bit for bit, so
     it reads row 0 instead of running again.
     """
     rows = tuple(c for c in candidates if not c.is_self)
     row = itertools.count(1)
-    return rows, [0 if c.is_self else next(row) for c in candidates]
-
-
-def _candidate_fields(J: np.ndarray, cols, candidates) -> dict:
-    """The fields a candidate report shares, from (S, C) costs in which
-    candidate i reads column cols[i]: sample count, baseline mean and SE,
-    paired candidate results and their largest gain (NaN without any)."""
+    cols = [0 if c.is_self else next(row) for c in candidates]
+    stats = _sample_stats(model, law, (N,), S, seed, rows, workers)[N]
+    J = getattr(stats, cost)[:, :, 0]                  # agent 1, (S, C)
     base_mean, base_se = _mean_se(J[:, 0])
     results = []
     for col, cand in zip(cols, candidates):
@@ -861,9 +858,10 @@ def _candidate_fields(J: np.ndarray, cols, candidates) -> dict:
         results.append(CandidateResult(name=cand.name, mean_cost=mean,
                                        cost_stderr=se, gain=gain,
                                        gain_stderr=gain_se))
-    return {"S": len(J), "baseline_mean_cost": base_mean,
-            "baseline_stderr": base_se, "results": tuple(results),
-            "max_gain": max((r.gain for r in results), default=float("nan"))}
+    return DeviationReport(
+        N=N, S=len(J), seed=seed, baseline_mean_cost=base_mean,
+        baseline_stderr=base_se, candidates=tuple(results),
+        max_gain=max((r.gain for r in results), default=float("nan")))
 
 
 def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
@@ -882,11 +880,8 @@ def deviation_experiment(model: LqMfgModel, law: FeedbackLaw, N: int, S: int,
     N = int(N)
     if N < 1:
         raise UsageError("population size must be at least 1")
-    rows, cols = _candidate_rows(candidates)
-    stats = _sample_stats(model, law, (N,), S, seed, rows, workers)
-    J = stats[N].J_central[:, :, 0]                    # agent 0, (S, C)
-    return DeviationReport(N=N, seed=seed,
-                           **_candidate_fields(J, cols, candidates))
+    return _candidate_report(model, law, N, S, seed, candidates,
+                             "J_central", workers)
 
 
 # ---------------------------------------------------------------------------
@@ -914,29 +909,15 @@ def lq_value_prediction(model: LqMfgModel, P) -> float:
     return float(0.5 * x0 @ P[0] @ x0 + 0.5 * (w * trace).sum())
 
 
-@dataclasses.dataclass(frozen=True)
-class LimitCostReport:
-    """Monte-Carlo cost of the decentralized policy in the limiting problem."""
-
-    S: int
-    seed: int
-    baseline_mean_cost: float
-    baseline_stderr: float
-    results: tuple[CandidateResult, ...]
-    max_gain: float
-
-
 def limit_problem_experiment(model: LqMfgModel, law: FeedbackLaw, S: int,
-                             seed: int, candidates=()) -> LimitCostReport:
+                             seed: int, candidates=()) -> DeviationReport:
     """Costs of the policy (and optional deviations) in the limiting problem.
 
     Sample s is the population kernel at N = 1 on streams 0 (common) and 1
     (individual) of derive_seed(seed, 1, s); its limiting cost involves no
     population coupling.  Candidates are rows of the same samples, so they
-    share streams with the baseline (common random numbers).
+    share streams with the baseline (common random numbers).  The report
+    has N = 1.
     """
-    candidates = tuple(candidates)
-    rows, cols = _candidate_rows(candidates)
-    J = _sample_stats(model, law, (1,), S, seed, rows)[1].J_limit[:, :, 0]
-    return LimitCostReport(seed=seed,
-                           **_candidate_fields(J, cols, candidates))
+    return _candidate_report(model, law, 1, S, seed, tuple(candidates),
+                             "J_limit")

@@ -257,14 +257,14 @@ class SolverBlock:
             raise UsageError("solver.steps must be positive")
         if self.max_iters < 1:
             raise UsageError("solver.max_iters must be positive")
-        if not self.tol > 0:
+        if not _finite(self.tol, "solver.tol") > 0:
             raise UsageError("solver.tol must be positive")
 
     @classmethod
     def from_dict(cls, d) -> "SolverBlock":
         return _block(cls, d, {"steps": _optional(_int), "p_method": _str,
                                "gamma_method": _str, "max_iters": _int,
-                               "tol": _finite}, "solver block", "solver")
+                               "tol": _real}, "solver block", "solver")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,12 +273,17 @@ class CandidateFamilyBlock:
     include_zero: bool = True
     offsets: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        for key in ("gain_scales", "offsets"):
+            for value in getattr(self, key):
+                _finite(value, f"experiment.candidates.{key}")
+
     @classmethod
     def from_dict(cls, d) -> "CandidateFamilyBlock":
         ctx = "experiment.candidates"
-        return _block(cls, d, {"gain_scales": _tuple_of(_finite),
+        return _block(cls, d, {"gain_scales": _tuple_of(_real),
                                "include_zero": _bool,
-                               "offsets": _tuple_of(_finite)}, ctx, ctx)
+                               "offsets": _tuple_of(_real)}, ctx, ctx)
 
 
 def build_candidates(block: CandidateFamilyBlock | None
@@ -330,21 +335,21 @@ class ExperimentBlock:
             "experiment block", "experiment")
 
 
-def _prefix(value, context) -> str:
-    prefix = _str(value, context)
-    if not prefix or "/" in prefix or "\\" in prefix:
-        raise UsageError(f"{context} must be a plain file-name prefix")
-    return prefix
-
-
 @dataclasses.dataclass(frozen=True)
 class OutputBlock:
     directory: str = "."
     prefix: str = "run"
 
+    def __post_init__(self):
+        if not _str(self.directory, "output.directory"):
+            raise UsageError("output.directory must not be empty")
+        prefix = _str(self.prefix, "output.prefix")
+        if not prefix or "/" in prefix or "\\" in prefix:
+            raise UsageError("output.prefix must be a plain file-name prefix")
+
     @classmethod
     def from_dict(cls, d) -> "OutputBlock":
-        return _block(cls, d, {"prefix": _prefix, "directory": _str},
+        return _block(cls, d, {"prefix": _str, "directory": _str},
                       "output block", "output")
 
 

@@ -246,11 +246,11 @@ def test_criterion_7_no_profitable_unilateral_deviation(ladder):
     envelope = c / math.sqrt(DEVIATION_N)
     report = deviation_experiment(model, law, DEVIATION_N, DEVIATION_S,
                                   default_candidate_family(), SEED)
-    self_result = report.results[0]
+    self_result = report.candidates[0]
     assert self_result.name == "self"
     print(f"criterion 7: baseline={report.baseline_mean_cost:.6f} "
           f"envelope c/sqrt(N)={envelope:.4e}")
-    for r in report.results:
+    for r in report.candidates:
         bound = 3.0 * r.gain_stderr + envelope
         print(f"criterion 7:   {r.name:>16}: gain={r.gain:+.4e} "
               f"3SE+env={bound:.4e}")
@@ -270,7 +270,7 @@ def test_criterion_8_simulated_cost_matches_riccati_value():
     print(f"criterion 8: V={V:.6f} simulated={report.baseline_mean_cost:.6f} "
           f"gap={gap:.2e} (3SE={3 * report.baseline_stderr:.2e})")
     assert gap <= 3.0 * report.baseline_stderr
-    for r in report.results:
+    for r in report.candidates:
         print(f"criterion 8:   {r.name:>16}: gain={r.gain:+.4e} "
               f"3SE={3 * r.gain_stderr:.2e}")
         assert r.gain <= 3.0 * r.gain_stderr, r.name

@@ -586,7 +586,7 @@ def test_self_candidate_gain_is_exactly_zero():
     report = deviation_experiment(model, law, N=6, S=4,
                                   candidates=default_candidate_family(),
                                   seed=21)
-    self_result = report.results[0]
+    self_result = report.candidates[0]
     assert self_result.name == "self"
     assert self_result.gain == 0.0
     assert self_result.gain_stderr == 0.0
@@ -623,8 +623,8 @@ def test_deviation_runs_no_self_replays(monkeypatch):
             derive_seed(21, N, s) for s in range(S)]
         assert sum(len(seeds) * (1 + len(rows))
                    for _, _, seeds, rows in queued) == S * (1 + non_self)
-        assert report.results[0].name == "self"
-        assert report.results[0].gain == 0.0
+        assert report.candidates[0].name == "self"
+        assert report.candidates[0].gain == 0.0
 
 
 @pytest.mark.parametrize("N, dim", [(1, 1), (6, 1), (1, 2), (6, 2)],
@@ -663,9 +663,9 @@ def test_deviation_report_reproducible_and_gain_sign():
     a = deviation_experiment(model, law, N=6, S=6, candidates=fam, seed=2)
     b = deviation_experiment(model, law, N=6, S=6, candidates=fam, seed=2)
     assert a.baseline_mean_cost == b.baseline_mean_cost
-    assert [r.gain for r in a.results] == [r.gain for r in b.results]
+    assert [r.gain for r in a.candidates] == [r.gain for r in b.candidates]
     # gain is baseline minus candidate: a worse candidate has negative gain
-    zero = a.results[1]
+    zero = a.candidates[1]
     assert zero.mean_cost == pytest.approx(a.baseline_mean_cost - zero.gain,
                                            rel=1e-12)
 
@@ -707,9 +707,9 @@ def test_limit_experiment_baseline_and_candidates():
     model, law, Em = closed_form(80)
     report = limit_problem_experiment(model, law, S=32, seed=5,
                                       candidates=default_candidate_family())
-    assert report.results[0].gain == 0.0  # self, common random numbers
+    assert report.candidates[0].gain == 0.0  # self, common random numbers
     assert report.baseline_stderr > 0.0
-    assert report.max_gain == max(r.gain for r in report.results)
+    assert report.max_gain == max(r.gain for r in report.candidates)
 
 
 def test_value_prediction_matches_decoupled_simulation():

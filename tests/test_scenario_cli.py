@@ -15,11 +15,14 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from lqmfg import DivergenceError, UsageError, cli
+from lqmfg import (DivergenceError, UsageError, cli, deviation_experiment,
+                   limit_problem_experiment, solve_riccati)
 from lqmfg.cli import main, run
 from lqmfg.model import COEFFICIENTS, coefficient_shapes
-from lqmfg.scenario import (ScenarioConfig, build_candidates, parse_scenario,
-                            preset, serialize_scenario)
+from lqmfg.io import plain
+from lqmfg.scenario import (CandidateFamilyBlock, OutputBlock,
+                            ScenarioConfig, SolverBlock, build_candidates,
+                            parse_scenario, preset, serialize_scenario)
 
 
 def write_config(tmp_path, cfg_dict, name="scenario.json"):
@@ -125,6 +128,21 @@ def test_model_block_built_in_python_checks_its_sizes(field, value):
     with pytest.raises(UsageError):
         dataclasses.replace(preset("netsec-closed-form").model,
                             **{field: value})
+
+
+@pytest.mark.parametrize("block, fields, key", [
+    (OutputBlock, {"directory": ""}, "output.directory"),
+    (OutputBlock, {"prefix": "sub/p"}, "output.prefix"),
+    (CandidateFamilyBlock, {"gain_scales": (float("inf"),)},
+     "experiment.candidates.gain_scales"),
+    (CandidateFamilyBlock, {"offsets": (float("nan"),)},
+     "experiment.candidates.offsets"),
+    (SolverBlock, {"tol": float("inf")}, "solver.tol"),
+])
+def test_block_built_in_python_checks_its_settings(block, fields, key):
+    # each raises at construction with the message its JSON value gives
+    with pytest.raises(UsageError, match=key):
+        block(**fields)
 
 
 @pytest.mark.parametrize("name", ["netsec-closed-form", "netsec-numeric"])
@@ -525,6 +543,30 @@ def test_cli_deviation_kind(tmp_path):
     assert rep["max_gain"] <= 0.0 + 1e-15 or rep["max_gain"] == 0.0
 
 
+def test_cli_deviation_json_is_the_report(tmp_path):
+    # deviation.json is the report's fields and the format version, and
+    # the limiting problem's report runs its samples at N = 1
+    d = closed_form_dict(steps=30)
+    d["solver"] = {"p_method": "direct", "gamma_method": "direct"}
+    d["experiment"] = {"kind": "deviation", "seed": 11, "N": 3, "S": 5,
+                       "candidates": {"gain_scales": [0.5],
+                                      "include_zero": True,
+                                      "offsets": [0.25]}}
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "d"}
+    assert main(["--config", write_config(tmp_path, d), "--quiet"]) == 0
+    written = json.loads((tmp_path / "out" / "d_deviation.json").read_text())
+    assert written.pop("format_version") == 1
+
+    cfg = parse_scenario(json.dumps(d))
+    model = cfg.model.build()
+    law = solve_riccati(model).feedback
+    candidates = build_candidates(cfg.experiment.candidates)
+    report = deviation_experiment(model, law, 3, 5, candidates, 11,
+                                  workers=1)
+    assert written == plain(report)
+    assert limit_problem_experiment(model, law, 5, 11, candidates).N == 1
+
+
 def test_cli_pi_precondition_violation_is_recorded_not_fatal(tmp_path):
     d = closed_form_dict(beta=0.4)
     d["model"]["steps"] = 40
@@ -666,6 +708,34 @@ def test_cli_malformed_value_exits_2(tmp_path, capsys, monkeypatch, block,
     assert key in record["message"]
 
 
+def test_cli_scenario_without_a_model_exits_2(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {"format_version": 1})
+    assert main(["--config", path, "--quiet"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError" and record["exit_code"] == 2
+    assert "'model' block" in record["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+def test_cli_empty_out_exits_2_before_the_solve(tmp_path, capsys,
+                                                monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output block was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "solve_riccati", no_solve)
+    assert main(["--preset", "netsec-closed-form", "--out", "",
+                 "--quiet"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "UsageError"
+    assert "output.directory" in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_overflowing_horizon_exits_2(tmp_path, capsys):
     # JSON reads 1e400 as infinity: a config error naming the key, as a
     # non-finite r_min is
@@ -728,6 +798,7 @@ def test_cli_bad_mfg_threads_exits_2_before_the_solve(tmp_path, capsys,
     ("model", {"A": {"schedule": []}}, "model.A: schedule has no entries"),
     ("model", {"steps": 8, "A": {"schedule": [[[1.0]]] * 5}},
      "model.A: schedule has 5 entries, grid has 9 nodes"),
+    ("output", {"directory": ""}, "output.directory"),
 ])
 def test_cli_out_of_range_value_exits_2_writing_nothing(tmp_path, capsys,
                                                         block, entries, key):

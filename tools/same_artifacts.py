@@ -11,12 +11,13 @@ must match.  The scenarios are the benchmark workloads' (read from this
 repository's ``perfbench/workloads.py``: ``solve`` at seed 501, ``ladder``
 at seeds 917 and 3, ``simulate`` at seed 917), the ladder at seed 917 with
 kind ``rate_cost`` (the one rate table without companion columns), both
-presets, two deviation sweeps on the netsec-numeric model, a netsec-numeric
-``simulate`` run whose solver steps override the model's, one of 13 agents
-on 110 steps (uneven agent ranges for the pool's tasks, and a short last
-kernel chunk), and one n = k = 2 ``simulate`` run whose A and D0 are given
-node by node (``schedule``), the only scenario with coefficients that vary
-in time.  Prints every file that differs or exists in one tree only; exits
+presets, three deviation sweeps on the netsec-numeric model (two with the
+default candidate family, one of 8 agents with its own: no zero control,
+two gain scales and an offset), a netsec-numeric ``simulate`` run whose
+solver steps override the model's, one of 13 agents on 110 steps (uneven
+agent ranges for the pool's tasks, and a short last kernel chunk), and one
+n = k = 2 ``simulate`` run whose A and D0 are given node by node
+(``schedule``), the only scenario with coefficients that vary in time.  Prints every file that differs or exists in one tree only; exits
 1 if there is one, else 0.
 
 For a differing CSV or JSON artifact whose text and layout agree, it also
@@ -41,11 +42,14 @@ sys.dont_write_bytecode = True      # leave perfbench/ as it is
 import workloads  # noqa: E402
 
 
-def _deviation(N: int, S: int, steps: int) -> dict:
+def _deviation(N: int, S: int, steps: int, candidates=None) -> dict:
+    """A deviation sweep on the netsec-numeric model; the default candidate
+    family unless ``candidates`` gives a scenario's candidates block."""
     return {"format_version": 1,
             "model": dict(workloads.NETSEC_NUMERIC, steps=steps),
             "solver": {"p_method": "direct", "gamma_method": "direct"},
-            "experiment": {"kind": "deviation", "seed": 917, "N": N, "S": S},
+            "experiment": {"kind": "deviation", "seed": 917, "N": N, "S": S,
+                           "candidates": candidates},
             "output": {"directory": "out", "prefix": "deviation"}}
 
 
@@ -95,6 +99,8 @@ def scenarios() -> dict:
         "output": {"directory": "out", "prefix": "ranges"}}
     runs["deviation-6"] = _deviation(6, 9, 200)
     runs["deviation-120"] = _deviation(120, 6, 300)
+    runs["candidates-8"] = _deviation(8, 5, 150, {
+        "gain_scales": [0.5, 1.5], "include_zero": False, "offsets": [0.25]})
     runs["schedule-60"] = _time_varying(60, 5)
     for name in ("netsec-closed-form", "netsec-numeric"):
         runs[name] = name
