@@ -29,7 +29,9 @@ the state average but no per-agent path: an agent's zhat and u read only
 its own stream, so any range of agents integrates them again from their
 streams (``_agent_paths``) through the step the kernel takes
 (``_filtered``), bit for bit.  Blocks are the tasks of the process pool,
-which one driver (``_sample_stats``) maps for all three experiments.
+which one driver (``_sample_stats``) maps for all three experiments; a
+recorded population is a pool task of its own, so with more than one
+worker the caller draws no noise.
 Every block's statistics equal those of its samples run one at a time, and
 a row's those of its candidate run alone.
 
@@ -587,9 +589,11 @@ def _block_kernel(pl: _SimPayload, dWi, dW0, cands=(), record: bool = False):
     return stats, m[:, 0, 0].reshape(M + 1, n), rec_xbar.reshape(M + 1, n)
 
 
-def _run_block(pl: _SimPayload, N: int, seeds, cands=()) -> _BlockStats:
-    """Stats of samples ``seeds`` of size N, with candidate rows ``cands``."""
-    return _block_kernel(pl, *_block_noise(pl, N, seeds), cands)
+def _run_block(pl: _SimPayload, N: int, seeds, cands=(),
+               record: bool = False):
+    """Stats of samples ``seeds`` of size N, with candidate rows ``cands``;
+    ``record`` as for ``_block_kernel``."""
+    return _block_kernel(pl, *_block_noise(pl, N, seeds), cands, record)
 
 
 def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
@@ -602,15 +606,18 @@ def simulate_population(model: LqMfgModel, law: FeedbackLaw, Em, N: int,
     relabeling cannot change it.  The run holds its noise and no per-agent
     path: every agent's zhat, u, x and zbar are stepped but not stored, and
     ``PopulationSample.agent_paths`` integrates zhat and u again from the
-    agents' own streams.  Raises ``UsageError`` if ``law`` or ``Em`` was
-    solved on another grid than the model's.
+    agents' own streams.  The kernel is one ``map_tasks`` task over
+    ``resolve_workers()`` workers, so with more than one the caller never
+    draws the noise.  Raises
+    ``UsageError`` if ``law`` or ``Em`` was solved on another grid than the
+    model's.
     """
     N, seed = int(N), int(seed)
     if N < 1:
         raise UsageError("population size must be at least 1")
     pl = _SimPayload(model, law, Em)
-    stats, m, xbar = _block_kernel(pl, *_block_noise(pl, N, (seed,)),
-                                   record=True)
+    stats, m, xbar = map_tasks(_run_block, pl, [(0, N, (seed,), (), True)],
+                               resolve_workers())[0]
     return PopulationSample(N=N, seed=seed, state_average=xbar, m=m,
                             Em=pl.Em.copy(), J_central=stats.J_central[0, 0],
                             J_limit=stats.J_limit[0, 0], _payload=pl)
@@ -655,17 +662,18 @@ def resolve_workers(workers=None) -> int:
 def map_tasks(run, payload, tasks, workers: int) -> dict:
     """``{key: run(payload, *args)}`` over the tasks ``(key, *args)``.
 
-    More than one worker and task run the tasks in a process pool.  The
-    payload reaches the workers through the pool initializer, so forked
-    workers share the parent's arrays instead of receiving pickled copies;
-    ``run`` is called there with it.  Results are keyed, so the caller fixes
-    the reduction order whatever the completion order.  An exception raised
-    by a task is raised here, after the pool has shut down.
+    One worker runs the tasks in-process; more run every task, even a
+    single one, in a process pool, so none runs in the caller.  The payload
+    reaches the workers through the pool initializer, so forked workers
+    share the parent's arrays instead of receiving pickled copies; ``run``
+    is called there with it.  Results are keyed, so the caller fixes the
+    reduction order whatever the completion order.  An exception raised by
+    a task is raised here, after the pool has shut down.
     """
+    if workers <= 1 or not tasks:
+        return {t[0]: run(payload, *t[1:]) for t in tasks}
     # the pool starts all its workers up front: no more than there are tasks
     workers = min(workers, len(tasks))
-    if workers <= 1:
-        return {t[0]: run(payload, *t[1:]) for t in tasks}
     chunk = max(1, len(tasks) // (workers * 8))
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init,

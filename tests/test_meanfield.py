@@ -15,7 +15,9 @@ Oracles:
   checked by refining against a coupled finer path.
 """
 
+import json
 import math
+import os
 import subprocess
 import sys
 
@@ -102,6 +104,29 @@ def test_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("kind", ["simulate", "deviation", "rate_state"])
+@pytest.mark.parametrize("threads, loaded", [("2", "False"), ("1", "True")])
+def test_cli_draws_noise_in_process_only_with_one_worker(tmp_path, kind,
+                                                         threads, loaded):
+    # with more workers every experiment's kernel runs in pool workers, the
+    # recorded population included, so the CLI process never imports
+    # numpy.random; one worker runs every task in-process
+    d = preset("netsec-closed-form").to_dict()
+    d["model"]["steps"] = 20
+    d["experiment"] = {"kind": kind, "seed": 3, "N": 3, "S": 2,
+                       "Ns": [2, 4, 8, 16]}
+    d["output"] = {"directory": str(tmp_path / "out"), "prefix": "p"}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(d))
+    code = ("import sys, lqmfg.cli; "
+            f"code = lqmfg.cli.main(['--config', {str(config)!r}, '--quiet']);"
+            " print(code, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, MFG_THREADS=threads))
+    assert out.stdout.split() == ["0", loaded]
 
 
 def test_increment_scale_is_sqrt_h():

@@ -307,7 +307,7 @@ def test_deviation_rejects_an_empty_population():
         deviation_experiment(model, law, 0, 4, default_candidate_family(), 1)
 
 
-def test_population_cost_overflow_is_diagnosed():
+def test_population_cost_overflow_is_diagnosed(monkeypatch):
     # the states stay at x0 = 10, but the terminal cost overflows
     grid = TimeGrid(1.0, 10)
     model = LqMfgModel.from_constants(grid, A=0.0, B=1.0, Q=1.0, R=1.0,
@@ -315,16 +315,20 @@ def test_population_cost_overflow_is_diagnosed():
     law = FeedbackLaw(grid=grid, K_z=np.zeros((11, 1, 1)),
                       K_m=np.zeros((11, 1, 1)), c_u=np.zeros((11, 1)))
     Em = integrate_Em(model, law)
-    with pytest.raises(DivergenceError) as err:
-        simulate_population(model, law, Em, N=2, seed=1)
-    assert err.value.node == 10
+    # in the caller, and in a pool worker
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MFG_THREADS", threads)
+        with pytest.raises(DivergenceError) as err:
+            simulate_population(model, law, Em, N=2, seed=1)
+        assert err.value.node == 10
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("form", KERNEL_MODELS)
-def test_exploding_feedback_is_diagnosed(form):
+def test_exploding_feedback_is_diagnosed(monkeypatch, form):
     # the kernel names the first node where a state is non-finite; with a
-    # huge gain zhat overflows first, at the node the oracles name too
+    # huge gain zhat overflows first, at the node the oracles name too, in
+    # the caller or in a pool worker
     model, law, Em = KERNEL_MODELS[form](100)
     for gain in (1e155, 1e30):
         huge = FeedbackLaw(grid=law.grid, K_z=np.full_like(law.K_z, gain),
@@ -337,9 +341,11 @@ def test_exploding_feedback_is_diagnosed(form):
                 integrate_z_hat(model, huge, Em,
                                 gaussian_increments(model.grid, 2, i + 1))
             nodes.append(oracle.value.node)
-        with pytest.raises(DivergenceError) as err:
-            simulate_population(model, huge, Em, N=3, seed=2)
-        assert err.value.node == min(nodes) < model.grid.steps
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MFG_THREADS", threads)
+            with pytest.raises(DivergenceError) as err:
+                simulate_population(model, huge, Em, N=3, seed=2)
+            assert err.value.node == min(nodes) < model.grid.steps
 
 
 # ---------------------------------------------------------------- rate fit
@@ -477,6 +483,8 @@ def test_agent_ranges_give_the_kernels_paths_bit_for_bit(monkeypatch, dim):
         u[j0:j0 + len(v)] = v[:, 0].reshape(-1, N, dim)
 
     monkeypatch.setattr(population, "_filtered", caught)
+    # one worker, so the kernel steps, and is caught, in this process
+    monkeypatch.setenv("MFG_THREADS", "1")
     sample = simulate_population(model, law, Em, N, derive_seed(4, N, 0))
     monkeypatch.undo()
     for size in (1, 3, N):
@@ -549,16 +557,17 @@ def test_process_pool_is_capped_at_the_task_count(monkeypatch, tmp_path):
         for field in STAT_FIELDS:
             np.testing.assert_array_equal(getattr(pooled[key], field),
                                           getattr(serial[key], field))
+    # more than one worker pools even a single task
     population.map_tasks(run, pl, tasks[:1], workers=8)
-    assert sizes == [3]
+    assert sizes == [3, 1]
 
-    # the simulate kind writes its agent files through the same pool, in
-    # about four ranges per worker
+    # the simulate kind runs its kernel as one pool task, then writes its
+    # agent files through the same pool, in about four ranges per worker
     d = preset("netsec-numeric").to_dict()
     d["model"]["steps"] = 20
     config = tmp_path / "sim.json"
-    for N, threads, size in ((2, 3, 2), (7, 2, 2), (9, 3, 3), (1, 3, None),
-                             (5, 1, None)):
+    for N, threads, pools in ((2, 3, [1, 2]), (7, 2, [1, 2]), (9, 3, [1, 3]),
+                              (1, 3, [1, 1]), (5, 1, [])):
         sizes.clear()
         d["experiment"]["N"] = N
         d["output"] = {"directory": str(tmp_path / f"{N}-{threads}"),
@@ -566,7 +575,7 @@ def test_process_pool_is_capped_at_the_task_count(monkeypatch, tmp_path):
         config.write_text(json.dumps(d))
         monkeypatch.setenv("MFG_THREADS", str(threads))
         assert main(["--config", str(config), "--quiet"]) == 0
-        assert sizes == ([] if size is None else [size])
+        assert sizes == pools
         assert len(list((tmp_path / f"{N}-{threads}").iterdir())) == N + 5
 
 

@@ -398,9 +398,14 @@ def test_cli_extreme_values_write_only_the_error_record(tmp_path, key, value,
         assert json.loads(lines[0])["exit_code"] == code
 
 
-def _assert_rejected_before_the_solve(tmp_path, capsys, experiment, key,
-                                      flags=()):
-    """The scenario exits 2 with one record naming ``key`` and no file."""
+def _assert_rejected_before_the_solve(tmp_path, capsys, monkeypatch,
+                                      experiment, key, flags=()):
+    """The scenario exits 2 with one record naming ``key`` and no file,
+    without reaching the solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the scenario was checked")
+
+    monkeypatch.setattr(cli, "solve_riccati", no_solve)
     d = closed_form_dict(steps=30)
     d["experiment"] = experiment
     d["output"] = {"directory": str(tmp_path / "out"), "prefix": "r"}
@@ -414,11 +419,11 @@ def _assert_rejected_before_the_solve(tmp_path, capsys, experiment, key,
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_short_rate_ladder_exits_2(tmp_path, capsys):
+def test_cli_short_rate_ladder_exits_2(tmp_path, capsys, monkeypatch):
     _assert_rejected_before_the_solve(
-        tmp_path, capsys, {"kind": "rate_state", "seed": 3, "N": None,
-                           "Ns": [4, 8, 16], "S": 4, "candidates": None},
-        "experiment.Ns")
+        tmp_path, capsys, monkeypatch,
+        {"kind": "rate_state", "seed": 3, "N": None, "Ns": [4, 8, 16],
+         "S": 4, "candidates": None}, "experiment.Ns")
 
 
 @pytest.mark.parametrize("kind, key", [
@@ -426,41 +431,44 @@ def test_cli_short_rate_ladder_exits_2(tmp_path, capsys):
     ("deviation", "experiment.N"),
     ("rate_cost", "experiment.Ns"),
 ])
-def test_cli_experiment_without_its_size_exits_2(tmp_path, capsys, kind,
-                                                 key):
+def test_cli_experiment_without_its_size_exits_2(tmp_path, capsys,
+                                                 monkeypatch, kind, key):
     _assert_rejected_before_the_solve(
-        tmp_path, capsys, {"kind": kind, "seed": 3, "S": 4}, key)
+        tmp_path, capsys, monkeypatch, {"kind": kind, "seed": 3, "S": 4}, key)
 
 
 @pytest.mark.parametrize("flag, value, key", [
     ("--steps", "0", "steps"),
     ("--seed", str(1 << 64), "seed"),
 ])
-def test_cli_out_of_range_override_exits_2(tmp_path, capsys, flag, value,
-                                           key):
+def test_cli_out_of_range_override_exits_2(tmp_path, capsys, monkeypatch,
+                                           flag, value, key):
     _assert_rejected_before_the_solve(
-        tmp_path, capsys, {"kind": "solve", "seed": 3}, key, (flag, value))
+        tmp_path, capsys, monkeypatch, {"kind": "solve", "seed": 3}, key,
+        (flag, value))
 
 
 def test_cli_population_too_large_for_memory_exits_2(tmp_path):
     # numpy refuses the 218 TiB noise block of N = 10**12 at once, so
-    # nothing is allocated; simulate fails there, before the CLI lists the
-    # N agent paths
+    # nothing is allocated; simulate fails there, in-process or in its pool
+    # worker, before the CLI lists the N agent paths
     d = closed_form_dict(steps=30)
     d["experiment"] = {"kind": "simulate", "seed": 3, "N": 10 ** 12}
     d["output"] = {"directory": str(tmp_path / "out"), "prefix": "big"}
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-m", "lqmfg.cli", "--config",
-                          write_config(tmp_path, d), "--quiet"],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 2, out.stderr
-    lines = out.stderr.splitlines()
-    assert len(lines) == 1, out.stderr
-    record = json.loads(lines[0])
-    assert record["exit_code"] == 2
-    assert "allocate" in record["message"]
-    assert not (tmp_path / "out").exists()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   MFG_THREADS=threads)
+        out = subprocess.run([sys.executable, "-m", "lqmfg.cli", "--config",
+                              write_config(tmp_path, d), "--quiet"],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 2, out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1, out.stderr
+        record = json.loads(lines[0])
+        assert record["exit_code"] == 2
+        assert "allocate" in record["message"]
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind, runner", [
